@@ -30,8 +30,9 @@ from repro.apps.airline import (
     make_airline_application,
 )
 from repro.apps.airline.simulation import AirlineScenario, run_airline_scenario
+from repro.gossip import GossipConfig
 from repro.harness import Table
-from repro.network import BroadcastConfig, PartitionSchedule, UniformDelay
+from repro.network import PartitionSchedule, UniformDelay
 from repro.serializable import PrimaryCopySystem, QuorumSystem
 from repro.sim.metrics import Summary, mean
 
@@ -161,7 +162,7 @@ def _run_gossip(mode, partition_duration):
             duration=GOSSIP_DURATION,
             seed=31,
             partitions=_partitions(partition_duration),
-            broadcast=BroadcastConfig(mode=mode),
+            broadcast=GossipConfig(mode=mode),
         )
     )
     cluster = run.cluster

@@ -28,8 +28,8 @@ from repro.analysis import (
 )
 from repro.apps.airline import make_airline_application, overbooking_bound
 from repro.apps.airline.simulation import AirlineScenario, run_airline_scenario
+from repro.gossip import GossipConfig
 from repro.harness import Table
-from repro.network import BroadcastConfig
 from repro.sim.metrics import Summary
 
 CAPACITY = 10
@@ -47,7 +47,7 @@ def _run(seed, interval, mode="digest"):
             duration=60,
             seed=seed,
             request_rate=1.5,
-            broadcast=BroadcastConfig(
+            broadcast=GossipConfig(
                 flood=False, anti_entropy_interval=interval, mode=mode
             ),
         )

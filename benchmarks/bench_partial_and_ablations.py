@@ -24,9 +24,15 @@ from repro.apps.airline import AirlineState, MoveUp, Request
 from repro.apps.airline.simulation import AirlineScenario, run_airline_scenario
 from repro.apps.airline.theorems import corollary8
 from repro.core import is_transitive, transitivity_violations
+from repro.gossip import GossipConfig
 from repro.harness import Table
-from repro.network import BroadcastConfig, PartitionSchedule
-from repro.shard import checkpoint_factory, naive_factory, suffix_factory
+from repro.network import PartitionSchedule
+from repro.replica import (
+    EveryPositionPolicy,
+    FixedIntervalPolicy,
+    InitialOnlyPolicy,
+    policy_engine_factory,
+)
 from repro.shard.partial import PartialCluster, PartialConfig
 
 CAPACITY = 5
@@ -107,7 +113,7 @@ def _piggyback_table():
                 AirlineScenario(
                     capacity=CAPACITY, n_nodes=3, duration=60,
                     seed=100 + seed, partitions=partitions,
-                    broadcast=BroadcastConfig(
+                    broadcast=GossipConfig(
                         flood=True, piggyback=piggyback,
                         anti_entropy_interval=50.0,
                     ),
@@ -128,12 +134,20 @@ def _checkpoint_table():
         "E14c: snapshot interval ablation ([SKS] storage vs recompute)",
         ["engine", "updates applied", "snapshots held"],
     )
+    def checkpoint(interval):
+        return policy_engine_factory(
+            lambda: FixedIntervalPolicy(interval), fast_path=False
+        )
+
     engines = [
-        ("suffix (interval 1)", suffix_factory),
-        ("checkpoint-4", checkpoint_factory(4)),
-        ("checkpoint-16", checkpoint_factory(16)),
-        ("checkpoint-64", checkpoint_factory(64)),
-        ("naive (no snapshots)", naive_factory),
+        ("suffix (interval 1)", policy_engine_factory(EveryPositionPolicy)),
+        ("checkpoint-4", checkpoint(4)),
+        ("checkpoint-16", checkpoint(16)),
+        ("checkpoint-64", checkpoint(64)),
+        (
+            "naive (no snapshots)",
+            policy_engine_factory(InitialOnlyPolicy, fast_path=False),
+        ),
     ]
     rows = {}
     for label, factory in engines:

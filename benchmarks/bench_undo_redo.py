@@ -36,18 +36,25 @@ from repro.harness import Table
 from repro.network import PartitionSchedule, UniformDelay
 from repro.replica import (
     AdaptiveWindowPolicy,
+    EveryPositionPolicy,
+    FixedIntervalPolicy,
     GeometricPolicy,
+    InitialOnlyPolicy,
     TailWindowPolicy,
     policy_engine_factory,
 )
-from repro.shard import checkpoint_factory, naive_factory, suffix_factory
 
 CAPACITY = 10
 WINDOW = 16
 ENGINES = (
-    ("naive", naive_factory),
-    ("suffix", suffix_factory),
-    ("checkpoint-16", checkpoint_factory(WINDOW)),
+    ("naive", policy_engine_factory(InitialOnlyPolicy, fast_path=False)),
+    ("suffix", policy_engine_factory(EveryPositionPolicy)),
+    (
+        "checkpoint-16",
+        policy_engine_factory(
+            lambda: FixedIntervalPolicy(WINDOW), fast_path=False
+        ),
+    ),
     (
         "tail-window-16",
         policy_engine_factory(lambda: TailWindowPolicy(WINDOW)),

@@ -17,12 +17,12 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
 from ...core.execution import TimedExecution
-from ...network.broadcast import BroadcastConfig
+from ...gossip import GossipConfig
 from ...network.link import DelayModel, UniformDelay
 from ...network.partition import PartitionSchedule
+from ...replica import EngineFactory
 from ...shard.cluster import ClusterConfig, ShardCluster
 from ...shard.external import ExternalLedger
-from ...shard.undo_redo import MergeEngineFactory, suffix_factory
 from ...shard.workload import PeriodicSubmitter, PoissonSubmitter
 from .state import AirlineState
 from .timestamped import (
@@ -51,8 +51,8 @@ class AirlineScenario:
     delay: Optional[DelayModel] = None
     partitions: Optional[PartitionSchedule] = None
     loss_probability: float = 0.0
-    broadcast: Optional[BroadcastConfig] = None
-    merge_factory: MergeEngineFactory = suffix_factory
+    broadcast: Optional[GossipConfig] = None
+    merge_factory: Optional[EngineFactory] = None
     #: "baseline" = the paper's Section 2.3 design; "timestamped" = the
     #: Section 5.5 redesign with request timestamps in the database.
     design: str = "baseline"

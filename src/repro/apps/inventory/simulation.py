@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from ...core.execution import TimedExecution
-from ...network.broadcast import BroadcastConfig
+from ...gossip import GossipConfig
 from ...network.link import DelayModel, UniformDelay
 from ...network.partition import PartitionSchedule
 from ...shard.cluster import ClusterConfig, ShardCluster
@@ -36,7 +36,7 @@ class InventoryScenario:
     seed: int = 0
     delay: Optional[DelayModel] = None
     partitions: Optional[PartitionSchedule] = None
-    broadcast: Optional[BroadcastConfig] = None
+    broadcast: Optional[GossipConfig] = None
 
 
 @dataclass

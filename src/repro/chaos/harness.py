@@ -33,7 +33,7 @@ from typing import Dict, List, Optional, Tuple
 from ..apps.airline.state import AirlineState
 from ..apps.airline.transactions import Cancel, MoveDown, MoveUp, Request
 from ..core.execution import InvalidExecutionError
-from ..network.broadcast import BroadcastConfig
+from ..gossip import GossipConfig
 from ..network.link import FixedDelay, UniformDelay
 from ..replica import FixedIntervalPolicy, policy_engine_factory
 from ..shard.cluster import ClusterConfig, ShardCluster
@@ -194,7 +194,7 @@ def run_chaos(
             n_nodes=scenario.n_nodes,
             seed=scenario.seed,
             delay=delay,
-            broadcast=BroadcastConfig(
+            broadcast=GossipConfig(
                 piggyback=scenario.piggyback,
                 anti_entropy_interval=scenario.anti_entropy_interval,
                 ack_timeout=scenario.ack_timeout,

@@ -1,11 +1,11 @@
 """The gossip dissemination service for fully replicated clusters.
 
-:class:`GossipService` is the drop-in engine behind
-:class:`repro.network.broadcast.ReliableBroadcast`.  It keeps the
-paper-facing contract — every attached node's ``on_deliver`` fires
-exactly once per item, flooding gives low latency on the healthy part of
-the network, anti-entropy guarantees eventual delivery — but implements
-dissemination in one of two modes:
+:class:`GossipService` is the reliable broadcast the paper sketches
+([GLBKSS], Section 3.3): items are opaque, uniqueness comes from
+caller-supplied keys.  It keeps the paper-facing contract — every item
+is delivered to every attached node exactly once, flooding gives low
+latency on the healthy part of the network, anti-entropy guarantees
+eventual delivery — but implements dissemination in one of two modes:
 
 * ``mode="full"`` — the legacy Section 3.3 literalism: flood messages
   piggyback the sender's entire known set and every anti-entropy round
@@ -73,7 +73,7 @@ def default_timestamp_of(key: object, item: object) -> Tuple[int, int]:
 
 @dataclass
 class GossipConfig:
-    """Dissemination knobs (field order keeps ``BroadcastConfig`` compat)."""
+    """Dissemination knobs."""
 
     flood: bool = True
     piggyback: bool = True
@@ -244,7 +244,7 @@ class GossipService:
     def attach(
         self,
         node_id: int,
-        on_deliver: DeliverFn,
+        on_deliver: Optional[DeliverFn] = None,
         register_transport: bool = True,
         on_deliver_batch: Optional[BatchDeliverFn] = None,
     ) -> None:
@@ -259,14 +259,18 @@ class GossipService:
         With ``on_deliver_batch`` every merge (a DELTA, a flood payload,
         a quiescence exchange) hands all the items it released for the
         node to that callback in one call, in delivery order, instead of
-        invoking ``on_deliver`` per item; ``on_deliver`` remains the
-        fallback for paths outside a merge.  Exactly-once is unchanged:
-        items enter the known set the moment they are released.
+        invoking ``on_deliver`` per item.  Every delivery happens inside
+        a merge, so a node with a batch callback never sees the per-item
+        one and may leave it out.  Exactly-once is unchanged: items
+        enter the known set the moment they are released.
         """
         if node_id in self._known:
             raise ValueError(f"node {node_id} already attached")
+        if on_deliver is None and on_deliver_batch is None:
+            raise ValueError("attach needs a delivery callback")
         self._known[node_id] = {}
-        self._deliver[node_id] = on_deliver
+        if on_deliver is not None:
+            self._deliver[node_id] = on_deliver
         if on_deliver_batch is not None:
             self._deliver_batch[node_id] = on_deliver_batch
         self._index[node_id] = DigestIndex(self.config.bucket_width)

@@ -1,13 +1,11 @@
-"""Simulated network substrate: links, partitions, reliable broadcast."""
+"""Simulated network substrate: links and partitions (the broadcast
+layer on top of it is :mod:`repro.gossip`)."""
 
-from .broadcast import BroadcastConfig, BroadcastStats, ReliableBroadcast
 from .link import DelayModel, ExponentialDelay, FixedDelay, UniformDelay
 from .network import Network, NetworkStats
 from .partition import PartitionInterval, PartitionSchedule
 
 __all__ = [
-    "BroadcastConfig",
-    "BroadcastStats",
     "DelayModel",
     "ExponentialDelay",
     "FixedDelay",
@@ -15,6 +13,5 @@ __all__ = [
     "NetworkStats",
     "PartitionInterval",
     "PartitionSchedule",
-    "ReliableBroadcast",
     "UniformDelay",
 ]

@@ -2,14 +2,10 @@
 
 The live cluster and the simulator now consume **one workload
 definition**: a :class:`~repro.workloads.spec.WorkloadSpec`.  By
-default the generator runs the ``uniform`` airline spec — a
-spec-encoded rendering of the generator's historical behavior (uniform
-person pool, movers/request/cancel split) that is draw-for-draw
-identical to the legacy code path; any other spec (Zipfian key skew,
-different category mixes) plugs in unchanged.  ``legacy=True`` keeps
-the original hand-rolled synthesis as an A/B control — the parity test
-in ``tests/runtime`` holds the two paths equal, so the flag exists to
-*prove* equivalence, not to preserve divergent behavior.
+default the generator runs the ``uniform`` airline spec (uniform person
+pool, movers/request/cancel split; ``tests/runtime`` pins its draws
+against a hand-written reference split); any other spec (Zipfian key
+skew, different category mixes) plugs in unchanged.
 
 Submissions to dead or partitioned-away nodes fail fast and are counted
 as rejections — precisely the availability behavior the paper trades
@@ -37,14 +33,9 @@ import asyncio
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-from ..apps.airline.transactions import Cancel, MoveDown, MoveUp, Request
 from ..ports import Rng
 from ..workloads.spec import WorkloadSpec
-from ..workloads.synth import (
-    Synthesizer,
-    make_synthesizer,
-    uniform_airline_spec,
-)
+from ..workloads.synth import make_synthesizer, uniform_airline_spec
 from .client import ClusterClient, NodeUnreachable, RequestError
 
 
@@ -72,34 +63,16 @@ class LoadGenerator:
         persons: int = 12,
         mover_weight: float = 0.4,
         spec: Optional[WorkloadSpec] = None,
-        legacy: bool = False,
     ):
         self.client = client
         self.rng = rng
-        self.capacity = capacity
-        self._persons = [f"p{i}" for i in range(persons)]
-        self.mover_weight = mover_weight
-        self.legacy = legacy
         self.spec = spec if spec is not None else uniform_airline_spec(
             capacity=capacity, persons=persons, mover_weight=mover_weight
         )
-        self._synth: Optional[Synthesizer] = (
-            None if legacy else make_synthesizer(self.spec)
-        )
+        self._synth = make_synthesizer(self.spec)
 
     def _next_transaction(self):
-        if self._synth is not None:
-            return self._synth(self.rng)
-        # legacy A/B control: the original hand-rolled airline split.
-        roll = self.rng.random()
-        if roll < self.mover_weight / 2:
-            return MoveUp(self.capacity)
-        if roll < self.mover_weight:
-            return MoveDown(self.capacity)
-        person = self.rng.choice(self._persons)
-        if roll < self.mover_weight + (1.0 - self.mover_weight) * 0.75:
-            return Request(person)
-        return Cancel(person)
+        return self._synth(self.rng)
 
     async def _submit(
         self, node_id: int, transaction, stats: LoadStats

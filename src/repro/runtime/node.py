@@ -1,12 +1,16 @@
 """One replica process: the protocol core behind an asyncio TCP server.
 
 ``python -m repro.runtime.node --spec '<NodeSpec JSON>'`` hosts exactly
-the objects the simulator hosts — a :class:`~repro.shard.node.ShardNode`,
-a :class:`~repro.network.broadcast.ReliableBroadcast` (the gossip
-service) and a :class:`~repro.shard.sync.SyncManager` — wired to the
-live port adapters instead of the simulated ones.  The process model is
-the paper's: every node is a full replica, processes transactions
-locally without cross-node coordination, and relies on
+what the simulator hosts N of — one
+:class:`~repro.shard.host.NodeHost` (a
+:class:`~repro.shard.node.ShardNode` wired to a
+:class:`~repro.gossip.service.GossipService` and a
+:class:`~repro.shard.sync.SyncManager`) — on the live port adapters
+instead of the simulated ones.  This module adds only what a process
+needs around that host: the clock, the TCP transport, the fault seam,
+the history writer, the client vocabulary and the lifecycle.  The
+process model is the paper's: every node is a full replica, processes
+transactions locally without cross-node coordination, and relies on
 flooding + anti-entropy for eventual delivery.
 
 Besides peer gossip, the server answers a small client vocabulary
@@ -32,10 +36,9 @@ from typing import Optional
 from collections import OrderedDict
 
 from ..apps.airline.state import AirlineState
-from ..gossip import GOSSIP_KINDS
-from ..network.broadcast import BroadcastConfig, ReliableBroadcast
-from ..replica import MergeOutcome, UpdateRecord
-from ..shard.node import ShardNode
+from ..gossip import GossipConfig, GossipService
+from ..replica import UpdateRecord
+from ..shard.host import NodeHost
 from ..shard.sync import SyncManager
 from ..sim.rng import SeededStreams
 from .clock import RuntimeClock
@@ -85,12 +88,10 @@ class NodeServer:
             profile=self.profile,
         )
         self.transport.on_request = self._on_request
-        self.node = ShardNode(spec.node_id, AirlineState())
-        self.node.replica.on_merge = self._on_merge
-        self.broadcast = ReliableBroadcast(
+        self.broadcast = GossipService(
             self.clock,
             self.transport,
-            BroadcastConfig(
+            GossipConfig(
                 anti_entropy_interval=cluster.anti_entropy_interval,
                 fanout=cluster.fanout,
             ),
@@ -98,24 +99,23 @@ class NodeServer:
         )
         # this process hosts one node; gossip targets the whole cluster.
         self.broadcast.membership = cluster.node_ids
-        self.broadcast.depends_on = lambda key, item: item.seen_txids
-        self.broadcast.on_event = self._trace
-        self.broadcast.attach(
-            spec.node_id,
-            self._deliver,
-            register_transport=False,
-            on_deliver_batch=self._deliver_batch,
-        )
-        self.transport.register(spec.node_id, self._dispatch)
-        # whole-frame delivery: one inbound batch frame's gossip
-        # payloads merge inside one delivery batch (one merge_span).
-        self.transport.register_batch(spec.node_id, self._dispatch_frame)
         self.sync = SyncManager(
             clock=self.clock,
             transport=self.transport,
             broadcast=self.broadcast,
-            apply=self._apply_synchronized,
+            apply=lambda origin, transaction: self.initiate_now(transaction),
         )
+        self.host = NodeHost(
+            spec.node_id,
+            AirlineState(),
+            broadcast=self.broadcast,
+            sync=self.sync,
+            trace=self._trace,
+        )
+        self.node = self.host.node
+        # whole-frame delivery: one inbound batch frame's gossip
+        # payloads merge inside one delivery batch (one merge_span).
+        self.transport.register_batch(spec.node_id, self._dispatch_frame)
         self.history: Optional[HistoryWriter] = None
         if cluster.history_dir is not None:
             self.history = HistoryWriter(
@@ -134,32 +134,7 @@ class NodeServer:
     def _on_message_fault(self, kind: str, node: int, info: str) -> None:
         self._trace("fault_inject", node, fault=kind, info=info)
 
-    def _on_merge(self, outcome: MergeOutcome) -> None:
-        node_id = self.spec.node_id
-        if outcome.added > 1:
-            self._trace(
-                "merge_batch", node_id,
-                count=outcome.added,
-                displacement=outcome.displacement,
-                replayed=outcome.replayed,
-            )
-        elif outcome.fastpath:
-            self._trace("merge_fastpath", node_id)
-        else:
-            self._trace(
-                "merge_undo", node_id,
-                displacement=outcome.displacement,
-                replayed=outcome.replayed,
-            )
-
     # -- protocol plumbing -------------------------------------------------
-
-    def _dispatch(self, src: int, payload: object) -> None:
-        kind = payload[0]
-        if kind == "items" or kind in GOSSIP_KINDS:
-            self.broadcast.receive(self.spec.node_id, payload, src=src)
-        else:
-            self.sync.handle(self.spec.node_id, src, payload)
 
     def _dispatch_frame(self, envelopes: tuple) -> None:
         """One wire frame's protocol payloads, delivered together: every
@@ -168,23 +143,7 @@ class NodeServer:
         DELTAs or rumors it carried."""
         with self.broadcast.delivery_batch(self.spec.node_id):
             for src, payload in envelopes:
-                self._dispatch(src, payload)
-
-    def _deliver(self, key: object, item: object) -> None:
-        assert isinstance(item, UpdateRecord)
-        if self.node.receive(item):
-            self._trace(
-                "deliver", self.spec.node_id,
-                txid=item.txid, origin=item.origin,
-            )
-
-    def _deliver_batch(self, batch: tuple) -> None:
-        records = [item for _key, item in batch]
-        for item in self.node.receive_batch(records):
-            self._trace(
-                "deliver", self.spec.node_id,
-                txid=item.txid, origin=item.origin,
-            )
+                self.host.dispatch(src, payload)
 
     # -- submission --------------------------------------------------------
 
@@ -193,18 +152,7 @@ class NodeServer:
         record (clients get its txid and seen-count back)."""
         txid = self.spec.txid(self._seq)
         self._seq += 1
-        record = self.node.initiate(txid, transaction, self.clock.now)
-        self._trace(
-            "initiate", self.spec.node_id,
-            txid=txid, family=transaction.name,
-            seen=len(record.seen_txids),
-        )
-        self.broadcast.publish(self.spec.node_id, txid, record)
-        return record
-
-    def _apply_synchronized(self, origin: int, transaction) -> None:
-        assert origin == self.spec.node_id
-        self.initiate_now(transaction)
+        return self.host.initiate(txid, transaction)
 
     # -- client API --------------------------------------------------------
 

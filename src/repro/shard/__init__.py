@@ -1,9 +1,10 @@
-"""The SHARD system simulation: replicated nodes, timestamps, undo/redo
-merging, and execution extraction.
+"""The SHARD system: replicated nodes, their one wiring
+(:class:`~repro.shard.host.NodeHost`), the simulated cluster, and
+execution extraction.
 
 Per-node storage (logs, merge views, checkpoint policies) lives in
-:mod:`repro.replica`; this package re-exports the storage names its
-callers historically imported from here.
+:mod:`repro.replica`; this package re-exports the record and clock
+names its callers import from here.
 """
 
 from ..replica import (
@@ -18,33 +19,21 @@ from .agent import AgentStats, TokenAgent
 from .cluster import ClusterConfig, ShardCluster
 from .external import ExternalLedger, LedgerEntry
 from .history import extract_execution
+from .host import NodeHost
 from .node import ShardNode
 from .partial import KeyedRecord, PartialCluster, PartialConfig, PartialNode
 from .sync import SyncManager, SyncStats
-from .undo_redo import (
-    CheckpointMerge,
-    MergeEngine,
-    MergeStats,
-    NaiveMerge,
-    SuffixMerge,
-    checkpoint_factory,
-    naive_factory,
-    suffix_factory,
-)
 from .workload import PeriodicSubmitter, PoissonSubmitter
 
 __all__ = [
     "AgentStats",
-    "CheckpointMerge",
     "ClusterConfig",
     "ExternalLedger",
     "LamportClock",
     "LedgerEntry",
-    "MergeEngine",
     "MergeOutcome",
-    "MergeStats",
     "KeyedRecord",
-    "NaiveMerge",
+    "NodeHost",
     "PartialCluster",
     "PartialConfig",
     "PartialNode",
@@ -56,12 +45,8 @@ __all__ = [
     "SyncManager",
     "SyncStats",
     "TokenAgent",
-    "SuffixMerge",
     "SystemLog",
     "Timestamp",
     "UpdateRecord",
-    "checkpoint_factory",
     "extract_execution",
-    "naive_factory",
-    "suffix_factory",
 ]

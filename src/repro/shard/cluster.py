@@ -16,26 +16,25 @@ from the run for analysis by the core/theorem machinery.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..core.execution import TimedExecution
 from ..core.state import State
 from ..core.transaction import Transaction
-from ..gossip import GOSSIP_KINDS
-from ..network.broadcast import BroadcastConfig, ReliableBroadcast
+from ..gossip import GossipConfig, GossipService
 from ..network.link import DelayModel, FixedDelay
 from ..network.network import Network
 from ..network.partition import PartitionSchedule
-from ..replica import MergeOutcome, UpdateRecord
+from ..replica import EngineFactory, UpdateRecord
 from ..sim.engine import Simulator
 from ..sim.rng import SeededStreams
 from ..sim.trace import NULL_TRACER, Tracer
+from .agent import TOKEN_GRANT, TOKEN_REQUEST, TokenAgent
 from .external import ExternalLedger
 from .history import extract_execution
-from .agent import TOKEN_GRANT, TOKEN_REQUEST, TokenAgent
+from .host import NodeHost
 from .node import ShardNode
 from .sync import SyncManager
-from .undo_redo import MergeEngineFactory, suffix_factory
 
 
 @dataclass
@@ -45,8 +44,9 @@ class ClusterConfig:
     delay: Optional[DelayModel] = None
     partitions: Optional[PartitionSchedule] = None
     loss_probability: float = 0.0
-    broadcast: Optional[BroadcastConfig] = None
-    merge_factory: MergeEngineFactory = suffix_factory
+    broadcast: Optional[GossipConfig] = None
+    #: per-node merge engine; ``None`` is the replica layer's default.
+    merge_factory: Optional[EngineFactory] = None
     tracer: Optional[Tracer] = None
 
 
@@ -59,7 +59,9 @@ class NodeDownError(RuntimeError):
 
 
 class ShardCluster:
-    """A fully replicated SHARD deployment in one simulator."""
+    """A fully replicated SHARD deployment in one simulator: N
+    :class:`~repro.shard.host.NodeHost`\\ s sharing one gossip service
+    and one sync manager on the simulated clock and network."""
 
     def __init__(self, initial_state: State, config: Optional[ClusterConfig] = None):
         self.config = config or ClusterConfig()
@@ -82,17 +84,12 @@ class ShardCluster:
             loss_probability=self.config.loss_probability,
             rng=self.streams.stream("network"),
         )
-        self.broadcast = ReliableBroadcast(
+        self.broadcast = GossipService(
             self.sim,
             self.network,
-            self.config.broadcast or BroadcastConfig(),
+            self.config.broadcast or GossipConfig(),
             rng=self.streams.stream("gossip"),
         )
-        # digest rumors stand in for the full-set piggyback; causal
-        # delivery gating (on each record's seen-set) is what preserves
-        # the Section 3.3 transitivity guarantee under delta gossip.
-        self.broadcast.depends_on = lambda key, item: item.seen_txids
-        self.broadcast.on_event = self._trace
         self.ledger = ExternalLedger()
         self.sync = SyncManager(
             clock=self.sim,
@@ -101,30 +98,28 @@ class ShardCluster:
             apply=self.initiate_now,
         )
         self.agents: Dict[str, TokenAgent] = {}
-        self.nodes: List[ShardNode] = []
-        for node_id in range(self.config.n_nodes):
-            node = ShardNode(
+        self.hosts: List[NodeHost] = [
+            NodeHost(
                 node_id,
                 initial_state,
+                broadcast=self.broadcast,
+                sync=self.sync,
+                trace=self._trace,
                 merge_factory=self.config.merge_factory,
                 ledger=self.ledger,
+                handlers={
+                    TOKEN_REQUEST: self._on_token,
+                    TOKEN_GRANT: self._on_token,
+                },
             )
-            node.replica.on_merge = self._make_merge_hook(node_id)
-            self.nodes.append(node)
-            self.broadcast.attach(
-                node_id,
-                self._make_deliver(node),
-                register_transport=False,
-                on_deliver_batch=self._make_deliver_batch(node),
-            )
-            self.network.register(node_id, self._make_dispatcher(node_id))
+            for node_id in range(self.config.n_nodes)
+        ]
+        self.nodes: List[ShardNode] = [host.node for host in self.hosts]
         self.broadcast.start_anti_entropy()
         self._next_txid = 0
         self.records: Dict[int, UpdateRecord] = {}
         self.rejected_submissions = 0
         self.broadcast.active_filter = lambda n: self.nodes[n].online
-
-    # -- tracing ------------------------------------------------------------
 
     def _trace(self, kind: str, node: Optional[int] = None, **detail) -> None:
         """The single guarded path to the tracer: every event the cluster
@@ -132,81 +127,8 @@ class ShardCluster:
         if self.tracer.enabled:
             self.tracer.record(self.sim.now, kind, node, **detail)
 
-    def _make_merge_hook(
-        self, node_id: int
-    ) -> Callable[[MergeOutcome], None]:
-        """Trace every merge the node's replica performs: tail fast-path
-        hits and undo/redo repairs with their displacement."""
-
-        def on_merge(outcome: MergeOutcome) -> None:
-            if outcome.added > 1:
-                self._trace(
-                    "merge_batch", node_id,
-                    count=outcome.added,
-                    displacement=outcome.displacement,
-                    replayed=outcome.replayed,
-                )
-            elif outcome.fastpath:
-                self._trace("merge_fastpath", node_id)
-            elif outcome.certified:
-                self._trace(
-                    "merge_certified", node_id,
-                    displacement=outcome.displacement,
-                    skipped=outcome.skipped,
-                )
-            else:
-                self._trace(
-                    "merge_undo", node_id,
-                    displacement=outcome.displacement,
-                    replayed=outcome.replayed,
-                )
-
-        return on_merge
-
-    def _make_deliver(self, node: ShardNode) -> Callable[[object, object], None]:
-        def deliver(key: object, item: object) -> None:
-            assert isinstance(item, UpdateRecord)
-            if node.receive(item):
-                self._trace(
-                    "deliver", node.node_id,
-                    txid=item.txid, origin=item.origin,
-                )
-
-        return deliver
-
-    def _make_deliver_batch(self, node: ShardNode) -> Callable[[tuple], None]:
-        """Batched sibling of :meth:`_make_deliver`: one undo/redo cycle
-        per gossip merge, but still one ``deliver`` trace per record so
-        the exactly-once oracles keep working unchanged."""
-
-        def deliver_batch(batch: tuple) -> None:
-            records = []
-            for _key, item in batch:
-                assert isinstance(item, UpdateRecord)
-                records.append(item)
-            for item in node.receive_batch(records):
-                self._trace(
-                    "deliver", node.node_id,
-                    txid=item.txid, origin=item.origin,
-                )
-
-        return deliver_batch
-
-    def _make_dispatcher(self, node_id: int) -> Callable[[int, object], None]:
-        """Multiplex broadcast and synchronization messages."""
-
-        def dispatch(src: int, payload: object) -> None:
-            if not self.nodes[node_id].online:
-                return  # crashed nodes drop everything on the floor
-            kind = payload[0]
-            if kind == "items" or kind in GOSSIP_KINDS:
-                self.broadcast.receive(node_id, payload, src=src)
-            elif kind in (TOKEN_REQUEST, TOKEN_GRANT):
-                self.agents[payload[1]].handle(node_id, src, payload)
-            else:
-                self.sync.handle(node_id, src, payload)
-
-        return dispatch
+    def _on_token(self, node_id: int, src: int, payload: Tuple) -> None:
+        self.agents[payload[1]].handle(node_id, src, payload)
 
     # -- submission ----------------------------------------------------------
 
@@ -217,19 +139,12 @@ class ShardCluster:
         Raises :class:`NodeDownError` if the node has crashed; callers
         modeling client behavior should catch it (``submit`` does, and
         counts the rejection)."""
-        node = self.nodes[node_id]
-        if not node.online:
+        host = self.hosts[node_id]
+        if not host.node.online:
             raise NodeDownError(node_id)
         txid = self._next_txid
         self._next_txid += 1
-        record = node.initiate(txid, transaction, self.sim.now)
-        self.records[txid] = record
-        self._trace(
-            "initiate", node_id,
-            txid=txid, family=transaction.name,
-            seen=len(record.seen_txids),
-        )
-        self.broadcast.publish(node_id, txid, record)
+        self.records[txid] = host.initiate(txid, transaction)
 
     def submit(
         self,

@@ -17,9 +17,8 @@ from typing import FrozenSet, Optional
 
 from ..core.state import State
 from ..core.transaction import Transaction
-from ..replica import LamportClock, Replica, UpdateRecord
+from ..replica import EngineFactory, LamportClock, Replica, UpdateRecord
 from .external import ExternalLedger
-from .undo_redo import MergeEngineFactory, suffix_factory
 
 
 class ShardNode:
@@ -29,7 +28,7 @@ class ShardNode:
         self,
         node_id: int,
         initial_state: State,
-        merge_factory: MergeEngineFactory = suffix_factory,
+        merge_factory: Optional[EngineFactory] = None,
         ledger: Optional[ExternalLedger] = None,
     ):
         self.node_id = node_id

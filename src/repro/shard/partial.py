@@ -18,13 +18,12 @@ This module implements exactly that discipline:
 * updates are disseminated only to the object's holders — flooding to
   holders, and anti-entropy between *sharing* peers — so bandwidth
   scales with replication degree, not cluster size;
-* in the default ``mode="digest"``, anti-entropy runs the gossip
-  subsystem's push–pull delta protocol over per-object digests (cells
-  are tagged with the object key as their *group*, and each exchange is
-  restricted to the objects both peers hold), floods are single-record
-  rumors carrying a shared-groups digest, and received records are
-  causally gated on their per-object seen-sets; ``mode="full"`` keeps
-  the legacy full-log exchange for A/B runs;
+* anti-entropy runs the gossip subsystem's push–pull delta protocol
+  over per-object digests (cells are tagged with the object key as
+  their *group*, and each exchange is restricted to the objects both
+  peers hold), floods are single-record rumors carrying a shared-groups
+  digest, and received records are causally gated on their per-object
+  seen-sets;
 * per object, everything reduces to the fully-replicated theory: the
   extracted per-object executions satisfy the prefix subsequence
   condition, and all of the paper's per-constraint results apply
@@ -35,13 +34,13 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Dict, FrozenSet, Optional, Tuple
 
 from ..core.execution import TimedExecution
 from ..core.state import State
 from ..core.transaction import Transaction
 from ..gossip import (
-    GOSSIP_KINDS,
     CausalBuffer,
     DeltaStats,
     DigestIndex,
@@ -53,13 +52,12 @@ from ..gossip import (
 from ..network.link import DelayModel, FixedDelay
 from ..network.network import Network
 from ..network.partition import PartitionSchedule
-from ..replica import LamportClock, Replica, UpdateRecord
+from ..replica import EngineFactory, LamportClock, Replica, UpdateRecord
 from ..sim.engine import Simulator
 from ..sim.metrics import WireStats
 from ..sim.rng import SeededStreams
 from .external import ExternalLedger
 from .history import extract_execution
-from .undo_redo import MergeEngineFactory, suffix_factory
 
 ObjectKey = str
 
@@ -82,14 +80,11 @@ class PartialConfig:
     loss_probability: float = 0.0
     anti_entropy_interval: float = 5.0
     flood: bool = True
-    #: "digest" (delta reconciliation over per-object range digests) or
-    #: "full" (legacy full-log exchange, kept for A/B comparison).
-    mode: str = "digest"
     bucket_width: int = 32
     ack_timeout: float = 4.0
     max_backoff_factor: float = 8.0
     repair_cooldown: float = 2.0
-    merge_factory: MergeEngineFactory = suffix_factory
+    merge_factory: Optional[EngineFactory] = None
     #: optional summary function (Section 6: "data ... present in summary
     #: form"): substate -> an opaque summary value.  When set, every
     #: message additionally carries the sender's summaries of the objects
@@ -115,7 +110,7 @@ class PartialNode:
         node_id: int,
         keys: FrozenSet[ObjectKey],
         initial_substates: Dict[ObjectKey, State],
-        merge_factory: MergeEngineFactory,
+        merge_factory: Optional[EngineFactory],
         ledger: ExternalLedger,
         bucket_width: int = 32,
     ):
@@ -306,8 +301,6 @@ class PartialCluster:
         )
         self.ledger = ExternalLedger()
         self.stats = PartialStats()
-        if config.mode not in ("digest", "full"):
-            raise ValueError(f"unknown gossip mode {config.mode!r}")
         self.nodes: Dict[int, PartialNode] = {}
         self._buffers: Dict[int, CausalBuffer] = {}
         for node_id, keys in sorted(config.placement.items()):
@@ -317,7 +310,6 @@ class PartialCluster:
                 bucket_width=config.bucket_width,
             )
             self.nodes[node_id] = node
-            self.network.register(node_id, self._make_handler(node))
             # gate deliveries on the record's per-object seen-set so each
             # replica's log stays causally closed under delta gossip.
             self._buffers[node_id] = CausalBuffer(
@@ -329,9 +321,8 @@ class PartialCluster:
             )
         self._next_txid = 0
         self.records: Dict[int, KeyedRecord] = {}
-        self._gossip_rng = self.streams.stream("gossip")
         self.scheduler = PeerScheduler(
-            self._gossip_rng,
+            self.streams.stream("gossip"),
             base_backoff=config.anti_entropy_interval,
             max_backoff_factor=config.max_backoff_factor,
         )
@@ -346,6 +337,8 @@ class PartialCluster:
             repair_cooldown=config.repair_cooldown,
             count_records=self._count_records,
         )
+        for node_id in self.nodes:
+            self.network.register(node_id, partial(self.engine.handle, node_id))
         self._anti_entropy_stopped = False
         self._start_anti_entropy()
 
@@ -370,21 +363,6 @@ class PartialCluster:
         )
 
     # -- dissemination --------------------------------------------------------
-
-    def _make_handler(self, node: PartialNode) -> Callable[[int, object], None]:
-        def handler(src: int, payload: object) -> None:
-            kind = payload[0]
-            if kind in GOSSIP_KINDS:
-                self.engine.handle(node.node_id, src, payload)
-                return
-            _, items, summaries = payload
-            assert kind == "keyed_items"
-            for keyed in items:
-                node.receive(keyed)
-            for key, as_of, value in summaries:
-                node.accept_summary(key, as_of, value)
-
-        return handler
 
     def _summaries_from(self, node_id: int) -> Tuple:
         """Summaries of every object the sender holds, stamped now."""
@@ -423,24 +401,9 @@ class PartialCluster:
             peers = self.sharing_peers(node_id)
         if not peers:
             return
-        if self.config.mode == "digest":
-            for peer in self.scheduler.pick(node_id, peers, self.sim.now):
-                self.stats.anti_entropy_messages += 1
-                self.engine.initiate(node_id, peer)
-            return
-        peer = self._gossip_rng.choice(peers)
-        shared = self.nodes[node_id].keys & self.nodes[peer].keys
-        items = self._items_for(node_id, shared)
-        summaries = self._summaries_from(node_id)
-        if items or summaries:
+        for peer in self.scheduler.pick(node_id, peers, self.sim.now):
             self.stats.anti_entropy_messages += 1
-            self.stats.items_carried += len(items)
-            self.stats.wire.message(
-                records=len(items), summaries=len(summaries)
-            )
-            self.network.send(
-                node_id, peer, ("keyed_items", items, summaries)
-            )
+            self.engine.initiate(node_id, peer)
 
     def _items_for(
         self, node_id: int, keys: FrozenSet[ObjectKey]
@@ -472,7 +435,7 @@ class PartialCluster:
                 txid, key, transaction, self.sim.now
             )
             self.records[txid] = keyed
-            if self.config.flood and self.config.mode == "digest":
+            if self.config.flood:
                 # rumor mongering: the new record plus a digest of the
                 # shared objects (digest-mismatch triggers a repair
                 # pull); causal gating at receivers stands in for the
@@ -490,22 +453,6 @@ class PartialCluster:
                                 & self.nodes[holder].keys
                             ),
                             extra=self._summaries_from(node_id) or None,
-                        )
-            elif self.config.flood:
-                # piggyback the node's full log for the object: the
-                # transitivity trick of Section 3.3, per object.
-                items = self._items_for(node_id, frozenset({key}))
-                summaries = self._summaries_from(node_id)
-                for holder in self.holders(key):
-                    if holder != node_id:
-                        self.stats.flood_messages += 1
-                        self.stats.items_carried += len(items)
-                        self.stats.wire.message(
-                            records=len(items), summaries=len(summaries)
-                        )
-                        self.network.send(
-                            node_id, holder,
-                            ("keyed_items", items, summaries),
                         )
 
         self.sim.schedule_at(self.sim.now if at is None else at, fire)

@@ -24,8 +24,8 @@ digests disagree — the origin's round-trip count (and hence latency) is
 unchanged, but the pushes no longer ship the peers' full histories.
 Completeness is preserved because a record the origin lacks necessarily
 makes its cell's (count, fingerprint) differ from the origin's.  In
-``mode="full"`` peers push their entire known sets (the legacy A/B
-behavior).
+``GossipConfig(mode="full")`` peers push their entire known sets (the
+Section 3.3-literal reference arm).
 
 The guarantee is honest rather than absolute: transactions initiated
 concurrently with the pull can still land before the synchronized one in
@@ -43,9 +43,10 @@ from typing import Callable, Dict, List, Tuple
 from ..core.transaction import Transaction
 from ..ports import Clock, Transport
 
-#: runs a transaction's decision at a node, now (the host's submission
-#: path — ``ShardCluster.initiate_now`` in the simulator, the node
-#: server's local initiate in the runtime).
+#: runs a transaction's decision at a node, now: the owner assigns the
+#: txid and calls :meth:`repro.shard.host.NodeHost.initiate`
+#: (``ShardCluster.initiate_now`` in the simulator,
+#: ``NodeServer.initiate_now`` in the runtime).
 ApplyFn = Callable[[int, Transaction], None]
 
 #: message kinds used by the protocol (multiplexed on the cluster's
@@ -81,11 +82,14 @@ class _PendingSync:
 class SyncManager:
     """Drives the pull protocol.
 
-    Owned by a :class:`~repro.shard.cluster.ShardCluster` in the
-    simulator and by a :class:`~repro.runtime.node.NodeServer` in the
-    real runtime — both hand it the same four ports: a clock for
+    One manager serves every :class:`~repro.shard.host.NodeHost` that
+    shares its gossip service — all N hosts of a simulated
+    :class:`~repro.shard.cluster.ShardCluster`, the single host of a
+    live :class:`~repro.runtime.node.NodeServer`.  The host's
+    dispatcher hands it every payload that is neither gossip nor a
+    kind the owner registered a handler for; it is given a clock for
     timeouts, a transport for the pull/push messages, the gossip
-    service whose digests shape the deltas, and the host's submission
+    service whose digests shape the deltas, and the owner's submission
     path for the finally-complete decision.
     """
 

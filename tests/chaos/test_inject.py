@@ -17,7 +17,7 @@ from repro.chaos import (
     Partition,
     Reorder,
 )
-from repro.network.broadcast import BroadcastConfig
+from repro.gossip import GossipConfig
 from repro.network.link import FixedDelay
 from repro.network.network import NetworkStats
 from repro.replica import FixedIntervalPolicy, policy_engine_factory
@@ -34,7 +34,7 @@ def make_cluster(plan, seed=0, checkpoint_interval=4):
             n_nodes=3,
             seed=seed,
             delay=FixedDelay(1.0),
-            broadcast=BroadcastConfig(anti_entropy_interval=3.0),
+            broadcast=GossipConfig(anti_entropy_interval=3.0),
             merge_factory=policy_engine_factory(
                 lambda: FixedIntervalPolicy(checkpoint_interval)
             ),

@@ -12,7 +12,8 @@ import random
 import pytest
 
 from repro.apps.airline import AirlineState, Cancel, MoveDown, MoveUp, Request
-from repro.network import BroadcastConfig, PartitionSchedule, UniformDelay
+from repro.gossip import GossipConfig
+from repro.network import PartitionSchedule, UniformDelay
 from repro.shard import ClusterConfig, ShardCluster
 
 
@@ -105,7 +106,7 @@ def test_gossip_only_convergence(seed):
         ClusterConfig(
             n_nodes=4,
             seed=seed,
-            broadcast=BroadcastConfig(flood=False, anti_entropy_interval=2.0),
+            broadcast=GossipConfig(flood=False, anti_entropy_interval=2.0),
         ),
     )
     random_workload(cluster, rng, 30.0, 4)

@@ -17,7 +17,8 @@ from repro.core import (
     is_transitive,
     max_deficit,
 )
-from repro.network import BroadcastConfig, PartitionSchedule
+from repro.gossip import GossipConfig
+from repro.network import PartitionSchedule
 
 CAPACITY = 12
 
@@ -140,7 +141,7 @@ class TestNonTransitiveBroadcast:
     def test_without_piggyback_transitivity_can_fail(self):
         """With bare per-item flooding (no piggyback), prefix sets need
         not be transitively closed — the Section 3.3 claim in reverse."""
-        config = BroadcastConfig(flood=True, piggyback=False,
+        config = GossipConfig(flood=True, piggyback=False,
                                  anti_entropy_interval=50.0)
         partitions = PartitionSchedule.split(10, 40, [0], [1, 2])
         found_intransitive = False

@@ -1,16 +1,12 @@
-"""Tests for the reliable broadcast layer."""
+"""Tests for the reliable broadcast layer (:class:`GossipService` over
+the simulated network)."""
 
 import random
 
 import pytest
 
-from repro.network import (
-    BroadcastConfig,
-    FixedDelay,
-    Network,
-    PartitionSchedule,
-    ReliableBroadcast,
-)
+from repro.gossip import GossipConfig, GossipService
+from repro.network import FixedDelay, Network, PartitionSchedule
 from repro.sim import Simulator
 
 
@@ -22,7 +18,7 @@ def make_broadcast(n=3, config=None, partitions=None, seed=0):
         partitions=partitions,
         rng=random.Random(seed),
     )
-    bcast = ReliableBroadcast(sim, net, config, rng=random.Random(seed + 1))
+    bcast = GossipService(sim, net, config, rng=random.Random(seed + 1))
     delivered = {i: [] for i in range(n)}
     for i in range(n):
         bcast.attach(i, lambda key, item, n=i: delivered[n].append(key))
@@ -50,7 +46,7 @@ class TestFlooding:
         assert all(keys.count("k") == 1 for keys in delivered.values())
 
     def test_piggyback_carries_known_set(self):
-        config = BroadcastConfig(flood=True, piggyback=True,
+        config = GossipConfig(flood=True, piggyback=True,
                                  anti_entropy_interval=1e9)
         sim, bcast, delivered = make_broadcast(config=config)
         bcast.publish(0, "a", 1)
@@ -62,7 +58,7 @@ class TestFlooding:
         assert set(delivered[2]) == {"a", "b"}
 
     def test_no_flood_means_no_delivery_without_gossip(self):
-        config = BroadcastConfig(flood=False, anti_entropy_interval=1e9)
+        config = GossipConfig(flood=False, anti_entropy_interval=1e9)
         sim, bcast, delivered = make_broadcast(config=config)
         bcast.publish(0, "k", "v")
         sim.run()
@@ -71,7 +67,7 @@ class TestFlooding:
 
 class TestAntiEntropy:
     def test_gossip_spreads_items(self):
-        config = BroadcastConfig(
+        config = GossipConfig(
             flood=False, anti_entropy_interval=1.0, fanout=2
         )
         sim, bcast, delivered = make_broadcast(config=config)
@@ -82,7 +78,7 @@ class TestAntiEntropy:
 
     def test_partition_heals_through_gossip(self):
         partitions = PartitionSchedule.split(0, 50, [0], [1, 2])
-        config = BroadcastConfig(flood=True, anti_entropy_interval=2.0)
+        config = GossipConfig(flood=True, anti_entropy_interval=2.0)
         sim, bcast, delivered = make_broadcast(
             config=config, partitions=partitions
         )
@@ -95,7 +91,7 @@ class TestAntiEntropy:
         assert bcast.converged()
 
     def test_stop_anti_entropy_drains_queue(self):
-        config = BroadcastConfig(flood=False, anti_entropy_interval=1.0)
+        config = GossipConfig(flood=False, anti_entropy_interval=1.0)
         sim, bcast, delivered = make_broadcast(config=config)
         bcast.start_anti_entropy()
         sim.run(until=5.0)
@@ -103,7 +99,7 @@ class TestAntiEntropy:
         sim.run()  # terminates because ticks stop rescheduling
 
     def test_exchange_all_forces_convergence(self):
-        config = BroadcastConfig(flood=False, anti_entropy_interval=1e9)
+        config = GossipConfig(flood=False, anti_entropy_interval=1e9)
         sim, bcast, delivered = make_broadcast(config=config)
         bcast.publish(0, "a", 1)
         bcast.publish(1, "b", 2)
@@ -126,7 +122,7 @@ class TestBookkeeping:
         assert bcast.known_keys(1) == ()
 
     def test_missing_counts(self):
-        config = BroadcastConfig(flood=False, anti_entropy_interval=1e9)
+        config = GossipConfig(flood=False, anti_entropy_interval=1e9)
         sim, bcast, _ = make_broadcast(config=config)
         bcast.publish(0, "x", 1)
         assert bcast.missing_counts() == {0: 0, 1: 1, 2: 1}

@@ -6,12 +6,14 @@ import json
 import pytest
 
 from repro.perf import (
+    PerfTimer,
     certify_smoke_baseline,
     run_certify_gate,
     run_gate,
     run_runtime_gate,
     smoke_baseline,
 )
+from repro.perf import gate
 from repro.perf.gate import RUNTIME_BASELINE, _runtime_smoke_rows, main
 
 
@@ -37,14 +39,21 @@ class TestCleanGate:
         assert report["fresh"]["aggregate_fingerprint"] == (
             baseline["aggregate_fingerprint"]
         )
-        # single-core hosts skip (never fail) the wall-clock check.
-        assert report["wall_clock"]["status"] in ("ok", "skipped (needs >= 2 cores and workers)")
 
-    def test_workers_1_skips_wall_clock(self, tmp_path, baseline):
-        path = write_baseline(tmp_path, baseline)
-        status, report = run_gate(path, workers=1)
-        assert status == 0
-        assert report["wall_clock"]["status"].startswith("skipped")
+    def test_wall_clock_is_reported_not_judged(
+        self, tmp_path, baseline, monkeypatch
+    ):
+        # a clock on which the parallel arm takes 1000x the serial one.
+        ticks = iter([0.0, 1.0, 1.0, 1001.0])
+        monkeypatch.setattr(
+            gate, "PerfTimer", lambda: PerfTimer(clock=lambda: next(ticks))
+        )
+        status, report = run_gate(
+            write_baseline(tmp_path, baseline), workers=1
+        )
+        assert status == 0, report["problems"]
+        assert report["wall_clock"]["serial_s"] == 1.0
+        assert report["wall_clock"]["parallel_s"] == 1000.0
 
 
 class TestTamperDetection:

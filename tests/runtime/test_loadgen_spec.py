@@ -1,9 +1,11 @@
-"""The spec-driven load generator: draw-for-draw parity with the legacy
-path, and stream replay against a (stubbed) cluster client."""
+"""The spec-driven load generator: draw-for-draw parity with the
+hand-rolled airline split it replaced, and stream replay against a
+(stubbed) cluster client."""
 
 import asyncio
 import random
 
+from repro.apps.airline.transactions import Cancel, MoveDown, MoveUp, Request
 from repro.runtime.clock import RuntimeClock, wall_epoch
 from repro.runtime.client import NodeUnreachable
 from repro.runtime.loadgen import LoadGenerator
@@ -34,33 +36,47 @@ class _FakeClient:
         return self._txid
 
 
+def hand_rolled_split(rng, n, capacity=2, persons=12, mover_weight=0.4):
+    """The reference: the generator's original hand-rolled airline
+    synthesis, which the ``uniform`` spec must reproduce draw for draw."""
+    pool = [f"p{i}" for i in range(persons)]
+    out = []
+    for _ in range(n):
+        roll = rng.random()
+        if roll < mover_weight / 2:
+            out.append(MoveUp(capacity))
+        elif roll < mover_weight:
+            out.append(MoveDown(capacity))
+        else:
+            person = rng.choice(pool)
+            if roll < mover_weight + (1.0 - mover_weight) * 0.75:
+                out.append(Request(person))
+            else:
+                out.append(Cancel(person))
+    return out
+
+
 class TestParity:
     def test_spec_mode_matches_legacy_draw_for_draw(self):
-        legacy = LoadGenerator(
-            client=None, rng=random.Random(7), legacy=True
-        )
         spec_mode = LoadGenerator(client=None, rng=random.Random(7))
-        a = [legacy._next_transaction() for _ in range(3000)]
-        b = [spec_mode._next_transaction() for _ in range(3000)]
-        assert a == b
+        assert hand_rolled_split(random.Random(7), 3000) == [
+            spec_mode._next_transaction() for _ in range(3000)
+        ]
 
     def test_parity_across_knobs(self):
         for capacity, persons, mover_weight in [
             (2, 12, 0.4), (5, 3, 0.4), (1, 50, 0.4)
         ]:
-            legacy = LoadGenerator(
-                client=None, rng=random.Random(99), legacy=True,
-                capacity=capacity, persons=persons,
-                mover_weight=mover_weight,
-            )
             spec_mode = LoadGenerator(
                 client=None, rng=random.Random(99),
                 capacity=capacity, persons=persons,
                 mover_weight=mover_weight,
             )
-            assert [legacy._next_transaction() for _ in range(1000)] == [
-                spec_mode._next_transaction() for _ in range(1000)
-            ]
+            assert hand_rolled_split(
+                random.Random(99), 1000,
+                capacity=capacity, persons=persons,
+                mover_weight=mover_weight,
+            ) == [spec_mode._next_transaction() for _ in range(1000)]
 
     def test_uniform_spec_weights_sum_to_exactly_one(self):
         # bit-exact parity hinges on ``roll * total == roll``; the

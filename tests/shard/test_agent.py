@@ -9,7 +9,8 @@ from repro.apps.airline import (
     make_airline_application,
 )
 from repro.core import group_by_family, is_centralized
-from repro.network import BroadcastConfig, FixedDelay, PartitionSchedule
+from repro.gossip import GossipConfig
+from repro.network import FixedDelay, PartitionSchedule
 from repro.shard import ClusterConfig, ShardCluster
 
 
@@ -82,7 +83,7 @@ class TestAgentCentralization:
         """G-transactions through the agent see all earlier ones, from
         wherever they were submitted — centralization by construction."""
         cluster = make_cluster(
-            broadcast=BroadcastConfig(flood=False, anti_entropy_interval=1e9)
+            broadcast=GossipConfig(flood=False, anti_entropy_interval=1e9)
         )
         agent = cluster.create_agent(home=0)
         for i in range(4):

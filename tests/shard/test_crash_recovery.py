@@ -3,7 +3,7 @@
 import pytest
 
 from repro.apps.airline import AirlineState, MoveUp, Request
-from repro.network import BroadcastConfig
+from repro.gossip import GossipConfig
 from repro.shard import ClusterConfig, ShardCluster
 from repro.shard.cluster import NodeDownError
 
@@ -31,7 +31,7 @@ class TestCrash:
 
     def test_crashed_node_misses_traffic_then_catches_up(self):
         cluster = make_cluster(
-            broadcast=BroadcastConfig(flood=True, anti_entropy_interval=2.0)
+            broadcast=GossipConfig(flood=True, anti_entropy_interval=2.0)
         )
         cluster.schedule_crash(2, 1.0, 30.0)
         cluster.submit(0, Request("A"), at=5.0)

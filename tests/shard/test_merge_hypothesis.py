@@ -15,30 +15,44 @@ from repro.apps.airline import (
 from repro.core import apply_sequence
 from repro.replica import (
     AdaptiveWindowPolicy,
+    EveryPositionPolicy,
+    FixedIntervalPolicy,
     GeometricPolicy,
+    InitialOnlyPolicy,
+    MergeView,
     Replica,
     TailWindowPolicy,
     Timestamp,
     UpdateRecord,
     policy_engine_factory,
 )
-from repro.shard import CheckpointMerge, NaiveMerge, SuffixMerge
-from repro.shard.undo_redo import (
-    checkpoint_factory,
-    naive_factory,
-    suffix_factory,
-)
+
+
+def naive(state):
+    """The reference arm: recompute the whole log on every insertion."""
+    return MergeView(state, policy=InitialOnlyPolicy(), fast_path=False)
+
+
+def suffix(state):
+    return MergeView(state, policy=EveryPositionPolicy())
+
+
+def checkpoint(interval):
+    return policy_engine_factory(
+        lambda: FixedIntervalPolicy(interval), fast_path=False
+    )
+
 
 PEOPLE = ["P", "Q", "R"]
 UPDATE_CLASSES = [RequestUpdate, CancelUpdate, MoveUpUpdate, MoveDownUpdate]
 
 #: every engine configuration the replica layer supports: the three seed
-#: factories plus the policy-driven views (bounded-memory variants).
+#: profiles plus the policy-driven views (bounded-memory variants).
 ALL_FACTORIES = [
-    ("naive", naive_factory),
-    ("suffix", suffix_factory),
-    ("checkpoint-2", checkpoint_factory(2)),
-    ("checkpoint-5", checkpoint_factory(5)),
+    ("naive", naive),
+    ("suffix", suffix),
+    ("checkpoint-2", checkpoint(2)),
+    ("checkpoint-5", checkpoint(5)),
     ("geometric", policy_engine_factory(GeometricPolicy)),
     ("tail-window-3", policy_engine_factory(lambda: TailWindowPolicy(3))),
     (
@@ -119,9 +133,9 @@ def reference_fold(script):
 @settings(max_examples=200, deadline=None)
 def test_all_engines_agree_with_reference(script, interval):
     engines = [
-        NaiveMerge(INITIAL_STATE),
-        SuffixMerge(INITIAL_STATE),
-        CheckpointMerge(INITIAL_STATE, interval=interval),
+        naive(INITIAL_STATE),
+        suffix(INITIAL_STATE),
+        checkpoint(interval)(INITIAL_STATE),
     ]
     for position, update in script:
         for engine in engines:
@@ -171,9 +185,9 @@ def test_replicas_identical_states_and_logs_under_duplicates(schedule):
 @given(insertion_scripts())
 @settings(max_examples=200, deadline=None)
 def test_suffix_never_applies_more_than_naive(script):
-    naive = NaiveMerge(INITIAL_STATE)
-    suffix = SuffixMerge(INITIAL_STATE)
+    reference = naive(INITIAL_STATE)
+    engine = suffix(INITIAL_STATE)
     for position, update in script:
-        naive.insert(position, update)
-        suffix.insert(position, update)
-    assert suffix.stats.updates_applied <= naive.stats.updates_applied
+        reference.insert(position, update)
+        engine.insert(position, update)
+    assert engine.stats.updates_applied <= reference.stats.updates_applied

@@ -8,9 +8,9 @@ from repro.apps.airline import (
     MoveUp,
     Request,
 )
-from repro.network import BroadcastConfig, FixedDelay, PartitionSchedule
+from repro.network import PartitionSchedule
+from repro.replica import InitialOnlyPolicy, policy_engine_factory
 from repro.shard import ClusterConfig, ShardCluster, ShardNode
-from repro.shard.undo_redo import naive_factory
 
 
 class TestShardNode:
@@ -117,9 +117,8 @@ class TestShardCluster:
             cluster.quiesce()
             return cluster.nodes[0].state
 
-        assert run_with(naive_factory) == run_with(
-            ClusterConfig().merge_factory
-        )
+        naive = policy_engine_factory(InitialOnlyPolicy, fast_path=False)
+        assert run_with(naive) == run_with(None)
 
     def test_invalid_config(self):
         with pytest.raises(ValueError):

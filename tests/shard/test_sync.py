@@ -7,13 +7,14 @@ from repro.apps.banking import (
     INITIAL_BANK_STATE,
 )
 from repro.apps.airline import AirlineState, MoveUp, Request
-from repro.network import BroadcastConfig, FixedDelay, PartitionSchedule
+from repro.gossip import GossipConfig
+from repro.network import FixedDelay, PartitionSchedule
 from repro.shard import ClusterConfig, ShardCluster
 
 
 def quiet_broadcast():
     # no flooding, glacial gossip: nodes only learn through the sync pull.
-    return BroadcastConfig(flood=False, anti_entropy_interval=1e9)
+    return GossipConfig(flood=False, anti_entropy_interval=1e9)
 
 
 class TestSyncProtocol:
@@ -148,7 +149,7 @@ class TestSyncProtocol:
                 INITIAL_BANK_STATE,
                 ClusterConfig(
                     n_nodes=3,
-                    broadcast=BroadcastConfig(
+                    broadcast=GossipConfig(
                         mode=mode, anti_entropy_interval=1e9
                     ),
                 ),

@@ -1,4 +1,8 @@
-"""Tests for the three undo/redo merge engines."""
+"""Tests for the three undo/redo merge profiles of
+:class:`repro.replica.MergeView`: the naive full recompute (the
+specification, and these tests' reference arm), a snapshot at every
+position with the tail fast path ([BK]), and fixed-interval checkpoints
+without it ([SKS])."""
 
 import random
 
@@ -6,13 +10,36 @@ import pytest
 
 from repro.apps.counter import AddUpdate, CounterState
 from repro.core import apply_sequence
-from repro.shard import CheckpointMerge, NaiveMerge, SuffixMerge
-from repro.shard.undo_redo import checkpoint_factory
+from repro.replica import (
+    EveryPositionPolicy,
+    FixedIntervalPolicy,
+    InitialOnlyPolicy,
+    MergeView,
+    policy_engine_factory,
+)
+
+
+def naive(state):
+    """Recompute the whole log on every insertion."""
+    return MergeView(state, policy=InitialOnlyPolicy(), fast_path=False)
+
+
+def suffix(state):
+    """Snapshot after every position; redo only the tail past the insert."""
+    return MergeView(state, policy=EveryPositionPolicy())
+
+
+def checkpoint(state, interval):
+    """Snapshot every ``interval`` positions; redo from the nearest one."""
+    return MergeView(
+        state, policy=FixedIntervalPolicy(interval), fast_path=False
+    )
+
 
 ENGINES = [
-    lambda: NaiveMerge(CounterState(0)),
-    lambda: SuffixMerge(CounterState(0)),
-    lambda: CheckpointMerge(CounterState(0), interval=4),
+    lambda: naive(CounterState(0)),
+    lambda: suffix(CounterState(0)),
+    lambda: checkpoint(CounterState(0), interval=4),
 ]
 
 
@@ -53,20 +80,20 @@ class TestMergeEngines:
 
 class TestWorkAccounting:
     def test_naive_applies_full_log_each_insert(self):
-        engine = NaiveMerge(CounterState(0))
+        engine = naive(CounterState(0))
         for i in range(10):
             engine.insert(i, AddUpdate(1))
         # 1 + 2 + ... + 10
         assert engine.stats.updates_applied == 55
 
     def test_suffix_applies_one_per_in_order_insert(self):
-        engine = SuffixMerge(CounterState(0))
+        engine = suffix(CounterState(0))
         for i in range(10):
             engine.insert(i, AddUpdate(1))
         assert engine.stats.updates_applied == 10
 
     def test_suffix_redo_cost_proportional_to_displacement(self):
-        engine = SuffixMerge(CounterState(0))
+        engine = suffix(CounterState(0))
         for i in range(10):
             engine.insert(i, AddUpdate(1))
         before = engine.stats.updates_applied
@@ -74,7 +101,7 @@ class TestWorkAccounting:
         assert engine.stats.updates_applied - before == 7
 
     def test_checkpoint_redo_cost_bounded_by_interval(self):
-        engine = CheckpointMerge(CounterState(0), interval=4)
+        engine = checkpoint(CounterState(0), interval=4)
         for i in range(16):
             engine.insert(i, AddUpdate(1))
         before = engine.stats.updates_applied
@@ -84,9 +111,13 @@ class TestWorkAccounting:
 
     def test_checkpoint_interval_validated(self):
         with pytest.raises(ValueError):
-            CheckpointMerge(CounterState(0), interval=0)
+            checkpoint(CounterState(0), interval=0)
 
     def test_factories(self):
-        engine = checkpoint_factory(8)(CounterState(0))
-        assert isinstance(engine, CheckpointMerge)
-        assert engine.interval == 8
+        factory = policy_engine_factory(
+            lambda: FixedIntervalPolicy(8), fast_path=False
+        )
+        first, second = factory(CounterState(0)), factory(CounterState(0))
+        assert first.policy.interval == 8 and not first.fast_path
+        # policies are stateful: every engine gets its own instance.
+        assert first.policy is not second.policy
