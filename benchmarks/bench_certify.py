@@ -19,8 +19,8 @@ undo/redo vs certified skip — and asserts:
   (wait-list order is priority, Section 4.2).
 
 Beyond the rendered table, the run writes machine-readable numbers —
-including the ``smoke_baseline`` section the CI certify gate
-(``python -m repro.perf.gate --certify``) re-runs and compares — to
+including the ``smoke_baseline`` section the CI gate
+(``python -m repro.perf.gate``) re-runs and compares — to
 ``benchmarks/results/BENCH_certify.json``.
 """
 

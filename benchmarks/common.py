@@ -14,12 +14,17 @@ per-experiment index (E1-E12).  Conventions:
 
 from __future__ import annotations
 
+import os
 from pathlib import Path
 from typing import Iterable, Sequence
 
 from repro.harness import Table
 
-RESULTS_DIR = Path(__file__).parent / "results"
+#: committed results; a ``BENCH_SMOKE=1`` run computes smoke-size
+#: payloads, so it writes to a git-ignored scratch directory instead.
+RESULTS_DIR = Path(__file__).parent / (
+    ".smoke-results" if os.environ.get("BENCH_SMOKE") else "results"
+)
 
 
 def save_tables(name: str, tables: Sequence[Table]) -> str:

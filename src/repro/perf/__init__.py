@@ -1,71 +1,51 @@
-"""Performance tooling: profiling spans, parallel campaigns, CI gate.
+"""Deterministic campaigns and the CI gate built on them.
 
-Three pieces, all built on the determinism contracts the rest of the
-repo already enforces:
+Both pieces rest on the determinism contracts the rest of the repo
+already enforces, and neither reads a clock (wall time is measured by
+``benchmarks/shardbench`` alone):
 
-* :mod:`repro.perf.timer` — :class:`PerfTimer` wall-clock profiling
-  spans, recorded into :class:`repro.sim.metrics.PhaseTimings`.  The
-  *only* sanctioned wall-clock read in the tree (profiling measures the
-  host, never the simulation).
 * :mod:`repro.perf.campaign` — ``python -m repro.perf.campaign``: fans
   seeded chaos runs and merge-hot-path seed cells
   (:mod:`repro.perf.cells`) across a ``multiprocessing`` pool.  Every
   run derives its randomness from ``(seed, index)`` alone, results are
   merged in index order, and the aggregate fingerprint is bit-identical
   whatever the worker count.
-* :mod:`repro.perf.gate` — ``python -m repro.perf.gate``: the CI
-  perf-regression gate.  Re-runs the smoke baseline recorded in the
-  committed ``BENCH_perf.json`` and fails on any determinism or work
-  regression; wall-clock is only ever compared within one machine.
+* :mod:`repro.perf.gate` — ``python -m repro.perf.gate``: the one CI
+  regression gate.  Re-runs the ``smoke_baseline`` sections of the
+  committed ``BENCH_perf.json``, ``BENCH_certify.json`` and
+  ``BENCH_workloads.json`` and fails on any drift in a count or a
+  fingerprint.
+
+The names below resolve on first use rather than at package import, so
+``python -m repro.perf.gate`` and ``python -m repro.perf.campaign`` run
+their module body once.
 """
 
-from .campaign import (
-    aggregate_fingerprint,
-    campaign_json,
-    fan_out,
-    run_parallel_campaign,
-    run_parallel_cells,
-)
-from .cells import (
-    CERTIFY_DEFAULT_CELLS,
-    CERTIFY_SMOKE_CELLS,
-    DEFAULT_CELLS,
-    SMOKE_CELLS,
-    CellSpec,
-    run_cell,
-    run_certify_cell,
-)
-from .gate import (
-    certify_smoke_baseline,
-    run_certify_gate,
-    run_gate,
-    run_runtime_gate,
-    run_workloads_gate,
-    smoke_baseline,
-    workloads_smoke_baseline,
-)
-from .timer import PerfTimer, wall_clock
+import importlib
 
-__all__ = [
-    "CERTIFY_DEFAULT_CELLS",
-    "CERTIFY_SMOKE_CELLS",
-    "CellSpec",
-    "DEFAULT_CELLS",
-    "PerfTimer",
-    "SMOKE_CELLS",
-    "aggregate_fingerprint",
-    "campaign_json",
-    "certify_smoke_baseline",
-    "fan_out",
-    "run_cell",
-    "run_certify_cell",
-    "run_certify_gate",
-    "run_gate",
-    "run_parallel_campaign",
-    "run_parallel_cells",
-    "run_runtime_gate",
-    "run_workloads_gate",
-    "smoke_baseline",
-    "wall_clock",
-    "workloads_smoke_baseline",
-]
+_OWNERS = {
+    "campaign": (
+        "aggregate_fingerprint", "campaign_json", "fan_out",
+        "run_parallel_campaign", "run_parallel_cells",
+    ),
+    "cells": (
+        "CERTIFY_DEFAULT_CELLS", "CERTIFY_SMOKE_CELLS", "DEFAULT_CELLS",
+        "SMOKE_CELLS", "CellSpec", "run_cell", "run_certify_cell",
+    ),
+    "gate": (
+        "GATES", "Problem", "certify_smoke_baseline", "run_gate",
+        "smoke_baseline", "workloads_smoke_baseline",
+    ),
+}
+_OWNER_OF = {
+    name: module for module, names in _OWNERS.items() for name in names
+}
+
+__all__ = sorted(_OWNER_OF)
+
+
+def __getattr__(name):
+    module = _OWNER_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f".{module}", __name__), name)

@@ -15,9 +15,8 @@ hot-path seed cells (:mod:`repro.perf.cells`) across a
 * the ``aggregate_fingerprint`` hashes the per-run fingerprints in index
   order, so one short string certifies a whole campaign.
 
-Profiling (``--profile``) rides alongside: workers measure their own
-wall-clock with :class:`~repro.perf.timer.PerfTimer`'s sanctioned clock
-and hand the durations back *outside* the deterministic payload.
+Nothing here reads a clock: how long a campaign takes is
+``benchmarks/shardbench``'s question, not this module's.
 
 Exit status: 0 when every run passed every oracle, 1 when any oracle
 was violated, 2 on usage errors.
@@ -30,13 +29,12 @@ import hashlib
 import json
 import multiprocessing
 import sys
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..chaos.cli import run_index
 from ..chaos.harness import ChaosScenario
 from ..chaos.oracles import ORACLES
 from .cells import DEFAULT_CELLS, CellSpec, run_cell
-from .timer import PerfTimer, wall_clock
 
 
 def aggregate_fingerprint(fingerprints: Sequence[str]) -> str:
@@ -56,37 +54,38 @@ def campaign_json(payload: Dict[str, object]) -> str:
 
 # -- pool plumbing ---------------------------------------------------------
 # Task functions must be module-level so the pool can pickle them by
-# reference; each returns (index, result, elapsed_seconds) and the
-# elapsed part never enters the deterministic payload.
+# reference; each returns (index, result).
 
-def _chaos_task(task) -> Tuple[int, Dict[str, object], float]:
+def _chaos_task(task) -> Tuple[int, Dict[str, object]]:
     seed, index, scenario, oracles, shrink = task
-    start = wall_clock()
-    result = run_index(
+    return index, run_index(
         seed, index, scenario=scenario, oracles=oracles, shrink=shrink
     )
-    return index, result, wall_clock() - start
 
 
-def _cell_task(task) -> Tuple[int, Dict[str, object], float]:
-    index, spec = task
-    start = wall_clock()
-    return index, run_cell(spec), wall_clock() - start
+def _cell_task(task) -> Tuple[int, Dict[str, object]]:
+    index, runner, spec = task
+    return index, runner(spec)
 
 
-def fan_out(worker, tasks, workers: int) -> List[Tuple]:
+def fan_out(worker, tasks, workers: int) -> List:
     """Run ``worker`` over ``tasks``; in-process when ``workers <= 1``,
-    else over an unordered pool (the caller re-sorts by index).
+    else over an unordered pool.  Results come back in index order.
 
     ``worker`` must be module-level (picklable by reference) and return
-    index-tagged results — this is the shared fan-out primitive behind
+    ``(index, result)`` — this is the shared fan-out primitive behind
     chaos campaigns, merge seed cells and the workload leaderboard."""
     tasks = list(tasks)
     if workers <= 1 or len(tasks) <= 1:
-        return [worker(task) for task in tasks]
-    chunksize = max(1, len(tasks) // (workers * 8))
-    with multiprocessing.Pool(processes=workers) as pool:
-        return list(pool.imap_unordered(worker, tasks, chunksize=chunksize))
+        outcomes = [worker(task) for task in tasks]
+    else:
+        chunksize = max(1, len(tasks) // (workers * 8))
+        with multiprocessing.Pool(processes=workers) as pool:
+            outcomes = list(
+                pool.imap_unordered(worker, tasks, chunksize=chunksize)
+            )
+    outcomes.sort(key=lambda outcome: outcome[0])
+    return [result for _, result in outcomes]
 
 
 # -- campaigns -------------------------------------------------------------
@@ -98,7 +97,6 @@ def run_parallel_campaign(
     scenario: Optional[ChaosScenario] = None,
     oracles: Optional[Tuple[str, ...]] = None,
     shrink: bool = True,
-    timer: Optional[PerfTimer] = None,
 ) -> Dict[str, object]:
     """A seeded chaos campaign fanned over ``workers`` processes.
 
@@ -109,14 +107,7 @@ def run_parallel_campaign(
     """
     base = scenario if scenario is not None else ChaosScenario()
     tasks = [(seed, index, base, oracles, shrink) for index in range(runs)]
-    if timer is None:
-        timer = PerfTimer()
-    with timer.span("campaign"):
-        outcomes = fan_out(_chaos_task, tasks, workers)
-    outcomes.sort(key=lambda outcome: outcome[0])
-    results = [result for _, result, _ in outcomes]
-    for _, _, elapsed in outcomes:
-        timer.add("chaos_run", elapsed)
+    results = fan_out(_chaos_task, tasks, workers)
     failures = [r["failure"] for r in results if r["failure"] is not None]
     fingerprints = [r["fingerprint"] for r in results]
     return {
@@ -135,18 +126,13 @@ def run_parallel_campaign(
 def run_parallel_cells(
     specs: Sequence[CellSpec] = DEFAULT_CELLS,
     workers: int = 1,
-    timer: Optional[PerfTimer] = None,
+    runner: Callable[[CellSpec], Dict[str, object]] = run_cell,
 ) -> List[Dict[str, object]]:
-    """Run merge seed cells over the pool; rows come back in spec order."""
-    tasks = list(enumerate(specs))
-    if timer is None:
-        timer = PerfTimer()
-    with timer.span("cells"):
-        outcomes = fan_out(_cell_task, tasks, workers)
-    outcomes.sort(key=lambda outcome: outcome[0])
-    for _, _, elapsed in outcomes:
-        timer.add("cell_run", elapsed)
-    return [row for _, row, _ in outcomes]
+    """Run ``runner`` (module-level: :func:`~repro.perf.cells.run_cell`
+    or :func:`~repro.perf.cells.run_certify_cell`) on each cell over
+    the pool; rows come back in spec order."""
+    tasks = [(index, runner, spec) for index, spec in enumerate(specs)]
+    return fan_out(_cell_task, tasks, workers)
 
 
 # -- CLI -------------------------------------------------------------------
@@ -169,9 +155,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="also run the merge hot-path seed cells")
     parser.add_argument("--no-shrink", action="store_true",
                         help="skip shrinking failing plans")
-    parser.add_argument("--profile", action="store_true",
-                        help="include per-phase wall-clock timings "
-                        "(non-deterministic; kept out of fingerprints)")
     return parser
 
 
@@ -194,13 +177,6 @@ def _render_text(output: Dict[str, object]) -> str:
             f"fastpath={row['fastpath_rate']:.2%} "
             f"cost-cache hits={row['cost_hit_rate']:.2%}"
         )
-    profile = output.get("profile")
-    if profile:
-        for phase, entry in profile["phases"].items():
-            lines.append(
-                f"  phase {phase}: total={entry['total_s']:.3f}s "
-                f"n={entry['count']}"
-            )
     return "\n".join(lines)
 
 
@@ -212,21 +188,15 @@ def main(argv=None) -> int:
     if args.workers < 1:
         print("--workers must be >= 1", file=sys.stderr)
         return 2
-    timer = PerfTimer()
     campaign = run_parallel_campaign(
         args.seed, args.runs,
-        workers=args.workers, shrink=not args.no_shrink, timer=timer,
+        workers=args.workers, shrink=not args.no_shrink,
     )
     output: Dict[str, object] = {"campaign": campaign}
     if args.cells:
         output["cells"] = run_parallel_cells(
-            DEFAULT_CELLS, workers=args.workers, timer=timer
+            DEFAULT_CELLS, workers=args.workers
         )
-    if args.profile:
-        output["profile"] = {
-            "workers": args.workers,
-            "phases": timer.as_dict(),
-        }
     if args.format == "json":
         print(json.dumps(output, sort_keys=True, indent=2))
     else:

@@ -159,8 +159,9 @@ def aggregate_hit_rate(rows) -> float:
 #: the displaced-suffix replay is the dominant merge cost.
 CERTIFY_REGIMES = ("in-order", "jittery", "partitioned")
 
-#: counters carried into each arm of a certify row.
-_CERTIFY_KEYS = (
+#: counters carried into each arm of a certify row (the perf gate pins
+#: every one of them, per arm, against ``BENCH_certify.json``).
+CERTIFY_ARM_KEYS = (
     "log_length", "inserts", "updates_applied", "fastpath_hits",
     "undo_redo_merges", "certified_hits", "state_fingerprint",
 )
@@ -202,8 +203,8 @@ def run_certify_cell(spec: CellSpec) -> Dict[str, object]:
         "cell": spec.name,
         "regime": spec.regime,
         "spec": spec.as_dict(),
-        "baseline": {k: baseline[k] for k in _CERTIFY_KEYS},
-        "certified": {k: certified[k] for k in _CERTIFY_KEYS},
+        "baseline": {k: baseline[k] for k in CERTIFY_ARM_KEYS},
+        "certified": {k: certified[k] for k in CERTIFY_ARM_KEYS},
         "states_agree": (
             baseline["state_fingerprint"] == certified["state_fingerprint"]
         ),

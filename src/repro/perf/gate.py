@@ -1,48 +1,32 @@
-"""``python -m repro.perf.gate`` — the CI perf-regression gate.
+"""``python -m repro.perf.gate`` — the one deterministic CI gate.
 
-Compares the committed ``benchmarks/results/BENCH_perf.json`` against a
-fresh smoke run, honestly split by what is comparable across machines:
+Three committed baselines, one procedure.  Each row of :data:`GATES`
+names a ``benchmarks/results/BENCH_*.json`` file, the builder that
+recomputes its ``smoke_baseline`` section from committed specs alone,
+the keys that must match exactly, and its verdict checks:
 
-* **deterministic sections** (campaign fingerprints, per-cell work
-  counters, state fingerprints) must match the committed baseline
-  *exactly* — any drift means the merge path, the cost cache or the
-  campaign derivation changed behaviour;
-* **worker independence** is re-proven: the smoke baseline is computed
-  at ``workers=1`` and ``workers=N`` and the two payloads must be
-  identical;
-* **float metrics** (the pooled cost-cache hit rate) are held within a
-  tolerance band of the committed value;
-* **wall-clock** gates nothing: the serial and parallel smoke timings
-  are reported for the reader and never turned into a verdict, so the
-  gate's answer is the same on any machine (timing is
-  ``benchmarks/shardbench``'s job).
+* ``perf`` — the seeded chaos campaign's aggregate fingerprint and the
+  merge hot-path cells' work counters (``BENCH_perf.json``), pooled
+  cost-cache hit rate within :data:`HIT_RATE_BAND` of the committed one;
+* ``certify`` — baseline-vs-certified merge cells, every counter of
+  both arms (``BENCH_certify.json``); the arms must agree on the final
+  state and the certified skip must demonstrably fire and pay;
+* ``workloads`` — the smoke leaderboard, every deterministic row
+  counter and the aggregate fingerprint (``BENCH_workloads.json``);
+  every workload must quiesce to mutual consistency.
 
-``--certify`` switches to the certified-merge gate: fresh
-baseline-vs-certified smoke cells compared against the committed
-``benchmarks/results/BENCH_certify.json``, requiring exact counter
-agreement, state equivalence between the arms, and a certified skip
-that demonstrably fires.
+:func:`run_gate` runs the stages cheapest first.  ``schema`` (the file
+reads, has a ``smoke_baseline`` and every gated key) fails before
+anything is run.  Then one payload is built at ``workers=1`` and again
+at ``workers=N`` — ``workers``: the two must be identical — and the
+serial one is held to the baseline payload key by payload key
+(``fingerprint``), row by row and key by key (``rows``) and through the
+row's verdict checks (``verdict``); these four report together, so a
+fingerprint drift still names the row that moved.  Findings are typed
+:class:`Problem` records rendered ``stage:reason subject detail``.
 
-``--workloads`` switches to the workload-leaderboard gate: the smoke
-spec set (every app category under Zipfian skew over a million-key
-universe) re-run fresh at ``workers=1`` and ``workers=N``, the two
-payloads required identical, and every deterministic row counter plus
-the aggregate fingerprint required to match the committed
-``benchmarks/results/BENCH_workloads.json`` exactly — so the
-throughput leaderboard is a tracked PR-over-PR series, not a one-off.
-
-``--runtime`` switches to the E21 runtime-throughput gate over the
-committed ``benchmarks/results/BENCH_runtime.json``: the
-``smoke_baseline`` section must equal the deterministic rows recomputed
-from the committed smoke specs (the event stream is a pure function of
-the spec, so this is exact with no cluster boot), the committed
-headline must carry a >= 10x speedup over the pre-pipelining baseline
-with clean oracle + consistency verdicts, and — when CI hands the gate
-a fresh smoke bench via ``--fresh`` — the fresh payload's deterministic
-section must match the committed one exactly while its wall-clock
-numbers are only held to same-machine sanity (the pipelined arm at
-least matches the serial arm, verification clean).
-
+Everything judged is an exact count or a fingerprint: the gate reads no
+clock and reports no time (that is ``benchmarks/shardbench``'s job).
 Exit status: 0 clean, 1 any regression, 2 usage/baseline errors.
 """
 
@@ -50,20 +34,22 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
+from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 from ..chaos.harness import ChaosScenario
 from .campaign import run_parallel_campaign, run_parallel_cells
 from .cells import (
+    CERTIFY_ARM_KEYS,
     CERTIFY_SMOKE_CELLS,
     SMOKE_CELLS,
     aggregate_hit_rate,
     run_certify_cell,
 )
-from .timer import PerfTimer
+
+Payload = Dict[str, object]
 
 #: the smoke workload re-run by the gate; small enough for CI, fixed so
 #: the committed baseline and every fresh run compute the same thing.
@@ -71,60 +57,37 @@ SMOKE_SEED = 0
 SMOKE_RUNS = 6
 SMOKE_SCENARIO = ChaosScenario(duration=8.0)
 
-#: per-cell counters that must match the committed baseline exactly.
-EXACT_CELL_KEYS = (
-    "log_length", "inserts", "updates_applied", "fastpath_hits",
-    "undo_redo_merges", "batch_merges", "batched_inserts",
-    "cost_evaluations", "cost_hits", "state_fingerprint",
-)
-
-DEFAULT_BASELINE = Path("benchmarks/results/BENCH_perf.json")
-CERTIFY_BASELINE = Path("benchmarks/results/BENCH_certify.json")
-WORKLOADS_BASELINE = Path("benchmarks/results/BENCH_workloads.json")
-RUNTIME_BASELINE = Path("benchmarks/results/BENCH_runtime.json")
-
-#: the headline speedup the committed runtime bench must demonstrate
-#: over the pre-pipelining closed-loop baseline.
-RUNTIME_MIN_SPEEDUP = 10.0
-
-#: per-workload leaderboard counters that must match the committed
-#: baseline exactly (everything deterministic in a row except the
-#: embedded spec echo and derived rates).
-EXACT_WORKLOAD_KEYS = (
-    "category", "events", "reads", "rejected", "ops_per_sim_sec",
-    "log_length", "inserts", "updates_applied", "fastpath_hits",
-    "undo_redo_merges", "certified_hits", "batch_merges",
-    "batched_inserts", "cost_evaluations", "cost_hits", "wire_bytes",
-    "convergence_lag", "final_cost", "consistent", "state_fingerprint",
-)
-
-#: per-arm counters of a certify cell that must match exactly.
-EXACT_CERTIFY_KEYS = (
-    "log_length", "inserts", "updates_applied", "fastpath_hits",
-    "undo_redo_merges", "certified_hits", "state_fingerprint",
-)
+#: how far the pooled cost-cache hit rate may fall below the committed one.
+HIT_RATE_BAND = 0.02
 
 #: regimes where the certified skip must demonstrably pay.
 CERTIFY_OUT_OF_ORDER = ("jittery", "partitioned")
 
 
-def usable_cores() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # pragma: no cover - non-Linux hosts
-        return os.cpu_count() or 1
+@dataclass(frozen=True)
+class Problem:
+    """One typed gate finding: which ``stage`` failed and why, on what."""
+
+    stage: str
+    reason: str
+    subject: str = ""
+    detail: str = ""
+
+    def __str__(self) -> str:
+        head = f"{self.stage}:{self.reason}"
+        return " ".join(p for p in (head, self.subject, self.detail) if p)
 
 
-def smoke_baseline(
-    workers: int = 1, timer: Optional[PerfTimer] = None
-) -> Dict[str, object]:
-    """The gate's deterministic smoke payload (identical for every
-    worker count; that identity is itself one of the gate's checks)."""
+# -- fresh-payload builders (what the E16/E19/E20 benches commit as
+# ``smoke_baseline``): pure in committed specs, same at any worker count.
+
+def smoke_baseline(workers: int = 1) -> Payload:
+    """The ``perf`` payload: smoke chaos campaign + merge seed cells."""
     campaign = run_parallel_campaign(
         SMOKE_SEED, SMOKE_RUNS,
-        workers=workers, scenario=SMOKE_SCENARIO, shrink=False, timer=timer,
+        workers=workers, scenario=SMOKE_SCENARIO, shrink=False,
     )
-    cells = run_parallel_cells(SMOKE_CELLS, workers=workers, timer=timer)
+    cells = run_parallel_cells(SMOKE_CELLS, workers=workers)
     return {
         "seed": SMOKE_SEED,
         "runs": SMOKE_RUNS,
@@ -137,120 +100,12 @@ def smoke_baseline(
     }
 
 
-def _compare_rows(
-    kind: str, exact_keys, fresh_rows, committed_rows, problems: List[str]
-) -> None:
-    """Hold every fresh row (named by its ``kind`` field: ``"cell"`` or
-    ``"workload"``) to the committed row of the same name, key by key."""
-    committed_by_name = {row[kind]: row for row in committed_rows}
-    for row in fresh_rows:
-        committed = committed_by_name.pop(row[kind], None)
-        if committed is None:
-            problems.append(f"{kind} {row[kind]}: missing from baseline")
-            continue
-        for key in exact_keys:
-            if row.get(key) != committed.get(key):
-                problems.append(
-                    f"{kind} {row[kind]}: {key} changed "
-                    f"{committed.get(key)!r} -> {row.get(key)!r}"
-                )
-    for name in committed_by_name:
-        problems.append(f"{kind} {name}: in baseline but not re-run")
-
-
-def _load_baseline(
-    baseline_path: Path,
-) -> Tuple[Dict[str, object], Optional[str]]:
-    """The committed payload, or the usage error (exit status 2) when
-    the file is unreadable or carries no ``smoke_baseline`` section."""
-    try:
-        committed = json.loads(Path(baseline_path).read_text())
-    except (OSError, ValueError) as exc:
-        return {}, f"cannot read baseline {baseline_path}: {exc}"
-    if not isinstance(committed.get("smoke_baseline"), dict):
-        return {}, f"baseline {baseline_path} has no smoke_baseline section"
-    return committed, None
-
-
-def _fresh_worker_independent(
-    build: Callable[..., Dict[str, object]], workers: int
-) -> Tuple[Dict[str, object], List[str], Dict[str, object]]:
-    """``build`` at ``workers=1`` and again at ``workers=workers``: the
-    serial payload, the problem list (non-empty iff the two differ),
-    and how long each took — reported, never judged."""
-    timer = PerfTimer()
-    with timer.span("gate_serial"):
-        serial = build(workers=1)
-    with timer.span("gate_parallel"):
-        parallel = build(workers=workers)
-    problems = [] if serial == parallel else [
-        f"worker count changed the deterministic payload "
-        f"(workers=1 vs workers={workers})"
-    ]
-    return serial, problems, {
-        "cores": usable_cores(),
-        "serial_s": round(timer.timings.total("gate_serial"), 3),
-        "parallel_s": round(timer.timings.total("gate_parallel"), 3),
-    }
-
-
-def run_gate(
-    baseline_path: Path = DEFAULT_BASELINE,
-    tolerance: float = 0.02,
-    workers: int = 2,
-) -> Tuple[int, Dict[str, object]]:
-    """Run the gate; returns (exit_status, JSON-ready report)."""
-    committed, error = _load_baseline(baseline_path)
-    if error is not None:
-        return 2, {"error": error}
-    expected = committed["smoke_baseline"]
-
-    fresh_serial, problems, wall_check = _fresh_worker_independent(
-        smoke_baseline, workers
+def certify_smoke_baseline(workers: int = 1) -> Payload:
+    """The ``certify`` payload: every certify regime run
+    baseline-vs-certified at smoke duration."""
+    cells = run_parallel_cells(
+        CERTIFY_SMOKE_CELLS, workers=workers, runner=run_certify_cell
     )
-    if (
-        fresh_serial["aggregate_fingerprint"]
-        != expected.get("aggregate_fingerprint")
-    ):
-        problems.append(
-            "campaign fingerprint drifted: "
-            f"{expected.get('aggregate_fingerprint')!r} -> "
-            f"{fresh_serial['aggregate_fingerprint']!r}"
-        )
-    if fresh_serial["violations"] != expected.get("violations"):
-        problems.append(
-            f"smoke violations changed {expected.get('violations')!r} -> "
-            f"{fresh_serial['violations']!r}"
-        )
-    _compare_rows(
-        "cell", EXACT_CELL_KEYS,
-        fresh_serial["cells"], expected.get("cells", ()), problems,
-    )
-    committed_rate = expected.get("cost_hit_rate", 0.0)
-    if fresh_serial["cost_hit_rate"] < committed_rate - tolerance:
-        problems.append(
-            f"cost-cache hit rate fell below band: "
-            f"{fresh_serial['cost_hit_rate']} < {committed_rate} - {tolerance}"
-        )
-
-    report = {
-        "baseline": str(baseline_path),
-        "workers": workers,
-        "tolerance": tolerance,
-        "problems": problems,
-        "wall_clock": wall_check,
-        "fresh": {
-            "aggregate_fingerprint": fresh_serial["aggregate_fingerprint"],
-            "cost_hit_rate": fresh_serial["cost_hit_rate"],
-        },
-    }
-    return (1 if problems else 0), report
-
-
-def certify_smoke_baseline() -> Dict[str, object]:
-    """The certify gate's deterministic smoke payload: every certify
-    regime run baseline-vs-certified at smoke duration."""
-    cells = [run_certify_cell(spec) for spec in CERTIFY_SMOKE_CELLS]
     return {
         "cells": cells,
         "certified_hits": sum(r["certified"]["certified_hits"] for r in cells),
@@ -258,274 +113,214 @@ def certify_smoke_baseline() -> Dict[str, object]:
     }
 
 
-def run_certify_gate(
-    baseline_path: Path = CERTIFY_BASELINE,
-) -> Tuple[int, Dict[str, object]]:
-    """The certified-merge gate: fresh smoke certify cells must match
-    the committed ``BENCH_certify.json`` exactly, the certified arm
-    must agree with the baseline state, and the skip must actually fire
-    (certified hits > 0, replays reduced in an out-of-order regime)."""
-    committed, error = _load_baseline(baseline_path)
-    if error is not None:
-        return 2, {"error": error}
-    expected = committed["smoke_baseline"]
+def workloads_smoke_baseline(workers: int = 1) -> Payload:
+    """The ``workloads`` payload: the smoke spec set's leaderboard."""
+    # imported here, not at module top: repro.workloads.runners pulls in
+    # the shard cluster stack and itself imports repro.perf.campaign.
+    from ..workloads.leaderboard import build_leaderboard
+    from ..workloads.runners import run_parallel_workloads
+    from ..workloads.specs import SMOKE_SPECS
 
-    fresh = certify_smoke_baseline()
-    problems: List[str] = []
-    committed_by_name = {
-        row["cell"]: row for row in expected.get("cells", ())
-    }
+    return build_leaderboard(
+        run_parallel_workloads(SMOKE_SPECS, workers=workers)
+    )
+
+
+# -- verdict checks --------------------------------------------------------
+
+def _hit_rate_in_band(fresh: Payload, expected: Payload) -> Iterator[Problem]:
+    committed = expected.get("cost_hit_rate", 0.0)
+    if fresh["cost_hit_rate"] < committed - HIT_RATE_BAND:
+        yield Problem(
+            "verdict", "hit-rate-below-band", "cost_hit_rate",
+            f"{fresh['cost_hit_rate']} < {committed} - {HIT_RATE_BAND}",
+        )
+
+
+def _skip_pays(fresh: Payload, expected: Payload) -> Iterator[Problem]:
     for row in fresh["cells"]:
-        committed_row = committed_by_name.pop(row["cell"], None)
         if not row["states_agree"]:
-            problems.append(
-                f"cell {row['cell']}: certified arm diverged from baseline "
-                f"state"
-            )
-        if committed_row is None:
-            problems.append(f"cell {row['cell']}: missing from baseline")
-            continue
-        for arm in ("baseline", "certified"):
-            for key in EXACT_CERTIFY_KEYS:
-                got = row[arm].get(key)
-                want = committed_row.get(arm, {}).get(key)
-                if got != want:
-                    problems.append(
-                        f"cell {row['cell']}: {arm}.{key} changed "
-                        f"{want!r} -> {got!r}"
-                    )
-    for name in committed_by_name:
-        problems.append(f"cell {name}: in baseline but not re-run")
-
+            yield Problem("verdict", "states-diverged", row["cell"])
     if fresh["certified_hits"] <= 0:
-        problems.append("certified skip never fired in the smoke cells")
+        yield Problem("verdict", "skip-never-fired")
     if not any(
         row["regime"] in CERTIFY_OUT_OF_ORDER
         and row["certified"]["certified_hits"] > 0
         and row["replay_reduction"] > 0
         for row in fresh["cells"]
     ):
-        problems.append(
-            "no out-of-order regime showed certified hits with a replay "
-            "reduction"
+        yield Problem("verdict", "no-out-of-order-payoff")
+
+
+def _all_consistent(fresh: Payload, expected: Payload) -> Iterator[Problem]:
+    for row in fresh["rows"]:
+        if not row["consistent"]:
+            yield Problem("verdict", "inconsistent", row["workload"])
+
+
+# -- the table -------------------------------------------------------------
+
+@dataclass(frozen=True)
+class Gate:
+    """One gated baseline: where it is committed, how to recompute it,
+    and what must hold between the two."""
+
+    baseline: Path
+    build: Callable[[int], Payload]
+    #: payload key holding the row list, and the row key naming a row.
+    rows: str
+    name: str
+    #: payload-level keys that must match the baseline exactly.
+    payload_keys: Tuple[str, ...]
+    #: per-row keys that must match exactly (``a.b`` reads row[a][b]).
+    row_keys: Tuple[str, ...]
+    verdicts: Tuple[Callable[[Payload, Payload], Iterator[Problem]], ...]
+
+
+_RESULTS = Path("benchmarks/results")
+
+GATES: Dict[str, Gate] = {
+    "perf": Gate(
+        _RESULTS / "BENCH_perf.json", smoke_baseline, "cells", "cell",
+        ("aggregate_fingerprint", "violations"),
+        (
+            "log_length", "inserts", "updates_applied", "fastpath_hits",
+            "undo_redo_merges", "batch_merges", "batched_inserts",
+            "cost_evaluations", "cost_hits", "state_fingerprint",
+        ),
+        (_hit_rate_in_band,),
+    ),
+    "certify": Gate(
+        _RESULTS / "BENCH_certify.json", certify_smoke_baseline,
+        "cells", "cell",
+        ("certified_hits", "replay_reduction"),
+        tuple(
+            f"{arm}.{key}"
+            for arm in ("baseline", "certified") for key in CERTIFY_ARM_KEYS
+        ),
+        (_skip_pays,),
+    ),
+    # everything deterministic in a leaderboard row except the embedded
+    # spec echo and the derived rates.
+    "workloads": Gate(
+        _RESULTS / "BENCH_workloads.json", workloads_smoke_baseline,
+        "rows", "workload",
+        ("fingerprint",),
+        (
+            "category", "events", "reads", "rejected", "ops_per_sim_sec",
+            "log_length", "inserts", "updates_applied", "fastpath_hits",
+            "undo_redo_merges", "certified_hits", "batch_merges",
+            "batched_inserts", "cost_evaluations", "cost_hits",
+            "wire_bytes", "convergence_lag", "final_cost", "consistent",
+            "state_fingerprint",
+        ),
+        (_all_consistent,),
+    ),
+}
+
+
+# -- stages ----------------------------------------------------------------
+
+def _dig(row: Dict[str, object], dotted: str) -> object:
+    for part in dotted.split("."):
+        row = row[part]
+    return row
+
+
+def _changed(stage: str, subject: str, want, got) -> Iterator[Problem]:
+    if got != want:
+        yield Problem(stage, "changed", subject, f"{want!r} -> {got!r}")
+
+
+def _committed(
+    spec: Gate, path: Path
+) -> Tuple[Optional[Payload], List[Problem]]:
+    """The ``schema`` stage: the committed ``smoke_baseline`` section,
+    or why it cannot be gated against."""
+    try:
+        committed = json.loads(path.read_text())
+    except (OSError, ValueError) as exc:
+        return None, [Problem("schema", "unreadable", str(path), str(exc))]
+    expected = (
+        committed.get("smoke_baseline") if isinstance(committed, dict) else None
+    )
+    if not isinstance(expected, dict):
+        return None, [Problem("schema", "no-smoke-baseline", str(path))]
+    problems = [
+        Problem("schema", "missing-key", key)
+        for key in spec.payload_keys + (spec.rows,) if key not in expected
+    ]
+    for index, row in enumerate(expected.get(spec.rows, ())):
+        for key in (spec.name,) + spec.row_keys:
+            try:
+                _dig(row, key)
+            except (KeyError, TypeError):
+                problems.append(Problem(
+                    "schema", "missing-key", f"{spec.rows}[{index}].{key}"
+                ))
+    return expected, problems
+
+
+def _regressions(
+    spec: Gate, workers: int, fresh: Payload, expected: Payload
+) -> Iterator[Problem]:
+    """The four stages that share one fresh payload, in order."""
+    if spec.build(workers) != fresh:
+        yield Problem(
+            "workers", "payload-differs", f"workers=1 vs workers={workers}"
         )
-
-    report = {
-        "baseline": str(baseline_path),
-        "mode": "certify",
-        "problems": problems,
-        "fresh": {
-            "certified_hits": fresh["certified_hits"],
-            "replay_reduction": fresh["replay_reduction"],
-        },
-    }
-    return (1 if problems else 0), report
-
-
-def workloads_smoke_baseline(
-    workers: int = 1, timer: Optional[PerfTimer] = None
-) -> Dict[str, object]:
-    """The workloads gate's deterministic smoke payload: the smoke spec
-    set's full leaderboard (identical for every worker count)."""
-    # imported here, not at module top: repro.workloads.runners pulls in
-    # the shard cluster stack, which the plain perf gates never need.
-    from ..workloads.leaderboard import build_leaderboard
-    from ..workloads.runners import run_parallel_workloads
-    from ..workloads.specs import SMOKE_SPECS
-
-    rows, _ = run_parallel_workloads(SMOKE_SPECS, workers=workers,
-                                     timer=timer)
-    return build_leaderboard(rows)
+    for key in spec.payload_keys:
+        yield from _changed("fingerprint", key, expected[key], fresh[key])
+    committed_by_name = {row[spec.name]: row for row in expected[spec.rows]}
+    for row in fresh[spec.rows]:
+        name = row[spec.name]
+        committed = committed_by_name.pop(name, None)
+        if committed is None:
+            yield Problem("rows", "missing", name, "not in the baseline")
+            continue
+        for key in spec.row_keys:
+            yield from _changed(
+                "rows", f"{name}.{key}", _dig(committed, key), _dig(row, key)
+            )
+    for name in committed_by_name:
+        yield Problem("rows", "extra", name, "in the baseline but not re-run")
+    for verdict in spec.verdicts:
+        yield from verdict(fresh, expected)
 
 
-def run_workloads_gate(
-    baseline_path: Path = WORKLOADS_BASELINE,
+def run_gate(
+    gate: str,
+    baseline_path: Optional[Path] = None,
     workers: int = 2,
 ) -> Tuple[int, Dict[str, object]]:
-    """The workload-leaderboard gate (see module docstring): worker
-    independence re-proven fresh, every deterministic row counter and
-    the aggregate fingerprint pinned to the committed baseline."""
-    committed, error = _load_baseline(baseline_path)
-    if error is not None:
-        return 2, {"error": error}
-    expected = committed["smoke_baseline"]
-
-    fresh_serial, problems, wall_check = _fresh_worker_independent(
-        workloads_smoke_baseline, workers
-    )
-    if fresh_serial["fingerprint"] != expected.get("fingerprint"):
-        problems.append(
-            "leaderboard fingerprint drifted: "
-            f"{expected.get('fingerprint')!r} -> "
-            f"{fresh_serial['fingerprint']!r}"
-        )
-    if not fresh_serial["consistent"]:
-        problems.append(
-            "a fresh smoke workload failed mutual consistency"
-        )
-    _compare_rows(
-        "workload", EXACT_WORKLOAD_KEYS,
-        fresh_serial["rows"], expected.get("rows", ()), problems,
-    )
-
-    report = {
-        "baseline": str(baseline_path),
-        "mode": "workloads",
-        "workers": workers,
-        "problems": problems,
-        "wall_clock": wall_check,
-        "fresh": {
-            "fingerprint": fresh_serial["fingerprint"],
-            "total_events": fresh_serial["total_events"],
-            "categories": fresh_serial["categories"],
-        },
+    """Run one row of :data:`GATES` (see the module docstring); returns
+    ``(exit_status, JSON-ready report)``."""
+    spec = GATES[gate]
+    path = Path(baseline_path) if baseline_path is not None else spec.baseline
+    report: Dict[str, object] = {
+        "gate": gate, "baseline": str(path), "workers": workers,
     }
-    return (1 if problems else 0), report
-
-
-def _runtime_smoke_rows() -> List[Dict[str, object]]:
-    """The deterministic half of the runtime smoke series, recomputed
-    from the committed specs — no cluster boot, exact by construction."""
-    # imported here: the runtime bench pulls in the asyncio cluster
-    # stack, which the plain perf gates never need.
-    from ..runtime.bench import (
-        DEFAULT_PIPELINE,
-        E21_SMOKE_SPECS,
-        deterministic_row,
+    expected, problems = _committed(spec, path)
+    status = 2
+    if not problems:  # a failed schema stage runs nothing.
+        fresh = spec.build(1)
+        problems = list(_regressions(spec, workers, fresh, expected))
+        report["fresh"] = {key: fresh[key] for key in spec.payload_keys}
+        status = 1 if problems else 0
+    report.update(
+        status=status, problems=[asdict(problem) for problem in problems]
     )
-
-    return [
-        deterministic_row(workload, DEFAULT_PIPELINE)
-        for workload in sorted(E21_SMOKE_SPECS, key=lambda s: s.name)
-    ]
+    return status, report
 
 
-def _headline_clean(headline: Dict[str, object]) -> bool:
-    checks = headline.get("checks")
-    return isinstance(checks, dict) and checks.get("clean") is True
-
-
-def run_runtime_gate(
-    baseline_path: Path = RUNTIME_BASELINE,
-    fresh_path: Optional[Path] = None,
-    min_speedup: float = RUNTIME_MIN_SPEEDUP,
-) -> Tuple[int, Dict[str, object]]:
-    """The E21 runtime-throughput gate (see module docstring)."""
-    committed, error = _load_baseline(baseline_path)
-    if error is not None:
-        return 2, {"error": error}
-    expected = committed["smoke_baseline"]
-
-    problems: List[str] = []
-    recomputed = _runtime_smoke_rows()
-    if expected.get("rows") != recomputed:
-        problems.append(
-            "committed smoke_baseline drifted from the rows the smoke "
-            "specs deterministically produce"
-        )
-
-    headline = committed.get("headline", {})
-    speedup = headline.get("speedup_vs_committed_baseline", 0.0)
-    if not isinstance(speedup, (int, float)) or speedup < min_speedup:
-        problems.append(
-            f"committed headline speedup {speedup!r} is below the "
-            f"required {min_speedup}x over the pre-pipelining baseline"
-        )
-    if not _headline_clean(headline):
-        problems.append(
-            "committed headline lacks clean oracle + consistency checks"
-        )
-    series = committed.get("series", ())
-    rates = [row.get("ops_per_sec", 0.0) for row in series]
-    if rates != sorted(rates, reverse=True):
-        problems.append("committed series is not ranked by ops_per_sec")
-    for row in series:
-        if not row.get("converged"):
-            problems.append(
-                f"committed series row {row.get('workload')!r} did not "
-                f"converge"
-            )
-
-    fresh_report: Optional[Dict[str, object]] = None
-    if fresh_path is not None:
-        try:
-            fresh = json.loads(Path(fresh_path).read_text())
-        except (OSError, ValueError) as exc:
-            return 2, {"error": f"cannot read fresh bench {fresh_path}: {exc}"}
-        if fresh.get("smoke_baseline") != {"rows": recomputed}:
-            problems.append(
-                "fresh smoke bench's deterministic section does not match "
-                "the committed smoke_baseline"
-            )
-        fresh_headline = fresh.get("headline", {})
-        serial = fresh_headline.get("serial_ops_per_sec", 0.0)
-        pipelined = fresh_headline.get("pipelined_ops_per_sec", 0.0)
-        # wall-clock is same-machine-only: both arms ran on this host,
-        # so the only claim gated is that pipelining does not lose.
-        if pipelined < serial:
-            problems.append(
-                f"fresh pipelined arm ({pipelined} ops/sec) fell below "
-                f"the fresh serial arm ({serial} ops/sec)"
-            )
-        if not _headline_clean(fresh_headline):
-            problems.append(
-                "fresh headline lacks clean oracle + consistency checks"
-            )
-        for row in fresh.get("series", ()):
-            if not row.get("converged"):
-                problems.append(
-                    f"fresh series row {row.get('workload')!r} did not "
-                    f"converge"
-                )
-        fresh_report = {
-            "path": str(fresh_path),
-            "serial_ops_per_sec": serial,
-            "pipelined_ops_per_sec": pipelined,
-        }
-
-    report = {
-        "baseline": str(baseline_path),
-        "mode": "runtime",
-        "min_speedup": min_speedup,
-        "problems": problems,
-        "committed": {
-            "speedup_vs_committed_baseline": speedup,
-            "pipelined_ops_per_sec": headline.get(
-                "pipelined_ops_per_sec"
-            ),
-        },
-    }
-    if fresh_report is not None:
-        report["fresh"] = fresh_report
-    return (1 if problems else 0), report
-
+# -- CLI -------------------------------------------------------------------
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.perf.gate",
-        description="perf-regression gate: committed BENCH_perf.json vs "
-        "a fresh smoke run",
+        description="deterministic regression gate: every committed "
+        f"smoke_baseline ({', '.join(GATES)}) vs a fresh run",
     )
-    parser.add_argument("--baseline", type=Path, default=None,
-                        help=f"baseline JSON (default {DEFAULT_BASELINE}; "
-                        f"{CERTIFY_BASELINE} with --certify, "
-                        f"{WORKLOADS_BASELINE} with --workloads)")
-    parser.add_argument("--certify", action="store_true",
-                        help="gate the certified merge fast path against "
-                        "BENCH_certify.json instead of the perf smoke")
-    parser.add_argument("--workloads", action="store_true",
-                        help="gate the workload leaderboard against "
-                        "BENCH_workloads.json instead of the perf smoke")
-    parser.add_argument("--runtime", action="store_true",
-                        help="gate the E21 runtime throughput series "
-                        "against BENCH_runtime.json instead of the perf "
-                        "smoke")
-    parser.add_argument("--fresh", type=Path, default=None,
-                        help="with --runtime: a fresh smoke bench JSON "
-                        "to hold against the committed deterministic "
-                        "section (wall numbers same-machine only)")
-    parser.add_argument("--tolerance", type=float, default=0.02,
-                        help="hit-rate tolerance band (default 0.02)")
     parser.add_argument("--workers", type=int, default=2,
                         help="parallel worker count to prove against "
                         "(default 2)")
@@ -534,57 +329,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _wall_line(wall: Dict[str, object]) -> str:
-    return (
-        f"  wall-clock (reported, not gated): serial {wall['serial_s']}s, "
-        f"parallel {wall['parallel_s']}s on {wall['cores']} core(s)"
-    )
-
-
-def _render_text(status: int, report: Dict[str, object]) -> str:
-    if "error" in report:
-        return f"perf gate error: {report['error']}"
-    lines = [
-        f"perf gate vs {report['baseline']}: "
-        + ("CLEAN" if status == 0 else "REGRESSED")
-    ]
-    if report.get("mode") == "runtime":
-        committed = report["committed"]
-        lines.append(
-            f"  committed headline: "
-            f"{committed['pipelined_ops_per_sec']} ops/sec pipelined, "
-            f"{committed['speedup_vs_committed_baseline']}x the "
-            f"pre-pipelining baseline (min {report['min_speedup']}x)"
-        )
-        if "fresh" in report:
-            fresh = report["fresh"]
-            lines.append(
-                f"  fresh smoke (same machine): "
-                f"{fresh['pipelined_ops_per_sec']} ops/sec pipelined vs "
-                f"{fresh['serial_ops_per_sec']} serial"
-            )
-    elif report.get("mode") == "certify":
-        lines.append(
-            f"  certified hits {report['fresh']['certified_hits']}, "
-            f"replay reduction {report['fresh']['replay_reduction']}"
-        )
-    elif report.get("mode") == "workloads":
-        lines.append(_wall_line(report["wall_clock"]))
-        lines.append(
-            f"  fresh leaderboard fingerprint "
-            f"{report['fresh']['fingerprint']}, "
-            f"{len(report['fresh']['categories'])} categories, "
-            f"{report['fresh']['total_events']} events"
-        )
-    else:
-        lines.append(_wall_line(report["wall_clock"]))
-        lines.append(
-            f"  fresh fingerprint "
-            f"{report['fresh']['aggregate_fingerprint']}, "
-            f"cost-cache hit rate {report['fresh']['cost_hit_rate']}"
-        )
-    for problem in report["problems"]:
-        lines.append(f"  problem: {problem}")
+def _render_text(report: Dict[str, object]) -> str:
+    verdict = ("CLEAN", "REGRESSED", "ERROR")[report["status"]]
+    lines = [f"{report['gate']} gate vs {report['baseline']}: {verdict}"]
+    if "fresh" in report:
+        lines.append("  fresh " + ", ".join(
+            f"{key}={value}" for key, value in report["fresh"].items()
+        ))
+    lines += [f"  problem: {Problem(**p)}" for p in report["problems"]]
     return "\n".join(lines)
 
 
@@ -593,37 +345,14 @@ def main(argv=None) -> int:
     if args.workers < 1:
         print("--workers must be >= 1", file=sys.stderr)
         return 2
-    if sum((args.certify, args.workloads, args.runtime)) > 1:
-        print("--certify, --workloads and --runtime are mutually "
-              "exclusive", file=sys.stderr)
-        return 2
-    if args.fresh is not None and not args.runtime:
-        print("--fresh only applies with --runtime", file=sys.stderr)
-        return 2
-    if args.runtime:
-        status, report = run_runtime_gate(
-            baseline_path=args.baseline or RUNTIME_BASELINE,
-            fresh_path=args.fresh,
-        )
-    elif args.certify:
-        status, report = run_certify_gate(
-            baseline_path=args.baseline or CERTIFY_BASELINE,
-        )
-    elif args.workloads:
-        status, report = run_workloads_gate(
-            baseline_path=args.baseline or WORKLOADS_BASELINE,
-            workers=args.workers,
-        )
-    else:
-        status, report = run_gate(
-            baseline_path=args.baseline or DEFAULT_BASELINE,
-            tolerance=args.tolerance,
-            workers=args.workers,
-        )
+    reports = [run_gate(name, workers=args.workers)[1] for name in GATES]
+    status = max(report["status"] for report in reports)
     if args.format == "json":
-        print(json.dumps(report, sort_keys=True, indent=2))
+        print(json.dumps(
+            {"status": status, "gates": reports}, sort_keys=True, indent=2
+        ))
     else:
-        print(_render_text(status, report))
+        print("\n".join(_render_text(report) for report in reports))
     return status
 
 

@@ -42,8 +42,9 @@ def perf_ns() -> int:
     Profiling (codec time, frame accounting) is honest wall measurement
     and therefore must live behind this module's R3 allowlist like every
     other clock read; the counters it feeds stay outside deterministic
-    payloads (the same contract ``repro.perf.timer`` keeps for the
-    simulator side).
+    payloads.  The simulator side has no counterpart: nothing outside
+    this module reads a clock, and ``benchmarks/shardbench`` times both
+    sides from outside the package.
     """
     return time.perf_counter_ns()
 

@@ -11,15 +11,13 @@ mutual consistency, transitivity, trace discipline).
 
 Exit status 0 means the paper's claims held on real processes
 exchanging real messages; anything else is a failure a CI deadline will
-surface.  ``--bench PATH`` additionally writes sustained throughput and
-convergence-after-kill latency for the perf baseline.
+surface.
 """
 
 from __future__ import annotations
 
 import argparse
 import asyncio
-import json
 import sys
 import tempfile
 from typing import List, Optional
@@ -133,25 +131,6 @@ async def run_demo(args) -> int:
         return 1
     print("all checks passed: convergence + conditions (1)-(4) + "
           "offline oracles on the recorded history")
-
-    if args.bench:
-        bench = {
-            "experiment": "runtime-smoke",
-            "nodes": args.nodes,
-            "ops": load.submitted,
-            "rejected": load.rejected,
-            "ops_per_sec": round(load.ops_per_sec, 2),
-            "convergence_after_kill_plan_units": round(kill_latency, 2),
-            "convergence_after_kill_wall_secs": round(
-                kill_latency * spec.scale, 3
-            ),
-            "scale": spec.scale,
-            "seed": args.seed,
-        }
-        with open(args.bench, "w", encoding="utf-8") as handle:
-            json.dump(bench, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        print(f"bench written to {args.bench}")
     return 0
 
 
@@ -174,8 +153,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                         help="hard wall-clock cap on the whole demo")
     parser.add_argument("--history", default=None,
                         help="history directory (default: fresh tempdir)")
-    parser.add_argument("--bench", default=None,
-                        help="write BENCH_runtime.json here")
     parser.add_argument("--no-faults", dest="faults",
                         action="store_false", default=True)
     args = parser.parse_args(argv)

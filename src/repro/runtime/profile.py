@@ -1,22 +1,22 @@
-"""Runtime hot-path profiling counters (the live ``--profile`` twin).
+"""Runtime hot-path profiling counters.
 
-The simulator's perf story keeps honest wall measurement strictly
-outside deterministic payloads (``repro.perf.timer``); the runtime does
-the same with this module.  One :class:`RuntimeProfile` per process
-accumulates per-phase counters as the transport and client touch the
-wire — codec nanoseconds, frames and bytes in both directions, batch
-coalescing shape, submit/queue depth peaks — and snapshots them as a
-plain str-keyed dict:
+Honest wall measurement stays strictly outside deterministic payloads;
+on the live side this module is where it goes.  One
+:class:`RuntimeProfile` per process accumulates per-phase counters as
+the transport and client touch the wire — codec nanoseconds, frames and
+bytes in both directions, batch coalescing shape, submit/queue depth
+peaks — and snapshots them as a plain str-keyed dict:
 
 * a node surfaces its profile through the ``status`` client op (the
   fifth element of the status tuple) and writes ``profile-<id>.json``
   into the history directory on ``dump``;
-* the load generator and E21 bench record the client-side profile next
-  to their throughput numbers.
+* a :class:`~repro.runtime.client.ClusterClient` keeps the client
+  side in ``client.profile``; ``benchmarks/shardbench`` reads both
+  sides for its ``runtime.wire.*`` / ``runtime.transport.*`` /
+  ``runtime.client.*`` metrics.
 
 Nothing here feeds fingerprints, oracle verdicts or gate-exact
-sections: profiles are evidence about *this machine's* run, in the
-same spirit as the perf gate's same-machine-only wall checks.
+sections: profiles are evidence about *this machine's* run.
 """
 
 from __future__ import annotations

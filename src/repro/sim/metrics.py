@@ -140,52 +140,6 @@ class TimeSeries:
         return above / span if span > 0 else 0.0
 
 
-@dataclass
-class PhaseTimings:
-    """Named wall-clock phase durations, in seconds.
-
-    Pure storage: durations are *handed in* by a profiler (e.g.
-    :class:`repro.perf.timer.PerfTimer`) — this module never reads a
-    clock itself, so everything here stays importable from deterministic
-    simulation code (shardlint rule R3).  One phase may be recorded many
-    times (e.g. once per campaign run); totals and counts accumulate.
-    """
-
-    totals: Dict[str, float] = field(default_factory=dict)
-    counts: Dict[str, int] = field(default_factory=dict)
-
-    def add(self, phase: str, seconds: float) -> None:
-        if seconds < 0:
-            raise ValueError(f"negative duration for phase {phase!r}")
-        self.totals[phase] = self.totals.get(phase, 0.0) + seconds
-        self.counts[phase] = self.counts.get(phase, 0) + 1
-
-    def merge(self, other: "PhaseTimings") -> None:
-        for phase, total in other.totals.items():
-            self.totals[phase] = self.totals.get(phase, 0.0) + total
-        for phase, count in other.counts.items():
-            self.counts[phase] = self.counts.get(phase, 0) + count
-
-    def total(self, phase: str) -> float:
-        return self.totals.get(phase, 0.0)
-
-    def mean_of(self, phase: str) -> float:
-        count = self.counts.get(phase, 0)
-        return self.totals[phase] / count if count else 0.0
-
-    def as_dict(self) -> Dict[str, Dict[str, float]]:
-        """``{phase: {"total_s": ..., "count": ..., "mean_s": ...}}``,
-        phases sorted by name for stable JSON output."""
-        return {
-            phase: {
-                "total_s": self.totals[phase],
-                "count": self.counts[phase],
-                "mean_s": self.mean_of(phase),
-            }
-            for phase in sorted(self.totals)
-        }
-
-
 def mean(values: Sequence[float]) -> float:
     return sum(values) / len(values) if values else 0.0
 

@@ -21,8 +21,8 @@ The heavier execution layers are imported on demand, not here:
 :mod:`~repro.workloads.runners` fans specs over the shared perf
 process pool, :mod:`~repro.workloads.leaderboard` ranks the rows, and
 ``python -m repro.workloads --leaderboard`` (:mod:`~repro.workloads.cli`)
-prints the per-category report.  ``python -m repro.perf.gate
---workloads`` pins the smoke leaderboard against the committed
+prints the per-category report.  ``python -m repro.perf.gate`` pins
+the smoke leaderboard against the committed
 ``benchmarks/results/BENCH_workloads.json``.
 
 Determinism contract (shardlint R3): every draw flows from

@@ -8,10 +8,9 @@
   exact ``WorkloadSpec.as_dict`` schema).
 * ``--list`` prints the committed spec names without running anything.
 
-The deterministic payload is byte-identical for any ``--workers``
-value; ``--profile`` adds this machine's wall-clock throughput in a
-separate section.  Exit status: 0 when every workload converged to
-mutual consistency, 1 otherwise, 2 on usage errors.
+The payload is byte-identical for any ``--workers`` value.  Exit
+status: 0 when every workload converged to mutual consistency, 1
+otherwise, 2 on usage errors.
 """
 
 from __future__ import annotations
@@ -22,13 +21,7 @@ import sys
 from pathlib import Path
 from typing import Dict
 
-from ..perf.timer import PerfTimer
-from .leaderboard import (
-    build_leaderboard,
-    build_profile,
-    leaderboard_json,
-    render_text,
-)
+from .leaderboard import build_leaderboard, leaderboard_json, render_text
 from .runners import run_parallel_workloads
 from .spec import WorkloadSpec
 from .specs import DEFAULT_SPECS, SMOKE_SPECS
@@ -56,9 +49,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="pool size; 1 = in-process (default 1)")
     parser.add_argument("--format", choices=("json", "text"),
                         default="text", help="output format")
-    parser.add_argument("--profile", action="store_true",
-                        help="include this machine's wall-clock "
-                        "throughput (non-deterministic section)")
     parser.add_argument("--out", type=Path, default=None,
                         help="also write the JSON payload to this path")
     return parser
@@ -89,22 +79,16 @@ def main(argv=None) -> int:
     else:
         specs = SMOKE_SPECS if args.smoke else DEFAULT_SPECS
 
-    timer = PerfTimer()
-    rows, elapsed = run_parallel_workloads(
-        specs, workers=args.workers, timer=timer
+    board = build_leaderboard(
+        run_parallel_workloads(specs, workers=args.workers)
     )
-    board = build_leaderboard(rows)
     output: Dict[str, object] = {"leaderboard": board}
-    profile = None
-    if args.profile:
-        profile = build_profile(rows, elapsed, args.workers)
-        output["profile"] = profile
     if args.out is not None:
         args.out.write_text(leaderboard_json(output))
     if args.format == "json":
         print(json.dumps(output, sort_keys=True, indent=2))
     else:
-        print(render_text(board, profile))
+        print(render_text(board))
     return 0 if board["consistent"] else 1
 
 

@@ -10,21 +10,19 @@ lag.
 The leaderboard payload is **deterministic**: ranking keys on the
 sim-axis throughput (a pure function of the spec) and ties break on
 the workload name, and the aggregate fingerprint hashes each row's
-final-state fingerprint in name order.  Host wall-clock (real ops/sec
-executed) travels in a separate ``profile`` section built by
-:func:`build_profile`, never inside the deterministic payload — the
-same honest split the perf campaign uses.
+final-state fingerprint in name order.  How many operations a host
+executes per real second is ``benchmarks/shardbench``'s measurement,
+not this module's.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 from ..perf.campaign import aggregate_fingerprint, campaign_json
 
 __all__ = [
     "build_leaderboard",
-    "build_profile",
     "leaderboard_json",
     "render_text",
 ]
@@ -50,42 +48,6 @@ def build_leaderboard(
     }
 
 
-def build_profile(
-    rows: Sequence[Dict[str, object]],
-    elapsed_by_name: Dict[str, float],
-    workers: int,
-) -> Dict[str, object]:
-    """Host-side throughput annotations (non-deterministic section).
-
-    ``wall_ops_per_sec`` is how many workload operations this machine
-    pushed through the full stack — decision, flood, merge, cost cache
-    — per real second, per workload and pooled."""
-    per_workload = {}
-    total_events = 0
-    total_elapsed = 0.0
-    for row in rows:
-        name = row["workload"]
-        elapsed = elapsed_by_name.get(name, 0.0)
-        total_events += row["events"]
-        total_elapsed += elapsed
-        per_workload[name] = {
-            "elapsed_s": round(elapsed, 3),
-            "wall_ops_per_sec": (
-                round(row["events"] / elapsed, 1) if elapsed > 0 else 0.0
-            ),
-        }
-    return {
-        "workers": workers,
-        "workloads": per_workload,
-        "total_events": total_events,
-        "total_elapsed_s": round(total_elapsed, 3),
-        "wall_ops_per_sec": (
-            round(total_events / total_elapsed, 1)
-            if total_elapsed > 0 else 0.0
-        ),
-    }
-
-
 def leaderboard_json(payload: Dict[str, object]) -> str:
     """Canonical byte form (what determinism tests compare)."""
     return campaign_json(payload)
@@ -105,15 +67,9 @@ _COLUMNS = (
 )
 
 
-def render_text(
-    board: Dict[str, object],
-    profile: Optional[Dict[str, object]] = None,
-) -> str:
-    """A fixed-width text table of the leaderboard (plus wall-clock
-    column when a profile is supplied)."""
+def render_text(board: Dict[str, object]) -> str:
+    """A fixed-width text table of the leaderboard."""
     headers = [title for title, _, _ in _COLUMNS]
-    if profile is not None:
-        headers.append("wall-ops/s")
     table: List[List[str]] = [headers]
     for row in board["rows"]:
         cells = []
@@ -125,9 +81,6 @@ def render_text(
                 cells.append("yes" if value else "NO")
             else:
                 cells.append(fmt.format(value))
-        if profile is not None:
-            entry = profile["workloads"].get(row["workload"], {})
-            cells.append(str(entry.get("wall_ops_per_sec", "-")))
         table.append(cells)
     widths = [
         max(len(line[i]) for line in table) for i in range(len(headers))
@@ -143,7 +96,5 @@ def render_text(
         f"consistent={'yes' if board['consistent'] else 'NO'} "
         f"fingerprint={board['fingerprint']}"
     )
-    if profile is not None:
-        summary += f" wall-ops/s={profile['wall_ops_per_sec']}"
     lines.append(summary)
     return "\n".join(lines)

@@ -10,8 +10,7 @@ wire bytes, convergence lag, and the final-state fingerprint.
 It is module-level and takes only the frozen spec, so
 :func:`run_parallel_workloads` can fan specs across the shared
 :func:`~repro.perf.campaign.fan_out` process pool with the usual
-contract: rows re-sorted into spec order, wall-clock handed back
-*outside* the deterministic payload, byte-identical results at any
+contract: rows re-sorted into spec order, byte-identical results at any
 worker count.
 """
 
@@ -19,12 +18,11 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from ..apps.registry import app_entry
 from ..network.link import UniformDelay
 from ..perf.campaign import fan_out
-from ..perf.timer import PerfTimer, wall_clock
 from ..replica import TailWindowPolicy, policy_engine_factory
 from ..shard.cluster import ClusterConfig, ShardCluster
 from .catalog import READ_FAMILIES
@@ -127,33 +125,15 @@ def _state_fingerprint(cluster: ShardCluster) -> str:
     ).hexdigest()[:16]
 
 
-def _workload_task(task) -> Tuple[int, Dict[str, object], float]:
+def _workload_task(task) -> Tuple[int, Dict[str, object]]:
     index, spec = task
-    start = wall_clock()
-    return index, run_workload(spec), wall_clock() - start
+    return index, run_workload(spec)
 
 
 def run_parallel_workloads(
     specs: Sequence[WorkloadSpec],
     workers: int = 1,
-    timer: Optional[PerfTimer] = None,
-) -> Tuple[List[Dict[str, object]], Dict[str, float]]:
-    """Fan specs over the pool; returns ``(rows, elapsed_by_name)``.
-
-    Rows come back in spec order and are byte-identical for any worker
-    count; ``elapsed_by_name`` is each workload's own wall-clock (for
-    the profile section only — never part of the deterministic
-    payload)."""
-    tasks = list(enumerate(specs))
-    if timer is None:
-        timer = PerfTimer()
-    with timer.span("workloads"):
-        outcomes = fan_out(_workload_task, tasks, workers)
-    outcomes.sort(key=lambda outcome: outcome[0])
-    for _, _, elapsed in outcomes:
-        timer.add("workload_run", elapsed)
-    rows = [row for _, row, _ in outcomes]
-    elapsed_by_name = {
-        row["workload"]: elapsed for _, row, elapsed in outcomes
-    }
-    return rows, elapsed_by_name
+) -> List[Dict[str, object]]:
+    """Fan specs over the pool; rows come back in spec order and are
+    byte-identical for any worker count."""
+    return fan_out(_workload_task, enumerate(specs), workers)

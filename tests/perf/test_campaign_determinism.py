@@ -8,6 +8,8 @@ CLI the runner wraps.
 
 import json
 
+import pytest
+
 from repro.chaos.cli import run_campaign
 from repro.chaos.harness import ChaosScenario
 from repro.perf import (
@@ -106,16 +108,20 @@ class TestCli:
         assert "profile" not in payload
 
     def test_profile_stays_out_of_the_campaign_section(self, capsys):
+        # there is no profile to ask for, and no timing in any section.
+        with pytest.raises(SystemExit):
+            main(["--runs", "2", "--profile"])
+        capsys.readouterr()
         assert main([
             "--seed", "0", "--runs", "2", "--format", "json",
-            "--no-shrink", "--profile",
+            "--no-shrink", "--cells",
         ]) == 0
         payload = json.loads(capsys.readouterr().out)
-        assert payload["profile"]["workers"] == 1
-        assert "campaign" in payload["profile"]["phases"]
-        # the deterministic section carries no timings at all.
-        assert "profile" not in payload["campaign"]
+        assert set(payload) == {"campaign", "cells"}
         assert not any("_s" in key for key in payload["campaign"])
+        assert not any(
+            key.endswith("_s") for row in payload["cells"] for key in row
+        )
 
     def test_usage_errors_exit_two(self, capsys):
         assert main(["--runs", "0"]) == 2

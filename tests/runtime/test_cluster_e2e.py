@@ -187,12 +187,9 @@ def test_sigkill_mid_pipeline_loses_only_unacked_ops(tmp_path):
 def test_demo_smoke(tmp_path):
     """Satellite #1: the demo entrypoint exits 0 on a small, fast run
     (faults on — partition + kill/respawn — exactly as CI runs it)."""
-    bench = tmp_path / "bench.json"
     code = demo.main([
         "--nodes", "3", "--ops", "24", "--rate", "60",
         "--scale", "0.02", "--deadline", "80",
         "--history", str(tmp_path / "history"),
-        "--bench", str(bench),
     ])
     assert code == 0
-    assert bench.exists()

@@ -1,7 +1,9 @@
 """R3's adapter allowlist: wall-clock confined to the clock adapter."""
 
 import textwrap
+from pathlib import Path
 
+import repro
 from repro.lint import all_rules, lint_source
 from repro.lint.rules.determinism import ADAPTER_ALLOWLIST
 
@@ -37,3 +39,17 @@ def test_allowlist_is_narrow():
     """The escape hatch stays a single module wide: growing it is a
     deliberate, reviewed act, not a drive-by."""
     assert ADAPTER_ALLOWLIST == ("repro/runtime/clock.py",)
+
+
+def test_no_r3_suppression_remains_in_the_tree():
+    """The allowlisted adapter is the *only* way to read a clock: no
+    module under ``src/repro`` carries a written ``ignore[R3]`` (the
+    last one went with the perf package's profiling timer)."""
+    marker = "ignore[" + "R3]"
+    root = Path(repro.__file__).parent
+    offenders = [
+        str(path.relative_to(root))
+        for path in sorted(root.rglob("*.py"))
+        if marker in path.read_text()
+    ]
+    assert offenders == []
