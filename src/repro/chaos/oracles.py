@@ -42,12 +42,9 @@ consistency predicates — pointed at adversarial schedules:
   runs only when named — gossip reordering legitimately produces
   non-prefix snapshots, and showing exactly that is E18's job.
 
-``python -m repro.chaos.oracles --history DIR`` checks a *recorded*
-run from its files alone and follows the ``python -m repro.chaos`` exit
-convention — 0: every oracle passed; 1: at least one violation;
-2: usage error (unreadable or empty history, unknown oracle).  Its
-``--format=json`` object carries the campaign-report field shapes:
-``violations`` is a count, ``failures`` the detailed list.
+Checking a *recorded* run from its files alone is
+:mod:`repro.chaos.offline` (``python -m repro.chaos.offline --history
+DIR``), which feeds the same registry.
 """
 
 from __future__ import annotations
@@ -409,101 +406,3 @@ def run_oracles(
             raise ValueError(f"unknown oracle {name!r}")
         out.extend(oracle(ctx))
     return out
-
-
-def main(argv: Optional[List[str]] = None) -> int:
-    """``python -m repro.chaos.oracles --history DIR``: check a
-    *recorded* run — the history files a runtime cluster left behind —
-    with the offline oracle set (see :mod:`repro.chaos.offline`).
-
-    Exit codes and the ``--format=json`` field shapes follow
-    ``python -m repro.chaos``: 0 — all oracles passed; 1 — at least one
-    violation; 2 — usage error (missing records, unknown oracle).  The
-    JSON report's ``violations`` is a *count* and ``failures`` the
-    detailed list, matching the campaign report."""
-    import argparse
-    import json
-
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.chaos.oracles",
-        description="run the offline oracles over a recorded history",
-    )
-    parser.add_argument(
-        "--history", required=True,
-        help="directory of events-*.jsonl / records-*.jsonl files",
-    )
-    parser.add_argument(
-        "--plan", default=None,
-        help="optional FaultPlan JSON file the run replayed",
-    )
-    parser.add_argument(
-        "--oracles", default=None,
-        help="comma-separated oracle names (default: the offline set)",
-    )
-    parser.add_argument("--capacity", type=int, default=100)
-    parser.add_argument("--format", choices=("text", "json"), default="text")
-    args = parser.parse_args(argv)
-
-    # local imports: offline depends on this module, and the runtime
-    # history reader is only needed on this entry path.
-    from ..apps.airline.state import AirlineState
-    from ..runtime.history import load_history
-    from .offline import OFFLINE_ORACLES, RecordedRun, check_recorded_run
-
-    names = OFFLINE_ORACLES
-    if args.oracles is not None:
-        names = tuple(
-            name.strip() for name in args.oracles.split(",") if name.strip()
-        )
-        unknown = sorted(set(names) - set(ORACLES))
-        if unknown:
-            print(f"error: unknown oracle(s) {unknown}; "
-                  f"known: {sorted(ORACLES)}")
-            return 2
-    try:
-        events, logs = load_history(args.history)
-    except OSError as exc:
-        print(f"error: cannot load history from {args.history}: {exc}")
-        return 2
-    if not logs:
-        print(f"error: no records-*.jsonl files under {args.history}")
-        return 2
-    plan = None
-    if args.plan is not None:
-        with open(args.plan, "r", encoding="utf-8") as handle:
-            plan = FaultPlan.from_json(handle.read())
-    run = RecordedRun(AirlineState(), logs, events)
-    violations, execution = check_recorded_run(
-        run, plan=plan, capacity=args.capacity, names=names
-    )
-    if args.format == "json":
-        print(json.dumps({
-            "nodes": sorted(logs),
-            "records": len(run.all_records()),
-            "events": len(events),
-            "oracles": list(names),
-            "transactions": len(execution) if execution is not None else 0,
-            "violations": len(violations),
-            "failures": [v.as_dict() for v in violations],
-            "ok": not violations,
-        }, indent=2, sort_keys=True))
-    else:
-        print(
-            f"recorded run: {len(logs)} node log(s), "
-            f"{len(run.all_records())} record(s), {len(events)} event(s)"
-        )
-        if execution is not None:
-            print(
-                f"extracted execution: {len(execution)} transactions; "
-                "conditions (1)-(4) hold"
-            )
-        for violation in violations:
-            print(f"VIOLATION [{violation.oracle}] {violation.description}")
-        print("ok" if not violations else f"{len(violations)} violation(s)")
-    return 0 if not violations else 1
-
-
-if __name__ == "__main__":
-    import sys
-
-    sys.exit(main())

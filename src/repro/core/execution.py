@@ -28,7 +28,7 @@ from scratch.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Sequence, Tuple
+from typing import Iterable, Iterator, List, Sequence, Tuple
 
 from .state import State
 from .transaction import Decision, ExternalAction, Transaction
@@ -121,31 +121,40 @@ class Execution:
                 "need exactly one prefix subsequence per transaction"
             )
 
-        updates: List[Update] = []
-        externals: List[Tuple[ExternalAction, ...]] = []
-        apparent_before: List[State] = []
-        apparent_after: List[State] = []
-        actual_states: List[State] = [initial_state]
-
-        for i, (txn, prefix) in enumerate(zip(transactions, norm_prefixes)):
-            seen = apply_sequence((updates[j] for j in prefix), initial_state)
-            decision = txn.decide(seen)
-            updates.append(decision.update)
-            externals.append(tuple(decision.external_actions))
-            apparent_before.append(seen)
-            apparent_after.append(decision.update.apply(seen))
-            actual_states.append(decision.update.apply(actual_states[-1]))
-
+        steps = list(cls._derive(initial_state, transactions, norm_prefixes))
+        updates = [step[0] for step in steps]
+        apparent_before = [step[2] for step in steps]
         return cls(
             initial_state,
             transactions,
             norm_prefixes,
             updates,
-            externals,
+            [step[1] for step in steps],
             apparent_before,
-            apparent_after,
-            actual_states,
+            [u.apply(seen) for u, seen in zip(updates, apparent_before)],
+            [initial_state] + [step[3] for step in steps],
         )
+
+    @staticmethod
+    def _derive(
+        initial_state: State,
+        transactions: Sequence[Transaction],
+        prefixes: Sequence[Tuple[int, ...]],
+    ) -> Iterator[Tuple[Update, Tuple[ExternalAction, ...], State, State]]:
+        """What conditions (2)-(4) determine, one transaction at a time:
+        ``(update, external actions, apparent state, actual state
+        after)``.  A generator, so a caller that only compares (see
+        :meth:`validate`) never holds more than one step's states."""
+        updates: List[Update] = []
+        actual = initial_state
+        for txn, prefix in zip(transactions, prefixes):
+            seen = apply_sequence((updates[j] for j in prefix), initial_state)
+            decision = txn.decide(seen)
+            updates.append(decision.update)
+            actual = decision.update.apply(actual)
+            yield (
+                decision.update, tuple(decision.external_actions), seen, actual
+            )
 
     # -- basic accessors -------------------------------------------------
 
@@ -197,22 +206,26 @@ class Execution:
 
         Raises :class:`InvalidExecutionError` on the first violation.
         """
-        rerun = Execution.run(self.initial_state, self.transactions, self.prefixes)
-        for i in self.indices:
-            if rerun.updates[i] != self.updates[i]:
+        self.initial_state.require_well_formed()
+        actual_differs = False
+        for i, (update, externals, seen, actual) in enumerate(
+            self._derive(self.initial_state, self.transactions, self.prefixes)
+        ):
+            if update != self.updates[i]:
                 raise InvalidExecutionError(
                     f"condition (3) fails at {i}: stored update "
-                    f"{self.updates[i]!r} != derived {rerun.updates[i]!r}"
+                    f"{self.updates[i]!r} != derived {update!r}"
                 )
-            if rerun.external_actions[i] != self.external_actions[i]:
+            if externals != self.external_actions[i]:
                 raise InvalidExecutionError(
                     f"condition (3) fails at {i}: external actions differ"
                 )
-            if rerun.apparent_before[i] != self.apparent_before[i]:
+            if seen != self.apparent_before[i]:
                 raise InvalidExecutionError(
                     f"condition (2) fails at {i}: apparent state differs"
                 )
-        if rerun.actual_states != self.actual_states:
+            actual_differs = actual_differs or actual != self.actual_states[i + 1]
+        if actual_differs:
             raise InvalidExecutionError("condition (4) fails: actual states differ")
         for state in self.actual_states:
             if not state.well_formed():

@@ -28,12 +28,7 @@ from .protocol import (
     ExchangeEngine,
 )
 from .scheduler import PeerScheduler, SchedulerStats
-from .service import (
-    GossipConfig,
-    GossipService,
-    GossipStats,
-    default_timestamp_of,
-)
+from .service import GossipConfig, GossipService, GossipStats
 
 __all__ = [
     "Cell",
@@ -54,5 +49,4 @@ __all__ = [
     "GossipConfig",
     "GossipService",
     "GossipStats",
-    "default_timestamp_of",
 ]

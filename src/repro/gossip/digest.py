@@ -35,6 +35,9 @@ Cell = Tuple[object, int]
 #: A timestamp as the digest sees it: (counter, tiebreak).
 TsPair = Tuple[int, int]
 
+#: timestamp-counter width of one digest cell.
+BUCKET_WIDTH = 32
+
 
 def fingerprint(key: object) -> int:
     """A stable 64-bit hash of a key (independent of PYTHONHASHSEED)."""
@@ -78,7 +81,7 @@ class DigestIndex:
     this differing range" without scanning the whole known set.
     """
 
-    def __init__(self, width: int = 32):
+    def __init__(self, width: int = BUCKET_WIDTH):
         if width < 1:
             raise ValueError("digest cell width must be >= 1")
         self.width = width

@@ -30,12 +30,15 @@ protocol serve both topologies.  It is also *transport-agnostic*: its
 environment is a :class:`repro.ports.Clock` (ack timeouts, repair
 cooldowns) and a send callable — the simulator and the real asyncio
 runtime host the identical state machine (see :mod:`repro.ports`).
+
+:class:`CausalBuffer` is the receiver-side gate both topologies put in
+front of delivery; it reads its node's delivered mapping directly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Mapping, Optional, Tuple
 
 from ..ports import Clock
 from ..sim.metrics import WireStats
@@ -57,6 +60,9 @@ WireItem = Tuple[object, object, object]
 
 SendFn = Callable[[int, int, object], object]
 TraceFn = Callable[..., None]
+
+#: minimum clock seconds between rumor-triggered repair pulls of one pair.
+REPAIR_COOLDOWN = 2.0
 
 
 @dataclass
@@ -112,7 +118,6 @@ class ExchangeEngine:
         stats: DeltaStats,
         wire: WireStats,
         ack_timeout: float = 4.0,
-        repair_cooldown: float = 2.0,
         count_records: Optional[Callable[[int], None]] = None,
         trace: Optional[TraceFn] = None,
     ):
@@ -125,7 +130,6 @@ class ExchangeEngine:
         self.stats = stats
         self.wire = wire
         self.ack_timeout = ack_timeout
-        self.repair_cooldown = repair_cooldown
         self._count_records = count_records or (lambda n: None)
         self._trace = trace or (lambda kind, node, **detail: None)
         self._sessions: Dict[int, _Session] = {}
@@ -177,7 +181,7 @@ class ExchangeEngine:
         """A rumor-triggered pull, rate-limited per directed pair."""
         now = self.clock.now
         last = self._last_repair.get((node, peer))
-        if last is not None and now - last < self.repair_cooldown:
+        if last is not None and now - last < REPAIR_COOLDOWN:
             return False
         if not self.scheduler.eligible(node, peer, now):
             return False  # peer is backing off: wait for the probe
@@ -312,18 +316,21 @@ class CausalBuffer:
     delivered, and the digest repair pull fetches the gap.  Each node's
     delivered set is therefore causally closed at all times, which is
     exactly the transitivity invariant the paper's broadcast provides.
+
+    ``delivered`` is the owning node's *live* key -> item mapping (the
+    one ``deliver`` fills and a crash scrubs), never a copy: readiness
+    is one set inclusion against its keys.
     """
 
     def __init__(
         self,
-        depends_on: Callable[[object, object], Tuple],
+        delivered: Mapping[object, object],
         deliver: Callable[[object, object], None],
-        is_delivered: Callable[[object], bool],
     ):
-        self.depends_on = depends_on
+        self._delivered = delivered
         self._deliver = deliver
-        self._is_delivered = is_delivered
-        self._pending: Dict[object, object] = {}
+        #: key -> (item, the keys it must be delivered after).
+        self._pending: Dict[object, Tuple[object, frozenset]] = {}
         self.buffered_total = 0
 
     def __len__(self) -> int:
@@ -334,13 +341,14 @@ class CausalBuffer:
 
     def peek(self, key: object) -> object:
         """The buffered (not yet delivered) item for ``key``."""
-        return self._pending[key]
+        return self._pending[key][0]
 
-    def offer(self, key: object, item: object) -> None:
-        """Deliver now if possible, otherwise buffer; then flush chains."""
-        if self._is_delivered(key) or key in self._pending:
+    def offer(self, key: object, item: object, deps: Iterable) -> None:
+        """Deliver now if every key in ``deps`` is delivered, otherwise
+        buffer; then flush chains."""
+        if key in self._delivered or key in self._pending:
             return
-        self._pending[key] = item
+        self._pending[key] = (item, frozenset(deps))
         self._flush()
         if key in self._pending:
             self.buffered_total += 1
@@ -352,17 +360,13 @@ class CausalBuffer:
         self._pending.clear()
         return n
 
-    def _ready(self, key: object, item: object) -> bool:
-        return all(self._is_delivered(d) for d in self.depends_on(key, item))
-
     def _flush(self) -> None:
+        delivered = self._delivered.keys()
         progress = True
         while progress:
             progress = False
-            for key, item in list(self._pending.items()):
-                if key not in self._pending:
-                    continue
-                if self._ready(key, item):
+            for key, (item, deps) in list(self._pending.items()):
+                if key in self._pending and deps <= delivered:
                     del self._pending[key]
                     self._deliver(key, item)
                     progress = True

@@ -25,6 +25,14 @@ closed — the invariant behind the paper's transitive prefix
 subsequences.  With ``piggyback=False`` the digest (and hence the repair
 pull and the gating) is disabled, faithfully reproducing the
 intransitivity the paper warns about.
+
+The receive path reads top to bottom — payload → ``_merge`` → gate →
+``_deliver_one`` → the node's batch callback — over data the service
+owns (each node's buffer holds that node's ``_known`` dict itself).
+Three inversions remain, each a question only the owner can answer:
+``depends_on`` (asked once per offered item), the batch callback and
+``on_event``.  The owner also holds the node's transport slot and
+forwards gossip payloads to :meth:`GossipService.receive`.
 """
 
 from __future__ import annotations
@@ -32,7 +40,8 @@ from __future__ import annotations
 import random
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from functools import partial
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from ..ports import Clock, Rng, Transport
 from ..sim.metrics import WireStats
@@ -45,15 +54,11 @@ from .protocol import (
 )
 from .scheduler import PeerScheduler
 
-DeliverFn = Callable[[object, object], None]  # (key, item)
 #: batch of (key, item) pairs released by one merge, in delivery order.
 BatchDeliverFn = Callable[[Tuple[Tuple[object, object], ...]], None]
 
 #: hook: (key, item) -> keys this item must be delivered after.
-DependsFn = Callable[[object, object], Tuple]
-#: hook: (key, item) -> (counter, tiebreak) placing the item on the
-#: digest's timestamp axis.
-TimestampFn = Callable[[object, object], Tuple[int, int]]
+DependsFn = Callable[[object, object], Iterable]
 
 
 def default_timestamp_of(key: object, item: object) -> Tuple[int, int]:
@@ -81,16 +86,12 @@ class GossipConfig:
     fanout: int = 1
     #: "digest" (delta reconciliation) or "full" (legacy full-set A/B).
     mode: str = "digest"
-    #: timestamp-counter width of one digest cell.
-    bucket_width: int = 32
     #: how long an initiator waits for an ACK before declaring the peer
     #: unreachable and backing off.
     ack_timeout: float = 4.0
     #: cap on exponential backoff, as a multiple of the anti-entropy
     #: interval; backoff expiry doubles as the recovery probe.
     max_backoff_factor: float = 8.0
-    #: minimum spacing of rumor-triggered repair pulls per peer pair.
-    repair_cooldown: float = 2.0
 
 
 @dataclass
@@ -127,10 +128,8 @@ class _FlatStore:
         return self.service._index[node].keys_in(cell)
 
     def has(self, node: int, group: object, key: object) -> bool:
-        if key in self.service._known[node]:
-            return True
-        buffer = self.service._buffers.get(node)
-        return buffer is not None and key in buffer
+        service = self.service
+        return key in service._known[node] or key in service._buffers[node]
 
     def item_for(self, node: int, group: object, key: object) -> object:
         known = self.service._known[node]
@@ -174,12 +173,9 @@ class GossipService:
         #: own node and sets this to the full cluster membership.
         self.membership: Optional[Tuple[int, ...]] = None
         self._known: Dict[int, Dict[object, object]] = {}
-        self._deliver: Dict[int, DeliverFn] = {}
-        #: optional per-node batch callbacks: when registered, every
-        #: ``_merge`` hands all the items it released for a node to the
-        #: batch callback in one call (so the replica can pay a single
-        #: undo/redo cycle per gossip DELTA) instead of one ``on_deliver``
-        #: call per item.
+        #: per-node batch callbacks: every ``_merge`` hands all the items
+        #: it released for a node to the callback in one call, so the
+        #: replica pays a single undo/redo cycle per gossip DELTA.
         self._deliver_batch: Dict[int, BatchDeliverFn] = {}
         #: the open delivery batch per node while a ``_merge`` runs.
         self._batch_sink: Dict[int, List[Tuple[object, object]]] = {}
@@ -191,9 +187,8 @@ class GossipService:
         #: optional predicate: nodes for which it returns False neither
         #: gossip nor get picked as gossip targets (crashed nodes).
         self.active_filter: Optional[Callable[[int], bool]] = None
-        #: optional hooks installed by the owning cluster.
+        #: optional hook installed by the owning cluster.
         self.depends_on: Optional[DependsFn] = None
-        self.timestamp_of: TimestampFn = default_timestamp_of
         #: optional trace sink: (kind, node, **detail).
         self.on_event: Optional[Callable[..., None]] = None
         self.scheduler = PeerScheduler(
@@ -203,21 +198,17 @@ class GossipService:
         )
         self.engine = ExchangeEngine(
             clock,
-            self._engine_send,
+            transport.send,
             _FlatStore(self),
             self.scheduler,
             self.stats.delta,
             self.stats.wire,
             ack_timeout=self.config.ack_timeout,
-            repair_cooldown=self.config.repair_cooldown,
             count_records=self._count_records,
             trace=self._trace,
         )
 
     # -- plumbing ---------------------------------------------------------
-
-    def _engine_send(self, src: int, dst: int, payload: object) -> None:
-        self.transport.send(src, dst, payload)
 
     def _count_records(self, n: int) -> None:
         self.stats.items_carried += n
@@ -241,72 +232,37 @@ class GossipService:
 
     # -- membership -----------------------------------------------------
 
-    def attach(
-        self,
-        node_id: int,
-        on_deliver: Optional[DeliverFn] = None,
-        register_transport: bool = True,
-        on_deliver_batch: Optional[BatchDeliverFn] = None,
-    ) -> None:
+    def attach(self, node_id: int, on_deliver_batch: BatchDeliverFn) -> None:
         """Register a node.
 
-        With ``register_transport=True`` (the default) the service owns
-        the node's network handler.  Pass False when the caller
-        multiplexes several protocols over the transport (e.g. the
-        cluster's synchronization messages) and will forward gossip
-        payloads via :meth:`receive`.
-
-        With ``on_deliver_batch`` every merge (a DELTA, a flood payload,
-        a quiescence exchange) hands all the items it released for the
-        node to that callback in one call, in delivery order, instead of
-        invoking ``on_deliver`` per item.  Every delivery happens inside
-        a merge, so a node with a batch callback never sees the per-item
-        one and may leave it out.  Exactly-once is unchanged: items
-        enter the known set the moment they are released.
+        Every merge (a DELTA, a flood payload, a quiescence exchange)
+        hands all the items it released for the node to
+        ``on_deliver_batch`` in one call, in delivery order.
+        Exactly-once holds because items enter the known set the moment
+        they are released.  The caller owns the node's transport slot
+        and forwards gossip payloads via :meth:`receive`.
         """
         if node_id in self._known:
             raise ValueError(f"node {node_id} already attached")
-        if on_deliver is None and on_deliver_batch is None:
-            raise ValueError("attach needs a delivery callback")
-        self._known[node_id] = {}
-        if on_deliver is not None:
-            self._deliver[node_id] = on_deliver
-        if on_deliver_batch is not None:
-            self._deliver_batch[node_id] = on_deliver_batch
-        self._index[node_id] = DigestIndex(self.config.bucket_width)
+        known = self._known[node_id] = {}
+        self._deliver_batch[node_id] = on_deliver_batch
+        self._index[node_id] = DigestIndex()
         self._buffers[node_id] = CausalBuffer(
-            depends_on=lambda key, item: (
-                self.depends_on(key, item) if self.depends_on else ()
-            ),
-            deliver=lambda key, item, n=node_id: self._deliver_one(
-                n, key, item
-            ),
-            is_delivered=lambda key, n=node_id: key in self._known[n],
+            known, partial(self._deliver_one, node_id)
         )
-
-        if register_transport:
-            def handler(src: int, payload: object, _node: int = node_id) -> None:
-                self.receive(_node, payload, src=src)
-
-            self.transport.register(node_id, handler)
 
     @contextmanager
     def delivery_batch(self, node_id: int):
-        """Hold one delivery batch open across several :meth:`receive`
-        calls.
+        """Collect everything delivered to ``node_id`` inside the window
+        — direct deliveries *and* causal-buffer flushes — and hand it to
+        the node's batch callback in one call when the window closes.
 
-        A runtime transport that receives one wire frame carrying many
-        gossip payloads wraps their dispatch in this window so every
-        record they release reaches the node's batch callback in a
-        *single* call — one ``merge_span`` undo/redo cycle per frame,
-        not per payload.  A no-op when the node has no batch callback or
-        a batch is already open (``_merge`` keeps its own window
-        otherwise, so per-payload semantics are unchanged).
+        Every :meth:`_merge` runs in one.  A runtime transport wraps the
+        dispatch of a whole wire frame in an outer one (nested windows
+        join the outermost): one ``merge_span`` undo/redo cycle per
+        frame, not per payload.
         """
-        opened = (
-            node_id in self._deliver_batch
-            and node_id not in self._batch_sink
-        )
+        opened = node_id not in self._batch_sink
         if opened:
             self._batch_sink[node_id] = []
         try:
@@ -427,23 +383,20 @@ class GossipService:
         for node_id in self.node_ids:
             i = targets.index(node_id)
             offset = interval * (i + 1) / (len(targets) + 1)
-            self.clock.schedule(offset, self._make_gossip_tick(node_id))
+            self.clock.schedule(offset, partial(self._gossip_tick, node_id))
 
     def stop_anti_entropy(self) -> None:
         """Stop the gossip timers (no further ticks are scheduled)."""
         self._anti_entropy_stopped = True
 
-    def _make_gossip_tick(self, node_id: int) -> Callable[[], None]:
-        def tick() -> None:
-            if self._anti_entropy_stopped:
-                return
-            self._gossip_once(node_id)
-            self.clock.schedule(
-                self.config.anti_entropy_interval,
-                self._make_gossip_tick(node_id),
-            )
-
-        return tick
+    def _gossip_tick(self, node_id: int) -> None:
+        if self._anti_entropy_stopped:
+            return
+        self._gossip_once(node_id)
+        self.clock.schedule(
+            self.config.anti_entropy_interval,
+            partial(self._gossip_tick, node_id),
+        )
 
     def _gossip_once(self, node_id: int) -> None:
         if not self._is_active(node_id):
@@ -494,23 +447,22 @@ class GossipService:
             item = known.pop(key, None)
             if item is None:
                 continue
-            index.discard(key, self.timestamp_of(key, item))
+            index.discard(key, default_timestamp_of(key, item))
             removed += 1
         self._buffers[node_id].clear()
         return removed
 
-    def exchange_all(self, rounds: int = 1) -> None:
-        """Synchronously push every node's set to every other node
-        ``rounds`` times, bypassing timers and the network (used to
-        quiesce a run after healing partitions)."""
-        for _ in range(rounds):
-            snapshot = {
-                n: tuple(known.items()) for n, known in self._known.items()
-            }
-            for src, items in snapshot.items():
-                for dst in self.node_ids:
-                    if dst != src:
-                        self._merge(dst, items)
+    def exchange_all(self) -> None:
+        """Synchronously push every node's set to every other node,
+        bypassing timers and the network (used to quiesce a run after
+        healing partitions)."""
+        snapshot = {
+            n: tuple(known.items()) for n, known in self._known.items()
+        }
+        for src, items in snapshot.items():
+            for dst in self.node_ids:
+                if dst != src:
+                    self._merge(dst, items)
 
     # -- receipt ----------------------------------------------------------
 
@@ -518,46 +470,27 @@ class GossipService:
         known = self._known[node_id]
         gating = self._gating()
         buffer = self._buffers[node_id]
-        # open a delivery batch: everything _deliver_one releases during
-        # this merge — direct deliveries *and* causal-buffer flushes —
-        # lands in one sink, flushed to the batch callback afterwards.
-        batching = (
-            node_id in self._deliver_batch
-            and node_id not in self._batch_sink
-        )
-        if batching:
-            self._batch_sink[node_id] = []
-        try:
+        with self.delivery_batch(node_id):
             for key, item in items:
                 if key in known:
                     continue
                 if gating:
-                    buffer.offer(key, item)
+                    buffer.offer(key, item, self.depends_on(key, item))
                 else:
                     self._deliver_one(node_id, key, item)
-        finally:
-            if batching:
-                batch = tuple(self._batch_sink.pop(node_id))
-                if batch:
-                    self._deliver_batch[node_id](batch)
 
     def _deliver_one(self, node_id: int, key: object, item: object) -> None:
         """The single point where an item becomes *delivered* at a node:
-        known-set, digest index and stats all update here.  The callback
-        fires per item, unless a delivery batch is open for the node —
-        then the item joins the batch and the batch callback fires once
-        when the merge completes."""
+        known-set, digest index and stats all update here, and the item
+        joins the node's open delivery batch (every caller runs inside a
+        :meth:`_merge`)."""
         self._known[node_id][key] = item
-        self._index[node_id].add(key, self.timestamp_of(key, item))
+        self._index[node_id].add(key, default_timestamp_of(key, item))
         self.stats.deliveries += 1
         published = self._published_at.get(key)
         if published is not None and self.clock.now > published:
             self.stats.delivery_delays.append(self.clock.now - published)
-        sink = self._batch_sink.get(node_id)
-        if sink is not None:
-            sink.append((key, item))
-        else:
-            self._deliver[node_id](key, item)
+        self._batch_sink[node_id].append((key, item))
 
     # -- convergence ---------------------------------------------------------
 

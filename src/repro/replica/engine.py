@@ -332,11 +332,7 @@ class MergeView:
             base = self._positions[
                 bisect.bisect_right(self._positions, position) - 1
             ]
-            if self._cost_fn is not None:
-                self.cost_stats.hits += sum(
-                    1 for p in self._prefix_costs if p <= position
-                )
-            self._drop_after(position)
+            self._drop_after(position, count_hits=True)
             state = source.update_at(position).apply(self._state)
             self.stats.updates_applied += 1
             self._state = state
@@ -355,14 +351,7 @@ class MergeView:
                 skipped=(n - base) - 1,
             )
         else:
-            if self._cost_fn is not None:
-                # entries 0..position survive the insertion; a
-                # from-scratch recomputation of the cost series (the
-                # cache-less behaviour) would re-evaluate them all.
-                self.cost_stats.hits += sum(
-                    1 for p in self._prefix_costs if p <= position
-                )
-            self._drop_after(position)
+            self._drop_after(position, count_hits=True)
             base = self._positions[
                 bisect.bisect_right(self._positions, position) - 1
             ]
@@ -489,16 +478,25 @@ class MergeView:
             for p in sorted(dropped):
                 del self._snapshots[p]
 
-    def _drop_after(self, position: int) -> None:
+    def _drop_after(self, position: int, count_hits: bool = False) -> None:
         """Invalidate checkpoints (and cached prefix costs) past an
         insertion point: a snapshot or cost at p > position no longer
-        reflects the first p updates."""
+        reflects the first p updates.  With ``count_hits`` the surviving
+        cost entries count as cache hits: a from-scratch recomputation
+        of the series (the cache-less behaviour) would re-evaluate them."""
         index = bisect.bisect_right(self._positions, position)
         for p in self._positions[index:]:
             del self._snapshots[p]
         del self._positions[index:]
         if self._cost_fn is not None:
-            stale = [p for p in self._prefix_costs if p > position]
+            if self._commutes is None:
+                # only certified skips leave holes: the cache is exactly
+                # positions 0..len-1, so the stale keys are a range.
+                stale = range(position + 1, len(self._prefix_costs))
+            else:
+                stale = [p for p in self._prefix_costs if p > position]
+            if count_hits:
+                self.cost_stats.hits += len(self._prefix_costs) - len(stale)
             for p in stale:
                 del self._prefix_costs[p]
             self.cost_stats.invalidated += len(stale)

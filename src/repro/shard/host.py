@@ -72,11 +72,7 @@ class NodeHost:
         # hosts sharing one service install the same hooks again.
         broadcast.depends_on = _seen_txids
         broadcast.on_event = trace
-        broadcast.attach(
-            node_id,
-            register_transport=False,
-            on_deliver_batch=self._deliver_batch,
-        )
+        broadcast.attach(node_id, self._deliver_batch)
         broadcast.transport.register(node_id, self.dispatch)
 
     # -- merging ----------------------------------------------------------

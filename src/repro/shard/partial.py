@@ -23,7 +23,9 @@ This module implements exactly that discipline:
   their *group*, and each exchange is restricted to the objects both
   peers hold), floods are single-record rumors carrying a shared-groups
   digest, and received records are causally gated on their per-object
-  seen-sets;
+  seen-sets (each node's ``CausalBuffer`` reads its ``records_held``
+  directly; the ``(object, txid)`` dependency set is built once per
+  offered record);
 * per object, everything reduces to the fully-replicated theory: the
   extracted per-object executions satisfy the prefix subsequence
   condition, and all of the paper's per-constraint results apply
@@ -80,10 +82,6 @@ class PartialConfig:
     loss_probability: float = 0.0
     anti_entropy_interval: float = 5.0
     flood: bool = True
-    bucket_width: int = 32
-    ack_timeout: float = 4.0
-    max_backoff_factor: float = 8.0
-    repair_cooldown: float = 2.0
     merge_factory: Optional[EngineFactory] = None
     #: optional summary function (Section 6: "data ... present in summary
     #: form"): substate -> an opaque summary value.  When set, every
@@ -112,7 +110,6 @@ class PartialNode:
         initial_substates: Dict[ObjectKey, State],
         merge_factory: Optional[EngineFactory],
         ledger: ExternalLedger,
-        bucket_width: int = 32,
     ):
         self.node_id = node_id
         self.keys = keys
@@ -125,7 +122,7 @@ class PartialNode:
         self.ledger = ledger
         #: digest over every held object's log; cells are grouped by
         #: object key so exchanges can be restricted to shared objects.
-        self.index = DigestIndex(bucket_width)
+        self.index = DigestIndex()
         #: (object key, txid) -> record, for delta-protocol lookups.
         self.records_held: Dict[Tuple[ObjectKey, int], UpdateRecord] = {}
         #: stale summaries of objects this node does NOT hold:
@@ -188,6 +185,12 @@ class PartialNode:
             )
             self.records_held[(key, record.txid)] = record
         return accepted
+
+    def _deliver(
+        self, held_key: Tuple[ObjectKey, int], record: UpdateRecord
+    ) -> None:
+        """Release from the causal buffer (keyed like ``records_held``)."""
+        self._insert(held_key[0], record)
 
     def accept_summary(
         self, key: ObjectKey, as_of: float, value: object
@@ -261,7 +264,14 @@ class _PartialStore:
         for group, txid, record in wire_items:
             pnode.clock.observe(record.ts)
             if group in pnode.keys:
-                buffer.offer((group, txid), record)
+                # gate on the record's per-object seen-set so each
+                # replica's log stays causally closed under delta gossip
+                # (a held or buffered record never runs the generator).
+                buffer.offer(
+                    (group, txid),
+                    record,
+                    ((group, dep) for dep in record.seen_txids),
+                )
 
     def extra_for(self, node: int, peer: int):
         return self.cluster._summaries_from(node) or None
@@ -307,24 +317,16 @@ class PartialCluster:
             node = PartialNode(
                 node_id, frozenset(keys), self.initial_substates,
                 config.merge_factory, self.ledger,
-                bucket_width=config.bucket_width,
             )
             self.nodes[node_id] = node
-            # gate deliveries on the record's per-object seen-set so each
-            # replica's log stays causally closed under delta gossip.
             self._buffers[node_id] = CausalBuffer(
-                depends_on=lambda gk, rec: tuple(
-                    (gk[0], dep) for dep in rec.seen_txids
-                ),
-                deliver=lambda gk, rec, n=node: n._insert(gk[0], rec),
-                is_delivered=lambda gk, n=node: gk in n.records_held,
+                node.records_held, node._deliver
             )
         self._next_txid = 0
         self.records: Dict[int, KeyedRecord] = {}
         self.scheduler = PeerScheduler(
             self.streams.stream("gossip"),
             base_backoff=config.anti_entropy_interval,
-            max_backoff_factor=config.max_backoff_factor,
         )
         self.engine = ExchangeEngine(
             self.sim,
@@ -333,8 +335,6 @@ class PartialCluster:
             self.scheduler,
             self.stats.delta,
             self.stats.wire,
-            ack_timeout=config.ack_timeout,
-            repair_cooldown=config.repair_cooldown,
             count_records=self._count_records,
         )
         for node_id in self.nodes:

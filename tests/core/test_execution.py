@@ -102,6 +102,63 @@ class TestExecutionRun:
         with pytest.raises(InvalidExecutionError):
             tampered.validate()
 
+    def _tampered(self, e, **changed):
+        fields = dict(
+            initial_state=e.initial_state, transactions=e.transactions,
+            prefixes=e.prefixes, updates=e.updates,
+            external_actions=e.external_actions,
+            apparent_before=e.apparent_before,
+            apparent_after=e.apparent_after, actual_states=e.actual_states,
+        )
+        fields.update(changed)
+        return Execution(**fields)
+
+    def test_validate_names_the_condition_that_fails(self):
+        e = run([Allocate(3), Allocate(3), Allocate(3)], [(), (0,), (0, 1)])
+        wrong_seen = self._tampered(
+            e, apparent_before=(e.apparent_before[0], CounterState(9))
+            + e.apparent_before[2:],
+        )
+        with pytest.raises(InvalidExecutionError, match=r"condition \(2\) fails at 1"):
+            wrong_seen.validate()
+        wrong_actual = self._tampered(
+            e, actual_states=e.actual_states[:1] + (CounterState(9),)
+            + e.actual_states[2:],
+        )
+        with pytest.raises(InvalidExecutionError, match=r"condition \(4\)"):
+            wrong_actual.validate()
+        # a per-transaction violation outranks condition (4), even when
+        # the wrong actual state comes first in the serial order.
+        both = self._tampered(
+            wrong_actual, updates=e.updates[:2] + (AddUpdate(5),),
+        )
+        with pytest.raises(InvalidExecutionError, match=r"condition \(3\) fails at 2"):
+            both.validate()
+
+    def test_validate_holds_one_step_of_states_not_a_second_execution(self):
+        """Re-derivation is streamed: validating an execution whose
+        states grow with its length peaks far below what the execution
+        itself occupies."""
+        import tracemalloc
+
+        from repro.apps.dictionary import INITIAL_DICT_STATE, Insert
+
+        n = 300
+        txns = [Insert(f"word-{i}", capacity=10 * n) for i in range(n)]
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            e = Execution.run(
+                INITIAL_DICT_STATE, txns, [tuple(range(i)) for i in range(n)]
+            )
+            held = tracemalloc.get_traced_memory()[0] - before
+            tracemalloc.reset_peak()
+            e.validate()
+            peak = tracemalloc.get_traced_memory()[1] - before - held
+        finally:
+            tracemalloc.stop()
+        assert peak * 5 < held
+
 
 class TestTimedExecution:
     def _timed(self, times):

@@ -1,8 +1,9 @@
 """Batched DELTA delivery: one undo/redo cycle per gossip merge.
 
-When a node registers ``on_deliver_batch``, every merge (flood payload,
-DELTA, quiescence exchange) hands all the items it released to the
-batch callback at once.  These tests pin the contract: batching changes
+Every merge (flood payload, DELTA, quiescence exchange) hands all the
+items it released to the node's batch callback at once; a node that
+wants them one at a time unpacks the batch (``batch=False`` below).
+These tests pin the contract: batching changes
 *how* deliveries are grouped, never what is delivered, in what order
 items become known, what crosses the wire, or the transitivity the
 piggyback digest preserves.
@@ -17,6 +18,7 @@ from repro.network import FixedDelay, Network, PartitionSchedule, UniformDelay
 from repro.shard import ClusterConfig, ShardCluster
 from repro.sim import Simulator
 from repro.sim.trace import Tracer
+from tests.helpers import attach_bare
 
 
 def make_service(n=3, config=None, partitions=None, seed=0, batch=False):
@@ -38,10 +40,11 @@ def make_service(n=3, config=None, partitions=None, seed=0, batch=False):
             batches[n].append(tuple(key for key, _ in pairs))
             delivered[n].extend(key for key, _ in pairs)
 
-        service.attach(
+        attach_bare(
+            service,
             i,
             lambda key, item, n=i: delivered[n].append(key),
-            on_deliver_batch=on_batch if batch else None,
+            on_batch=on_batch if batch else None,
         )
 
     for i in range(n):

@@ -8,6 +8,7 @@ from repro.network import FixedDelay, Network, PartitionSchedule
 from repro.shard import ClusterConfig, ShardCluster
 from repro.sim import Simulator
 from repro.sim.trace import Tracer
+from tests.helpers import attach_bare
 
 
 def make_service(n=3, config=None, partitions=None, seed=0):
@@ -21,7 +22,9 @@ def make_service(n=3, config=None, partitions=None, seed=0):
     service = GossipService(sim, net, config, rng=random.Random(seed + 1))
     delivered = {i: [] for i in range(n)}
     for i in range(n):
-        service.attach(i, lambda key, item, n=i: delivered[n].append(key))
+        attach_bare(
+            service, i, lambda key, item, n=i: delivered[n].append(key)
+        )
     return sim, service, delivered
 
 

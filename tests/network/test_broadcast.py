@@ -8,6 +8,7 @@ import pytest
 from repro.gossip import GossipConfig, GossipService
 from repro.network import FixedDelay, Network, PartitionSchedule
 from repro.sim import Simulator
+from tests.helpers import attach_bare
 
 
 def make_broadcast(n=3, config=None, partitions=None, seed=0):
@@ -21,7 +22,7 @@ def make_broadcast(n=3, config=None, partitions=None, seed=0):
     bcast = GossipService(sim, net, config, rng=random.Random(seed + 1))
     delivered = {i: [] for i in range(n)}
     for i in range(n):
-        bcast.attach(i, lambda key, item, n=i: delivered[n].append(key))
+        attach_bare(bcast, i, lambda key, item, n=i: delivered[n].append(key))
     return sim, bcast, delivered
 
 
@@ -113,7 +114,7 @@ class TestBookkeeping:
     def test_double_attach_rejected(self):
         sim, bcast, _ = make_broadcast()
         with pytest.raises(ValueError):
-            bcast.attach(0, lambda k, i: None)
+            attach_bare(bcast, 0, lambda k, i: None)
 
     def test_known_keys(self):
         sim, bcast, _ = make_broadcast()

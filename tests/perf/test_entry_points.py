@@ -1,4 +1,6 @@
-"""Every documented ``python -m repro.perf*`` entry point starts clean.
+"""Every documented ``python -m repro.perf*`` entry point — and the
+offline-oracle CLI, moved out of ``repro.chaos.oracles`` for the same
+reason — starts clean.
 
 ``repro.perf``'s package init once imported ``gate`` and ``campaign``
 eagerly, so running either with ``-m`` executed its module body twice
@@ -18,6 +20,7 @@ SRC = Path(__file__).resolve().parents[2] / "src"
 
 @pytest.mark.parametrize("module", [
     "repro.perf", "repro.perf.campaign", "repro.perf.gate",
+    "repro.chaos.offline",
 ])
 def test_help_exits_zero_with_runtime_warnings_as_errors(module):
     env = dict(os.environ, PYTHONPATH=str(SRC))
@@ -27,7 +30,7 @@ def test_help_exits_zero_with_runtime_warnings_as_errors(module):
         env=env, capture_output=True, text=True, timeout=60,
     )
     assert result.returncode == 0, result.stderr
-    assert "usage: python -m repro.perf" in result.stdout
+    assert f"usage: python -m {module}" in result.stdout
     assert result.stderr == ""
 
 

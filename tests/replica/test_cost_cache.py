@@ -18,6 +18,7 @@ from repro.replica import (
     UpdateRecord,
     policy_engine_factory,
 )
+from tests.helpers import count_python_calls
 
 
 def cost(state) -> float:
@@ -113,6 +114,29 @@ class TestCostCacheInvalidation:
         for i, amount in enumerate([1, 1, 1, 5, 1, 1, 1, 1, 1, 1, 1]):
             fresh.insert(i, AddUpdate(amount))
         assert fresh.cost_series() == cached.cost_series()
+
+
+class TestCostAccountingIsConstantTime:
+    def _near_tail_merge(self, n):
+        view = make_view()
+        for i in range(n):
+            view.insert(i, AddUpdate(1))
+        calls = count_python_calls(
+            lambda: view.insert(n - 2, AddUpdate(1))
+        )
+        return view, calls
+
+    def test_non_tail_merge_counts_hits_without_scanning_the_cache(self):
+        """Hits and invalidations are computed from the insertion point
+        (the cache is dense without certified skips), so a merge near
+        the tail of a 2,000-entry cache executes as many Python-level
+        calls as one into a 200-entry cache."""
+        small, small_calls = self._near_tail_merge(200)
+        large, large_calls = self._near_tail_merge(2000)
+        assert large_calls == small_calls <= 100
+        assert large.cost_stats.hits == 1999  # entries 0..1998 survive
+        assert large.cost_stats.invalidated == 2
+        assert large.cost_series() == fold_costs([1] * 2001)
 
 
 class TestMergeSpan:

@@ -1,5 +1,6 @@
 """R3's adapter allowlist: wall-clock confined to the clock adapter."""
 
+import ast
 import textwrap
 from pathlib import Path
 
@@ -52,4 +53,30 @@ def test_no_r3_suppression_remains_in_the_tree():
         for path in sorted(root.rglob("*.py"))
         if marker in path.read_text()
     ]
+    assert offenders == []
+
+
+def test_retired_gossip_seams_and_options_stay_retired():
+    """The causal gate reads its node's delivered mapping; the callback
+    seams, the per-item delivery path and the options nothing set were
+    deleted, not wrapped (the CI grep step holds the same line)."""
+    retired = (
+        "is_delivered", "on_deliver=", "register_transport",
+        "timestamp_of =", "bucket_width=", "repair_cooldown",
+    )
+    root = Path(repro.__file__).parent
+    offenders = []
+    for path in sorted(root.rglob("*.py")):
+        text = path.read_text()
+        offenders += [
+            (str(path.relative_to(root)), name)
+            for name in retired if name in text
+        ]
+        offenders += [
+            (str(path.relative_to(root)), "CausalBuffer(lambda)")
+            for call in ast.walk(ast.parse(text))
+            if isinstance(call, ast.Call)
+            and getattr(call.func, "id", None) == "CausalBuffer"
+            and any(isinstance(n, ast.Lambda) for n in ast.walk(call))
+        ]
     assert offenders == []

@@ -19,6 +19,7 @@ from repro.gossip import GossipConfig, GossipService
 from repro.network import FixedDelay, Network
 from repro.runtime.loopback import LoopbackNet, VirtualClock
 from repro.sim import Simulator
+from tests.helpers import attach_bare
 
 N_NODES = 3
 
@@ -54,10 +55,8 @@ def drive(clock, transport, seed, publishes, until):
     )
     delivered = {i: [] for i in range(N_NODES)}
     for i in range(N_NODES):
-        service.attach(
-            i,
-            lambda key, item, n=i: delivered[n].append(key),
-            register_transport=True,
+        attach_bare(
+            service, i, lambda key, item, n=i: delivered[n].append(key)
         )
     for at, node, key in publishes:
         clock.schedule(

@@ -5,9 +5,9 @@ import json
 import random
 
 from repro.apps.airline.state import AirlineState
+from repro.chaos import offline as oracle_cli
 from repro.chaos.offline import RecordedRun, check_recorded_run
 from repro.apps.airline.transactions import Cancel, MoveUp, Request
-from repro.chaos import oracles as oracle_cli
 from repro.shard.cluster import ClusterConfig, ShardCluster
 from repro.runtime.history import HistoryWriter, dump_records
 
