@@ -7,14 +7,15 @@ at a single designated node (the centralized-movers policy of Sections
 3.2/5.4/5.5) or independently at every node (the fully available,
 overbooking-prone regime).  It returns the extracted formal execution and
 the external-action ledger, ready for the theorem checkers and the
-analysis modules.
+analysis modules.  :func:`start_airline_workload` is that workload on
+its own, which the chaos harness starts on the cluster it faults.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 from ...core.execution import TimedExecution
 from ...gossip import GossipConfig
@@ -98,6 +99,45 @@ class _AirlineArrivals:
         return Request(person)
 
 
+def start_airline_workload(
+    cluster: ShardCluster,
+    scenario,
+    timestamped: bool = False,
+    request_nodes: Optional[Sequence[int]] = None,
+    mover_nodes: Optional[Sequence[int]] = None,
+) -> Tuple[PoissonSubmitter, PeriodicSubmitter]:
+    """Start Poisson request/cancel arrivals and periodic mover sweeps
+    on ``cluster`` until ``scenario.duration``.  ``scenario`` supplies
+    ``capacity``, ``request_rate``, ``cancel_fraction`` and
+    ``mover_interval`` (an :class:`AirlineScenario` or the chaos
+    harness's ``ChaosScenario``); ``None`` nodes mean every node."""
+    requests = PoissonSubmitter(
+        cluster,
+        rate=scenario.request_rate,
+        make_transaction=_AirlineArrivals(
+            scenario.cancel_fraction, timestamped, lambda: cluster.sim.now
+        ),
+        rng=cluster.streams.stream("arrivals"),
+        nodes=request_nodes,
+        stop_at=scenario.duration,
+    )
+    up, down = (TSMoveUp, TSMoveDown) if timestamped else (MoveUp, MoveDown)
+    mover_pair = (up(scenario.capacity), down(scenario.capacity))
+    movers = PeriodicSubmitter(
+        cluster,
+        interval=scenario.mover_interval,
+        make_transactions=lambda: mover_pair,
+        nodes=(
+            mover_nodes if mover_nodes is not None
+            else range(len(cluster.nodes))
+        ),
+        stop_at=scenario.duration,
+    )
+    requests.start()
+    movers.start()
+    return requests, movers
+
+
 def run_airline_scenario(scenario: AirlineScenario) -> AirlineRun:
     """Simulate the scenario to completion and extract its history."""
     if scenario.design not in ("baseline", "timestamped"):
@@ -116,37 +156,13 @@ def run_airline_scenario(scenario: AirlineScenario) -> AirlineRun:
             merge_factory=scenario.merge_factory,
         ),
     )
-    arrivals = _AirlineArrivals(
-        scenario.cancel_fraction, timestamped, lambda: cluster.sim.now
-    )
-    requests = PoissonSubmitter(
+    requests, movers = start_airline_workload(
         cluster,
-        rate=scenario.request_rate,
-        make_transaction=arrivals,
-        rng=cluster.streams.stream("arrivals"),
-        nodes=scenario.request_nodes,
-        stop_at=scenario.duration,
+        scenario,
+        timestamped=timestamped,
+        request_nodes=scenario.request_nodes,
+        mover_nodes=scenario.mover_nodes,
     )
-    mover_nodes = (
-        list(scenario.mover_nodes)
-        if scenario.mover_nodes is not None
-        else list(range(scenario.n_nodes))
-    )
-    if timestamped:
-        mover_pair = (
-            TSMoveUp(scenario.capacity), TSMoveDown(scenario.capacity)
-        )
-    else:
-        mover_pair = (MoveUp(scenario.capacity), MoveDown(scenario.capacity))
-    movers = PeriodicSubmitter(
-        cluster,
-        interval=scenario.mover_interval,
-        make_transactions=lambda: mover_pair,
-        nodes=mover_nodes,
-        stop_at=scenario.duration,
-    )
-    requests.start()
-    movers.start()
     cluster.run(until=scenario.duration)
     cluster.quiesce()
 

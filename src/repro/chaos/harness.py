@@ -2,8 +2,9 @@
 
 :func:`run_chaos` builds a small airline deployment (the paper's running
 example, so the cost-bound and fairness oracles have teeth), installs a
-:class:`~repro.chaos.faults.FaultPlan` through the injector, drives a
-Poisson request/cancel mix plus periodic MOVE_UP/MOVE_DOWN sweeps, runs
+:class:`~repro.chaos.faults.FaultPlan` through the injector, starts the
+airline app's own workload on it (``start_airline_workload``: a Poisson
+request/cancel mix plus MOVE_UP/MOVE_DOWN sweeps at every node), runs
 past the last fault, heals and quiesces, and evaluates every oracle.
 
 Two soundness notes:
@@ -28,16 +29,15 @@ import dataclasses
 import hashlib
 import json
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
+from ..apps.airline.simulation import start_airline_workload
 from ..apps.airline.state import AirlineState
-from ..apps.airline.transactions import Cancel, MoveDown, MoveUp, Request
 from ..core.execution import InvalidExecutionError
 from ..gossip import GossipConfig
 from ..network.link import FixedDelay, UniformDelay
 from ..replica import FixedIntervalPolicy, policy_engine_factory
 from ..shard.cluster import ClusterConfig, ShardCluster
-from ..shard.workload import PeriodicSubmitter, PoissonSubmitter
 from ..sim.trace import Tracer
 from .faults import DelaySpike, Duplicate, FaultPlan, Reorder
 from .inject import ChaosInjector
@@ -144,23 +144,6 @@ def compute_t_bound(scenario: ChaosScenario, plan: FaultPlan) -> float:
     return span + 2 * slack
 
 
-class _Arrivals:
-    """Request/cancel mix over a growing passenger population."""
-
-    def __init__(self, cancel_fraction: float):
-        self.cancel_fraction = cancel_fraction
-        self.next_person = 1
-        self.people: List[str] = []
-
-    def __call__(self, rng):
-        if self.people and rng.random() < self.cancel_fraction:
-            return Cancel(rng.choice(self.people))
-        person = f"P{self.next_person}"
-        self.next_person += 1
-        self.people.append(person)
-        return Request(person)
-
-
 def _fingerprint(payload: Dict[str, object]) -> str:
     text = json.dumps(payload, sort_keys=True, default=repr)
     return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
@@ -209,24 +192,7 @@ def run_chaos(
     injector = ChaosInjector(cluster, plan, validate=not plan_validated)
     injector.install()
 
-    requests = PoissonSubmitter(
-        cluster,
-        rate=scenario.request_rate,
-        make_transaction=_Arrivals(scenario.cancel_fraction),
-        rng=cluster.streams.stream("arrivals"),
-        stop_at=scenario.duration,
-    )
-    movers = PeriodicSubmitter(
-        cluster,
-        interval=scenario.mover_interval,
-        make_transactions=lambda: (
-            MoveUp(scenario.capacity), MoveDown(scenario.capacity)
-        ),
-        nodes=list(range(scenario.n_nodes)),
-        stop_at=scenario.duration,
-    )
-    requests.start()
-    movers.start()
+    start_airline_workload(cluster, scenario)
 
     horizon = max(scenario.duration, plan.horizon()) + SETTLE
     cluster.run(until=horizon)

@@ -37,6 +37,9 @@ _KIND_WEIGHTS = (
     ("clock_skew", 1),
 )
 
+#: a generated plan holds between one and this many faults.
+MAX_FAULTS = 4
+
 
 def _pick_kind(rng: random.Random) -> str:
     total = sum(w for _, w in _KIND_WEIGHTS)
@@ -56,17 +59,13 @@ def _window(rng: random.Random, duration: float) -> tuple:
     return start, start + length
 
 
-def generate_plan(
-    rng: random.Random,
-    scenario: ChaosScenario,
-    max_faults: int = 4,
-) -> FaultPlan:
-    """Draw a random plan of 1..max_faults faults for ``scenario``."""
+def generate_plan(rng: random.Random, scenario: ChaosScenario) -> FaultPlan:
+    """Draw a random plan of 1..MAX_FAULTS faults for ``scenario``."""
     n_nodes = scenario.n_nodes
     duration = scenario.duration
     faults: List[Fault] = []
     crashed_nodes: List[int] = []
-    for _ in range(rng.randint(1, max_faults)):
+    for _ in range(rng.randint(1, MAX_FAULTS)):
         kind = _pick_kind(rng)
         if kind == "crash":
             free = [n for n in range(n_nodes) if n not in crashed_nodes]

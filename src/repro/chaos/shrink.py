@@ -23,10 +23,12 @@ class ShrinkResult:
     probes: int
 
 
+#: probe budget: candidate re-runs one shrink may spend.
+MAX_PROBES = 64
+
+
 def shrink_plan(
-    plan: FaultPlan,
-    still_fails: Callable[[FaultPlan], bool],
-    max_probes: int = 64,
+    plan: FaultPlan, still_fails: Callable[[FaultPlan], bool]
 ) -> ShrinkResult:
     """Minimize ``plan`` while ``still_fails`` holds.
 
@@ -38,10 +40,10 @@ def shrink_plan(
     current = plan
     probes = 0
     improved = True
-    while improved and probes < max_probes:
+    while improved and probes < MAX_PROBES:
         improved = False
         for index in range(len(current.faults)):
-            if probes >= max_probes:
+            if probes >= MAX_PROBES:
                 break
             candidate = current.without(index)
             probes += 1

@@ -26,7 +26,7 @@ add conflicts, never hide one.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Dict, Tuple
 
 from ..replica.log import UpdateRecord
 
@@ -59,19 +59,19 @@ FootprintFn = Callable[[UpdateRecord], Footprint]
 
 
 class FootprintRegistry:
-    """Transaction-family name → footprint function, with a fallback."""
+    """Transaction-family name → footprint function; an unregistered
+    family gets the conservative :func:`whole_state_footprint`."""
 
-    def __init__(
-        self, fallback: Optional[FootprintFn] = None
-    ) -> None:
+    def __init__(self) -> None:
         self._by_name: Dict[str, FootprintFn] = {}
-        self._fallback = fallback or whole_state_footprint
 
     def register(self, name: str, fn: FootprintFn) -> None:
         self._by_name[name] = fn
 
     def of(self, record: UpdateRecord) -> Footprint:
-        fn = self._by_name.get(record.transaction.name, self._fallback)
+        fn = self._by_name.get(
+            record.transaction.name, whole_state_footprint
+        )
         return fn(record)
 
 

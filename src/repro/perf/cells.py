@@ -110,12 +110,6 @@ def run_cell(spec: CellSpec, commutativity=None) -> Dict[str, object]:
             **overrides,
         )
     )
-    stats = [node.merge.stats for node in run.cluster.nodes]
-    costs = [node.merge.cost_stats for node in run.cluster.nodes]
-    inserts = sum(s.inserts for s in stats)
-    fastpath = sum(s.fastpath_hits for s in stats)
-    hits = sum(c.hits for c in costs)
-    evaluations = sum(c.evaluations for c in costs)
     state_digest = hashlib.sha256(
         repr(run.final_state).encode("utf-8")
     ).hexdigest()[:16]
@@ -123,23 +117,10 @@ def run_cell(spec: CellSpec, commutativity=None) -> Dict[str, object]:
         "cell": spec.name,
         "regime": spec.regime,
         "spec": spec.as_dict(),
-        "log_length": len(run.execution),
-        "inserts": inserts,
-        "updates_applied": sum(s.updates_applied for s in stats),
-        "fastpath_hits": fastpath,
-        "fastpath_rate": round(fastpath / inserts, 4) if inserts else 0.0,
-        "undo_redo_merges": sum(s.undo_redo_merges for s in stats),
-        "certified_hits": sum(s.certified_hits for s in stats),
-        "batch_merges": sum(s.batch_merges for s in stats),
-        "batched_inserts": sum(s.batched_inserts for s in stats),
-        "cost_evaluations": evaluations,
-        "cost_hits": hits,
-        "cost_invalidated": sum(c.invalidated for c in costs),
-        "cost_hit_rate": (
-            round(hits / (hits + evaluations), 4)
-            if hits + evaluations else 0.0
+        **run.cluster.merge_counters(),
+        "cost_invalidated": sum(
+            node.merge.cost_stats.invalidated for node in run.cluster.nodes
         ),
-        "final_cost": run.cluster.nodes[0].merge.state_cost,
         "state_fingerprint": state_digest,
     }
 

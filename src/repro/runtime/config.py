@@ -41,9 +41,6 @@ class ClusterSpec:
     plan_json: Optional[str] = None
     #: write-side coalescing: at most this many payloads per wire frame.
     max_batch: int = 64
-    #: wall seconds of extra coalescing after a frame's first payload
-    #: (0 = greedy flush: no added latency, batches form under load).
-    flush_interval: float = 0.0
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "ports", tuple(self.ports))
@@ -55,8 +52,6 @@ class ClusterSpec:
             raise ValueError("need exactly one port per node")
         if self.max_batch < 1:
             raise ValueError("max_batch must be >= 1")
-        if self.flush_interval < 0:
-            raise ValueError("flush_interval must be >= 0")
 
     @property
     def node_ids(self) -> Tuple[int, ...]:
@@ -84,7 +79,6 @@ class ClusterSpec:
             "history_dir": self.history_dir,
             "plan_json": self.plan_json,
             "max_batch": self.max_batch,
-            "flush_interval": self.flush_interval,
         }
         return json.dumps(data, sort_keys=True)
 

@@ -30,7 +30,7 @@ from .wire import FrameSplitter
 #: the counter names a snapshot always carries, in a fixed order (the
 #: wire codec sorts dict keys, but tests and docs read this list).
 COUNTERS = (
-    "frames_in", "frames_out",
+    "frames_in", "frames_out", "frames_rejected",
     "bytes_in", "bytes_out",
     "batch_frames_in", "batch_frames_out",
     "batched_payloads_in", "batched_payloads_out",

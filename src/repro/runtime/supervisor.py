@@ -30,6 +30,9 @@ from .clock import RuntimeClock, wall_epoch
 from .config import ClusterSpec, NodeSpec
 from .history import HistoryWriter, events_path
 
+#: wall seconds a booting node process has to print its readiness line.
+READY_TIMEOUT = 15.0
+
 
 def free_ports(n: int, host: str = "127.0.0.1") -> Tuple[int, ...]:
     """``n`` currently free TCP ports (bind-then-release; the usual
@@ -92,7 +95,7 @@ class ClusterSupervisor:
 
     # -- lifecycle ---------------------------------------------------------
 
-    async def spawn(self, node_id: int, ready_timeout: float = 15.0) -> None:
+    async def spawn(self, node_id: int) -> None:
         """Boot one node process and wait for its readiness line."""
         if node_id in self._procs:
             raise RuntimeError(f"node {node_id} already running")
@@ -110,9 +113,7 @@ class ClusterSupervisor:
             env=env,
         )
         self._procs[node_id] = proc
-        line = await asyncio.wait_for(
-            proc.stdout.readline(), ready_timeout
-        )
+        line = await asyncio.wait_for(proc.stdout.readline(), READY_TIMEOUT)
         if not line.startswith(b"ready"):
             stderr = await proc.stderr.read()
             raise RuntimeError(
@@ -121,8 +122,9 @@ class ClusterSupervisor:
             )
 
     async def start(self) -> None:
-        for node_id in self.spec.node_ids:
-            await self.spawn(node_id)
+        """Boot every node at once: a boot is mostly the interpreter
+        importing the program, and the processes share nothing."""
+        await asyncio.gather(*map(self.spawn, self.spec.node_ids))
 
     def alive(self, node_id: int) -> bool:
         proc = self._procs.get(node_id)

@@ -29,14 +29,13 @@ The hot path is write-side coalescing: ``send`` encodes each payload
 once (to its canonical JSON text) and queues the *text*; the per-peer
 sender task drains whatever has accumulated and splices it into a
 single ``Batch`` frame (:func:`~repro.runtime.wire.batch_frame_from_texts`)
-— flush triggers are batch size (``max_batch`` payloads), frame size
-(``MAX_FRAME`` guarded) and an optional wall deadline
-(``flush_interval`` seconds of extra coalescing after the first
-payload; 0 = greedy, which adds no latency because a busy writer
-naturally accumulates a queue).  Inbound, frame boundaries are kept
-(``FrameSplitter(expand=False)``) so one arriving batch frame becomes
-one delivery batch at the node — one ``merge_span`` undo/redo cycle no
-matter how many gossip payloads it carried.
+— flush triggers are batch size (``max_batch`` payloads) and frame
+size (``MAX_FRAME`` guarded); the flush is greedy, which adds no
+latency because a busy writer naturally accumulates a queue.  Inbound,
+frame boundaries are kept (``FrameSplitter(expand=False)``) so one
+arriving batch frame becomes one delivery batch at the node — one
+``merge_span`` undo/redo cycle no matter how many gossip payloads it
+carried.
 """
 
 from __future__ import annotations
@@ -93,7 +92,6 @@ class TcpTransport:
         self._queues: Dict[int, asyncio.Queue] = {}
         self._senders: Dict[int, asyncio.Task] = {}
         self.max_batch = spec.max_batch
-        self.flush_interval = spec.flush_interval
         self.sent = 0
         self.dropped = 0
         self.delivered = 0
@@ -186,10 +184,6 @@ class TcpTransport:
                 if text is None:
                     break
             batch = [text]
-            if self.flush_interval > 0.0:
-                # deadline-based coalescing: give concurrent senders one
-                # flush window to pile on before the frame seals.
-                await asyncio.sleep(self.flush_interval)
             size = len(text)
             while len(batch) < self.max_batch:
                 try:
@@ -243,7 +237,13 @@ class TcpTransport:
                 if not chunk:
                     break
                 started = perf_ns()
-                frames = list(splitter.feed(chunk))
+                try:
+                    frames = list(splitter.feed(chunk))
+                except (ValueError, TypeError, LookupError):
+                    # framing is lost with an undecodable frame: count
+                    # it and close this connection only.
+                    self.profile.frames_rejected += 1
+                    break
                 self.profile.decoded(perf_ns() - started)
                 responses: List[str] = []
                 for frame in frames:
@@ -259,8 +259,8 @@ class TcpTransport:
                         writer.write(out)
                         self.profile.wrote_frame(len(out), len(responses))
                     await writer.drain()
-        except (OSError, ValueError, asyncio.IncompleteReadError):
-            pass
+        except (OSError, asyncio.IncompleteReadError):
+            pass  # the peer went away; its sender reconnects lazily
         finally:
             self.profile.absorb_splitter(splitter)
             writer.close()

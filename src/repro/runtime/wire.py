@@ -13,9 +13,10 @@ Encoding is by type tag: each non-scalar value becomes a single-key
 object ``{"%tag": ...}``.  Transactions and updates serialize as
 ``(family name, params)`` and are rebuilt through a registry keyed by
 the family ``name`` — the same identifier the trace schema and the
-digest grouping already use.  The airline app's families are
-pre-registered; other apps register theirs via
-:func:`register_transaction` / :func:`register_update`.
+digest grouping already use.  That registry is derived at import from
+:mod:`repro.apps.registry` (every entry's ``transactions`` and
+``updates``), so any registered application's records decode; two
+classes claiming one family name fail the import.
 
 Framing is 4-byte big-endian length + UTF-8 JSON, the classic
 self-delimiting stream format; :class:`FrameSplitter` incrementally
@@ -42,54 +43,33 @@ import json
 import struct
 from typing import Callable, Dict, Iterator, List, Sequence, Tuple
 
-from ..apps.airline.transactions import Cancel, MoveDown, MoveUp, Request
-from ..apps.airline.updates import (
-    CancelUpdate,
-    MoveDownUpdate,
-    MoveUpUpdate,
-    RequestUpdate,
-)
+from ..apps.registry import APP_NAMES, app_entry
 from ..core.transaction import Transaction
 from ..core.update import IDENTITY, Update
 from ..gossip.digest import RangeDigest
 from ..replica.log import UpdateRecord
 from ..replica.timestamps import Timestamp
 
-#: family name -> params-tuple constructor.
-TransactionFactory = Callable[..., Transaction]
-UpdateFactory = Callable[..., Update]
 
-_TRANSACTIONS: Dict[str, TransactionFactory] = {}
-_UPDATES: Dict[str, UpdateFactory] = {}
-
-
-def register_transaction(name: str, factory: TransactionFactory) -> None:
-    """Register a transaction family for decoding (idempotent only if
-    re-registering the same factory)."""
-    existing = _TRANSACTIONS.get(name)
-    if existing is not None and existing is not factory:
-        raise ValueError(f"transaction family {name!r} already registered")
-    _TRANSACTIONS[name] = factory
-
-
-def register_update(name: str, factory: UpdateFactory) -> None:
-    """Register an update family for decoding."""
-    existing = _UPDATES.get(name)
-    if existing is not None and existing is not factory:
-        raise ValueError(f"update family {name!r} already registered")
-    _UPDATES[name] = factory
+def _family_table(attr: str) -> Dict[str, Callable]:
+    """Family name -> params-tuple constructor over every registered
+    app's ``attr`` classes; two classes claiming one name would make
+    decoding ambiguous, so that fails the import."""
+    table: Dict[str, Callable] = {}
+    for app in APP_NAMES:
+        for cls in getattr(app_entry(app), attr):
+            if table.setdefault(cls.name, cls) is not cls:
+                raise ValueError(
+                    f"family name {cls.name!r} claimed by both "
+                    f"{table[cls.name].__name__} and {cls.__name__}"
+                )
+    return table
 
 
-register_transaction(Request.name, Request)
-register_transaction(Cancel.name, Cancel)
-register_transaction(MoveUp.name, MoveUp)
-register_transaction(MoveDown.name, MoveDown)
-register_update(RequestUpdate.name, RequestUpdate)
-register_update(CancelUpdate.name, CancelUpdate)
-register_update(MoveUpUpdate.name, MoveUpUpdate)
-register_update(MoveDownUpdate.name, MoveDownUpdate)
+_TRANSACTIONS = _family_table("transactions")
+_UPDATES = _family_table("updates")
 # the identity update is a singleton with no params.
-register_update(IDENTITY.name, lambda: IDENTITY)
+_UPDATES[IDENTITY.name] = lambda: IDENTITY
 
 
 class Batch(tuple):

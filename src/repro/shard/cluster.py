@@ -36,6 +36,9 @@ from .host import NodeHost
 from .node import ShardNode
 from .sync import SyncManager
 
+#: direct log-exchange rounds ``quiesce`` allows before giving up.
+QUIESCE_ROUNDS = 10
+
 
 @dataclass
 class ClusterConfig:
@@ -215,7 +218,7 @@ class ShardCluster:
     def run(self, until: Optional[float] = None) -> None:
         self.sim.run(until=until)
 
-    def quiesce(self, max_rounds: int = 10) -> None:
+    def quiesce(self) -> None:
         """Drain in-flight work, then exchange logs directly until every
         node knows every update (models post-healing anti-entropy)."""
         self.broadcast.stop_anti_entropy()
@@ -224,8 +227,39 @@ class ShardCluster:
         while not self.broadcast.converged():
             self.broadcast.exchange_all()
             rounds += 1
-            if rounds > max_rounds:
+            if rounds > QUIESCE_ROUNDS:
                 raise RuntimeError("cluster failed to converge")
+
+    # -- counters -------------------------------------------------------------------
+
+    def merge_counters(self) -> Dict[str, object]:
+        """The merge-engine and cost-cache work of the whole run, summed
+        over nodes — the deterministic core every benchmark row (perf
+        cells, workload leaderboard) reports, computed one way."""
+        stats = [node.merge.stats for node in self.nodes]
+        costs = [node.merge.cost_stats for node in self.nodes]
+        inserts = sum(s.inserts for s in stats)
+        fastpath = sum(s.fastpath_hits for s in stats)
+        hits = sum(c.hits for c in costs)
+        evaluations = sum(c.evaluations for c in costs)
+        return {
+            "log_length": len(self.records),
+            "inserts": inserts,
+            "updates_applied": sum(s.updates_applied for s in stats),
+            "fastpath_hits": fastpath,
+            "fastpath_rate": round(fastpath / inserts, 4) if inserts else 0.0,
+            "undo_redo_merges": sum(s.undo_redo_merges for s in stats),
+            "certified_hits": sum(s.certified_hits for s in stats),
+            "batch_merges": sum(s.batch_merges for s in stats),
+            "batched_inserts": sum(s.batched_inserts for s in stats),
+            "cost_evaluations": evaluations,
+            "cost_hits": hits,
+            "cost_hit_rate": (
+                round(hits / (hits + evaluations), 4)
+                if hits + evaluations else 0.0
+            ),
+            "final_cost": self.nodes[0].merge.state_cost,
+        }
 
     # -- invariants -----------------------------------------------------------------
 

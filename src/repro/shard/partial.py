@@ -58,6 +58,7 @@ from ..replica import EngineFactory, LamportClock, Replica, UpdateRecord
 from ..sim.engine import Simulator
 from ..sim.metrics import WireStats
 from ..sim.rng import SeededStreams
+from .cluster import QUIESCE_ROUNDS
 from .external import ExternalLedger
 from .history import extract_execution
 
@@ -489,10 +490,10 @@ class PartialCluster:
                     return False
         return True
 
-    def quiesce(self, max_rounds: int = 10) -> None:
+    def quiesce(self) -> None:
         self._anti_entropy_stopped = True
         self.sim.run()
-        for _ in range(max_rounds):
+        for _ in range(QUIESCE_ROUNDS):
             if self.converged():
                 return
             for node_id in sorted(self.nodes):

@@ -31,7 +31,7 @@ a spec's stream is byte-identical across hosts, worker counts and
 consumers (simulator vs live runtime).
 """
 
-from .catalog import CATEGORIES, CATEGORY_OPS, CATEGORY_PARAMS, READ_FAMILIES
+from ..apps.registry import APP_NAMES as CATEGORIES
 from .shapes import (
     ConstantShape,
     DiurnalShape,
@@ -48,8 +48,6 @@ from .zipf import ZipfSampler
 
 __all__ = [
     "CATEGORIES",
-    "CATEGORY_OPS",
-    "CATEGORY_PARAMS",
     "ConstantShape",
     "DEFAULT_SPECS",
     "DiurnalShape",
@@ -57,7 +55,6 @@ __all__ = [
     "LoadCurve",
     "MAX_UNIFORM_UNIVERSE",
     "MILLION",
-    "READ_FAMILIES",
     "SMOKE_SPECS",
     "Synthesizer",
     "WorkloadEvent",

@@ -20,12 +20,11 @@ import dataclasses
 import hashlib
 from typing import Dict, List, Sequence, Tuple
 
-from ..apps.registry import app_entry
+from ..apps.registry import READ_FAMILIES, app_entry
 from ..network.link import UniformDelay
 from ..perf.campaign import fan_out
 from ..replica import TailWindowPolicy, policy_engine_factory
 from ..shard.cluster import ClusterConfig, ShardCluster
-from .catalog import READ_FAMILIES
 from .spec import WorkloadSpec
 from .stream import generate_stream
 
@@ -56,12 +55,6 @@ def run_workload(spec: WorkloadSpec) -> Dict[str, object]:
     cluster.quiesce()
     drained_at = cluster.sim.now
 
-    stats = [node.merge.stats for node in cluster.nodes]
-    costs = [node.merge.cost_stats for node in cluster.nodes]
-    inserts = sum(s.inserts for s in stats)
-    fastpath = sum(s.fastpath_hits for s in stats)
-    hits = sum(c.hits for c in costs)
-    evaluations = sum(c.evaluations for c in costs)
     reads = sum(
         1 for event in events if event.transaction.name in READ_FAMILIES
     )
@@ -73,24 +66,9 @@ def run_workload(spec: WorkloadSpec) -> Dict[str, object]:
         "reads": reads,
         "rejected": cluster.rejected_submissions,
         "ops_per_sim_sec": round(len(events) / spec.duration, 4),
-        "log_length": len(cluster.records),
-        "inserts": inserts,
-        "updates_applied": sum(s.updates_applied for s in stats),
-        "fastpath_hits": fastpath,
-        "fastpath_rate": round(fastpath / inserts, 4) if inserts else 0.0,
-        "undo_redo_merges": sum(s.undo_redo_merges for s in stats),
-        "certified_hits": sum(s.certified_hits for s in stats),
-        "batch_merges": sum(s.batch_merges for s in stats),
-        "batched_inserts": sum(s.batched_inserts for s in stats),
-        "cost_evaluations": evaluations,
-        "cost_hits": hits,
-        "cost_hit_rate": (
-            round(hits / (hits + evaluations), 4)
-            if hits + evaluations else 0.0
-        ),
+        **cluster.merge_counters(),
         "wire_bytes": cluster.broadcast.stats.wire.bytes,
         "convergence_lag": round(max(0.0, drained_at - spec.duration), 4),
-        "final_cost": cluster.nodes[0].merge.state_cost,
         "consistent": cluster.mutually_consistent(),
         "state_fingerprint": _state_fingerprint(cluster),
     }

@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Tuple
 
-from .catalog import CATEGORIES, CATEGORY_OPS, CATEGORY_PARAMS
+from ..apps.registry import APP_NAMES, app_entry
 from .shapes import shape_from_dict
 
 __all__ = ["MAX_UNIFORM_UNIVERSE", "WorkloadSpec"]
@@ -65,10 +65,10 @@ class WorkloadSpec:
         object.__setattr__(
             self, "delay", (float(self.delay[0]), float(self.delay[1]))
         )
-        if self.category not in CATEGORY_OPS:
+        if self.category not in APP_NAMES:
             raise ValueError(
                 f"unknown category {self.category!r}; "
-                f"known: {', '.join(CATEGORIES)}"
+                f"known: {', '.join(APP_NAMES)}"
             )
         if not self.name:
             raise ValueError("spec needs a non-empty name")
@@ -93,7 +93,8 @@ class WorkloadSpec:
             raise ValueError(
                 f"delay must satisfy 0 <= low <= high, got {self.delay}"
             )
-        ops = dict(CATEGORY_OPS[self.category])
+        entry = app_entry(self.category)
+        ops = dict(entry.ops)
         for op, weight in self.mix:
             if op not in ops:
                 raise ValueError(
@@ -104,7 +105,7 @@ class WorkloadSpec:
                 raise ValueError(f"mix weight for {op!r} must be >= 0")
         if sum(dict(self.op_weights()).values()) <= 0:
             raise ValueError("op mix has no positive weight")
-        knobs = CATEGORY_PARAMS[self.category]
+        knobs = entry.params
         for knob, value in self.params:
             if knob not in knobs:
                 raise ValueError(
@@ -117,17 +118,17 @@ class WorkloadSpec:
     # -- merged views ------------------------------------------------------
 
     def op_weights(self) -> Tuple[Tuple[str, float], ...]:
-        """Catalog-order ``(op, weight)`` pairs with ``mix`` overrides
+        """Registry-order ``(op, weight)`` pairs with ``mix`` overrides
         applied — the threshold table the synthesizer walks."""
         overrides = dict(self.mix)
         return tuple(
             (op, overrides.get(op, default))
-            for op, default in CATEGORY_OPS[self.category]
+            for op, default in app_entry(self.category).ops
         )
 
     def param_values(self) -> Dict[str, float]:
         """Category knobs with ``params`` overrides applied."""
-        merged = dict(CATEGORY_PARAMS[self.category])
+        merged = dict(app_entry(self.category).params)
         merged.update(dict(self.params))
         return merged
 

@@ -2,11 +2,16 @@
 
 A synthesizer is a callable ``rng -> Transaction`` built from a
 :class:`~repro.workloads.spec.WorkloadSpec`: one uniform RNG draw picks
-the op by walking the spec's cumulative weight table (catalog order),
-then key-carrying ops draw their entity keys.  The draw *order* is the
-contract — op roll first, then keys (group before user for the
-nameserver) — because byte-identical streams across worker counts and
-across the sim/runtime boundary hinge on it.
+the op by walking the spec's cumulative weight table (the order of the
+category's :mod:`repro.apps.registry` entry, which also supplies the
+knob defaults and the key prefix), then key-carrying ops draw their
+entity keys.  The draw *order* is the contract — op roll first, then
+keys (group before user for the nameserver) — because byte-identical
+streams across worker counts and across the sim/runtime boundary hinge
+on it.  What stays in this module is only *how an op becomes a
+constructor call*: one ``_make`` per category, because apps must not
+import workloads and draw order differs from argument order
+(``Transfer(account, target, amount)`` draws the amount second).
 
 Key sampling is rank-based: :class:`ZipfKeys` maps Zipf ranks to
 interned entity names (``p1`` is the hottest passenger, ``a1`` the
@@ -56,8 +61,8 @@ from ..apps.nameserver.nameserver import (
     Scrub,
     Unregister,
 )
+from ..apps.registry import app_entry
 from ..core.transaction import Transaction
-from .catalog import KEY_PREFIX
 from .spec import WorkloadSpec
 from .zipf import ZipfSampler
 
@@ -117,9 +122,10 @@ class Synthesizer:
             bounds.append(total)
         self._bounds = bounds
         self._total = total
-        self._params = spec.param_values()
+        # every knob is a count or a bound: integral once, here.
+        self._params = {k: int(v) for k, v in spec.param_values().items()}
         self._keys = make_key_picker(
-            spec.universe, spec.zipf, KEY_PREFIX[spec.category]
+            spec.universe, spec.zipf, app_entry(spec.category).key_prefix
         )
 
     def __call__(self, rng: random.Random) -> Transaction:
@@ -136,15 +142,11 @@ class Synthesizer:
 
 
 class _AirlineSynth(Synthesizer):
-    def __init__(self, spec: WorkloadSpec):
-        super().__init__(spec)
-        self._capacity = int(self._params["capacity"])
-
     def _make(self, op: str, rng: random.Random) -> Transaction:
         if op == "move_up":
-            return MoveUp(self._capacity)
+            return MoveUp(self._params["capacity"])
         if op == "move_down":
-            return MoveDown(self._capacity)
+            return MoveDown(self._params["capacity"])
         person = self._keys.pick(rng)
         if op == "request":
             return Request(person)
@@ -152,15 +154,11 @@ class _AirlineSynth(Synthesizer):
 
 
 class _BankingSynth(Synthesizer):
-    def __init__(self, spec: WorkloadSpec):
-        super().__init__(spec)
-        self._max_amount = int(self._params["max_amount"])
-
     def _make(self, op: str, rng: random.Random) -> Transaction:
         if op == "audit":
             return Audit()
         account = self._keys.pick(rng)
-        amount = rng.randint(1, self._max_amount)
+        amount = rng.randint(1, self._params["max_amount"])
         if op == "deposit":
             return Deposit(account, amount)
         if op == "withdraw":
@@ -170,37 +168,25 @@ class _BankingSynth(Synthesizer):
 
 
 class _CounterSynth(Synthesizer):
-    def __init__(self, spec: WorkloadSpec):
-        super().__init__(spec)
-        self._limit = int(self._params["limit"])
-
     def _make(self, op: str, rng: random.Random) -> Transaction:
         if op == "allocate":
-            return Allocate(self._limit)
-        return Release(self._limit)
+            return Allocate(self._params["limit"])
+        return Release(self._params["limit"])
 
 
 class _DictionarySynth(Synthesizer):
-    def __init__(self, spec: WorkloadSpec):
-        super().__init__(spec)
-        self._capacity = int(self._params["capacity"])
-
     def _make(self, op: str, rng: random.Random) -> Transaction:
         if op == "query":
             return Query()
         if op == "prune":
-            return Prune(self._capacity)
+            return Prune(self._params["capacity"])
         item = self._keys.pick(rng)
         if op == "insert":
-            return Insert(item, self._capacity)
+            return Insert(item, self._params["capacity"])
         return Delete(item)
 
 
 class _InventorySynth(Synthesizer):
-    def __init__(self, spec: WorkloadSpec):
-        super().__init__(spec)
-        self._max_restock = int(self._params["max_restock"])
-
     def _make(self, op: str, rng: random.Random) -> Transaction:
         if op == "commit":
             return Commit()
@@ -209,7 +195,7 @@ class _InventorySynth(Synthesizer):
         if op == "ship":
             return Ship()
         if op == "restock":
-            return Restock(rng.randint(1, self._max_restock))
+            return Restock(rng.randint(1, self._params["max_restock"]))
         order = self._keys.pick(rng)
         if op == "order":
             return Order(order)
@@ -219,9 +205,7 @@ class _InventorySynth(Synthesizer):
 class _NameserverSynth(Synthesizer):
     def __init__(self, spec: WorkloadSpec):
         super().__init__(spec)
-        self._groups = make_key_picker(
-            int(self._params["groups"]), spec.zipf, "g"
-        )
+        self._groups = make_key_picker(self._params["groups"], spec.zipf, "g")
 
     def _make(self, op: str, rng: random.Random) -> Transaction:
         if op == "scrub":
@@ -251,7 +235,7 @@ _SYNTHS: Dict[str, Callable[[WorkloadSpec], Synthesizer]] = {
 def make_synthesizer(spec: WorkloadSpec) -> Synthesizer:
     """The synthesizer for ``spec``'s category, configured by the spec."""
     maker = _SYNTHS.get(spec.category)
-    if maker is None:  # unreachable: the spec validated its category
+    if maker is None:  # a registered app with no ``_make`` above
         raise ValueError(f"no synthesizer for category {spec.category!r}")
     return maker(spec)
 

@@ -2,6 +2,9 @@
 
 import asyncio
 import random
+import struct
+
+import pytest
 
 from repro.chaos.faults import (
     ClockSkew,
@@ -18,6 +21,7 @@ from repro.runtime.config import ClusterSpec
 from repro.runtime.faults import RuntimeFaultSeam
 from repro.runtime.supervisor import free_ports
 from repro.runtime.transport import TcpTransport
+from repro.runtime.wire import MAX_FRAME, FrameSplitter, encode, frame_from_text
 
 
 def seam(*faults, seed=0):
@@ -200,6 +204,49 @@ class TestBatchedSendsKeepFaultSemantics:
                 assert sorted(pair.received) == [
                     (0, ("items", (i,))) for i in range(10)
                 ]
+
+        run(scenario())
+
+
+class TestRejectedFrames:
+    """A frame the node cannot decode is counted, costs only its own
+    connection, and leaves the server accepting."""
+
+    @pytest.mark.parametrize("garbage", [
+        struct.pack(">I", 9) + b"{not json",
+        frame_from_text('{"%tx":["NO_SUCH_FAMILY",[]]}'),
+        frame_from_text('{"%ts":5}'),
+        struct.pack(">I", MAX_FRAME + 1),
+    ], ids=["bad-json", "unknown-family", "type-confused", "oversized"])
+    def test_counted_and_a_fresh_connection_is_served(self, garbage):
+        async def echo(frame):
+            return encode(("echo", frame))
+
+        async def scenario():
+            async with TransportPair() as pair:
+                pair.receiver.on_request = echo
+                address = pair.spec.address(1)
+                reader, writer = await asyncio.open_connection(*address)
+                writer.write(garbage)
+                await writer.drain()
+                assert await reader.read() == b""  # the node hung up
+                writer.close()
+                assert pair.receiver.profile.snapshot()[
+                    "frames_rejected"
+                ] == 1
+
+                reader, writer = await asyncio.open_connection(*address)
+                writer.write(frame_from_text(encode(("ping", 7))))
+                await writer.drain()
+                replies = []
+                splitter = FrameSplitter()
+                while not replies:
+                    chunk = await reader.read(65536)
+                    assert chunk
+                    replies.extend(splitter.feed(chunk))
+                writer.close()
+                assert replies == [("echo", ("ping", 7))]
+                assert pair.receiver.profile.frames_rejected == 1
 
         run(scenario())
 

@@ -80,3 +80,25 @@ def test_retired_gossip_seams_and_options_stay_retired():
             and any(isinstance(n, ast.Lambda) for n in ast.walk(call))
         ]
     assert offenders == []
+
+
+def test_the_app_registry_is_the_one_table_and_unset_options_stay_gone():
+    """``repro.apps.registry`` is the only declaration of an application:
+    the workload catalog module, the hand-registered codec tables and
+    the options nothing set were deleted, not wrapped (the CI grep step
+    holds the same line)."""
+    retired = (
+        "register_transaction", "register_update",
+        "CATEGORY_OPS", "CATEGORY_PARAMS", "KEY_PREFIX",
+        "flush_interval", "ready_timeout", "max_probes", "max_faults",
+        "max_rounds",
+    )
+    root = Path(repro.__file__).parent
+    assert not (root / "workloads" / "catalog.py").exists()
+    offenders = [
+        (str(path.relative_to(root)), name)
+        for path in sorted(root.rglob("*.py"))
+        for name in retired if name in path.read_text()
+    ]
+    assert offenders == []
+    assert "apps.airline" not in (root / "runtime" / "wire.py").read_text()

@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from repro.workloads.catalog import CATEGORIES
+from repro.workloads import CATEGORIES
 from repro.workloads.runners import run_workload
 from repro.workloads.spec import WorkloadSpec
 

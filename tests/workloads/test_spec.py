@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.workloads.catalog import CATEGORIES, CATEGORY_OPS, CATEGORY_PARAMS
+from repro.apps.registry import APP_NAMES, app_entry
 from repro.workloads.shapes import ConstantShape, DiurnalShape, FlashCrowd
 from repro.workloads.spec import MAX_UNIFORM_UNIVERSE, WorkloadSpec
 
@@ -40,9 +40,9 @@ shapes_st = st.lists(
 
 @st.composite
 def specs(draw):
-    category = draw(st.sampled_from(CATEGORIES))
-    ops = [op for op, _ in CATEGORY_OPS[category]]
-    knobs = sorted(CATEGORY_PARAMS[category])
+    category = draw(st.sampled_from(APP_NAMES))
+    ops = [op for op, _ in app_entry(category).ops]
+    knobs = sorted(app_entry(category).params)
     mix_ops = draw(st.lists(st.sampled_from(ops), unique=True, max_size=3))
     mix = tuple(
         (op, draw(st.floats(0.1, 5.0, **finite))) for op in mix_ops
