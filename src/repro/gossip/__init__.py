@@ -26,6 +26,7 @@ from .protocol import (
     CausalBuffer,
     DeltaStats,
     ExchangeEngine,
+    carried_records,
 )
 from .scheduler import PeerScheduler, SchedulerStats
 from .service import GossipConfig, GossipService, GossipStats
@@ -44,6 +45,7 @@ __all__ = [
     "CausalBuffer",
     "DeltaStats",
     "ExchangeEngine",
+    "carried_records",
     "PeerScheduler",
     "SchedulerStats",
     "GossipConfig",

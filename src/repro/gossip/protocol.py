@@ -23,15 +23,15 @@ summary instead of the full known set.  A receiver whose index disagrees
 with the rumored digest schedules a repair pull (rate-limited per peer)
 back to the publisher.
 
-The engine is store-agnostic: both the fully replicated broadcast
-service and the partially replicated cluster drive it through a small
-store interface (digest/diff/keys/records/merge), which is what lets one
-protocol serve both topologies.  It is also *transport-agnostic*: its
+The engine has one owner, :class:`~repro.gossip.service.GossipService`,
+which is also its store — digests, diffs, items, merges, piggybacked
+extras and group scoping all go through it, so one protocol serves full
+and partial replication.  The engine is *transport-agnostic*: its
 environment is a :class:`repro.ports.Clock` (ack timeouts, repair
 cooldowns) and a send callable — the simulator and the real asyncio
 runtime host the identical state machine (see :mod:`repro.ports`).
 
-:class:`CausalBuffer` is the receiver-side gate both topologies put in
+:class:`CausalBuffer` is the receiver-side gate the service puts in
 front of delivery; it reads its node's delivered mapping directly.
 """
 
@@ -65,6 +65,15 @@ TraceFn = Callable[..., None]
 REPAIR_COOLDOWN = 2.0
 
 
+def carried_records(payload: Tuple) -> Tuple[object, ...]:
+    """The items a rumor or DELTA payload carries (none for SYN/ACK)."""
+    kind = payload[0]
+    if kind not in (GOSSIP_RUMOR, GOSSIP_DELTA):
+        return ()
+    items = payload[1] if kind == GOSSIP_RUMOR else payload[2]
+    return tuple(item for _group, _key, item in items)
+
+
 @dataclass
 class DeltaStats:
     """Protocol-level counters (message counts live in ``WireStats``)."""
@@ -90,24 +99,11 @@ class _Session:
     reason: str
 
 
-class GossipStore:
-    """Duck-typed store interface the engine drives (documentation only).
-
-    Implementations provide::
-
-        digest_for(node, peer) -> RangeDigest
-        diff(node, remote_digest, peer) -> tuple of differing cells
-        keys_in(node, cell) -> frozenset of keys
-        has(node, group, key) -> bool       # includes causally buffered
-        item_for(node, group, key) -> item
-        merge(node, wire_items) -> None
-        extra_for(node, peer) -> object     # piggybacked extras or None
-        accept_extra(node, src, extra) -> None
-    """
-
-
 class ExchangeEngine:
-    """Drives delta sessions for every node attached to one store."""
+    """Drives delta sessions for every node of its store, the owning
+    :class:`~repro.gossip.service.GossipService`: its ``digest_for``,
+    ``diff``, ``keys_in``, ``has``, ``item_for``, ``merge_wire``,
+    ``extra_for`` and ``accept_extra`` are all the node data it touches."""
 
     def __init__(
         self,
@@ -249,7 +245,7 @@ class ExchangeEngine:
     def _on_delta(self, node: int, src: int, payload: Tuple) -> None:
         _, syn_id, items, want = payload
         if items:
-            self.store.merge(node, items)
+            self.store.merge_wire(node, items)
         if want:
             reply = tuple(
                 (group, key, self.store.item_for(node, group, key))
@@ -298,7 +294,7 @@ class ExchangeEngine:
     def _on_rumor(self, node: int, src: int, payload: Tuple) -> None:
         _, items, digest, extra = payload
         self.store.accept_extra(node, src, extra)
-        self.store.merge(node, items)
+        self.store.merge_wire(node, items)
         if digest is None:
             return
         if self.store.diff(node, digest, src):

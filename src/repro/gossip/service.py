@@ -1,11 +1,12 @@
-"""The gossip dissemination service for fully replicated clusters.
+"""The gossip dissemination service, for full and partial replication.
 
 :class:`GossipService` is the reliable broadcast the paper sketches
 ([GLBKSS], Section 3.3): items are opaque, uniqueness comes from
 caller-supplied keys.  It keeps the paper-facing contract — every item
-is delivered to every attached node exactly once, flooding gives low
-latency on the healthy part of the network, anti-entropy guarantees
-eventual delivery — but implements dissemination in one of two modes:
+is delivered to every attached node holding its group exactly once,
+flooding gives low latency on the healthy part of the network,
+anti-entropy guarantees eventual delivery — but implements
+dissemination in one of two modes:
 
 * ``mode="full"`` — the legacy Section 3.3 literalism: flood messages
   piggyback the sender's entire known set and every anti-entropy round
@@ -26,13 +27,26 @@ subsequences.  With ``piggyback=False`` the digest (and hence the repair
 pull and the gating) is disabled, faithfully reproducing the
 intransitivity the paper warns about.
 
+**Groups** let one service serve both topologies (Section 6).  An
+item's group is its ``group`` attribute (``None`` if absent, as for
+:class:`~repro.replica.UpdateRecord`); a node attaches with the groups
+it holds, ``None`` (the default, and every remote ``membership`` peer)
+meaning all.  Floods reach only the group's holders and anti-entropy
+only peers sharing a group; digests and diffs are restricted to the
+shared groups only when the peer lacks some of the sender's, so full
+replication keeps one cached digest per node.
+
 The receive path reads top to bottom — payload → ``_merge`` → gate →
 ``_deliver_one`` → the node's batch callback — over data the service
-owns (each node's buffer holds that node's ``_known`` dict itself).
-Three inversions remain, each a question only the owner can answer:
-``depends_on`` (asked once per offered item), the batch callback and
-``on_event``.  The owner also holds the node's transport slot and
-forwards gossip payloads to :meth:`GossipService.receive`.
+owns, and the service is the store its ``ExchangeEngine`` reads.  The
+owner answers the rest through hooks: ``depends_on(key, item)`` (the
+keys to deliver after; enables gating), ``on_event(kind, node,
+**detail)`` (tracing), ``active_filter(node)`` (False for crashed
+nodes) and ``extras(node, peer)`` / ``on_extras(node, src, extra)`` (a
+payload piggybacked on SYN, ACK and rumor — partial replication's
+summaries; with them installed anti-entropy picks every peer).  The
+owner also holds the node's transport slot and forwards gossip payloads
+to :meth:`GossipService.receive`.
 """
 
 from __future__ import annotations
@@ -41,7 +55,7 @@ import random
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 from ..ports import Clock, Rng, Transport
 from ..sim.metrics import WireStats
@@ -51,14 +65,22 @@ from .protocol import (
     CausalBuffer,
     DeltaStats,
     ExchangeEngine,
+    WireItem,
 )
 from .scheduler import PeerScheduler
+
+#: whole-set exchanges :meth:`GossipService.settle` allows before giving up.
+QUIESCE_ROUNDS = 10
 
 #: batch of (key, item) pairs released by one merge, in delivery order.
 BatchDeliverFn = Callable[[Tuple[Tuple[object, object], ...]], None]
 
 #: hook: (key, item) -> keys this item must be delivered after.
 DependsFn = Callable[[object, object], Iterable]
+
+
+def group_of(item: object) -> object:
+    return getattr(item, "group", None)
 
 
 def default_timestamp_of(key: object, item: object) -> Tuple[int, int]:
@@ -112,41 +134,6 @@ class GossipStats:
     causally_deferred: int = 0
 
 
-class _FlatStore:
-    """Store adapter: one flat keyspace per node (full replication)."""
-
-    def __init__(self, service: "GossipService"):
-        self.service = service
-
-    def digest_for(self, node: int, peer: int) -> RangeDigest:
-        return self.service._index[node].digest()
-
-    def diff(self, node: int, remote: RangeDigest, peer: int) -> Tuple:
-        return differing_cells(self.service._index[node], remote)
-
-    def keys_in(self, node: int, cell: Tuple):
-        return self.service._index[node].keys_in(cell)
-
-    def has(self, node: int, group: object, key: object) -> bool:
-        service = self.service
-        return key in service._known[node] or key in service._buffers[node]
-
-    def item_for(self, node: int, group: object, key: object) -> object:
-        known = self.service._known[node]
-        if key in known:
-            return known[key]
-        return self.service._buffers[node].peek(key)
-
-    def merge(self, node: int, wire_items) -> None:
-        self.service._merge(node, [(k, item) for _g, k, item in wire_items])
-
-    def extra_for(self, node: int, peer: int) -> None:
-        return None
-
-    def accept_extra(self, node: int, src: int, extra: object) -> None:
-        pass
-
-
 class GossipService:
     """The dissemination service shared by all nodes of a cluster."""
 
@@ -173,6 +160,8 @@ class GossipService:
         #: own node and sets this to the full cluster membership.
         self.membership: Optional[Tuple[int, ...]] = None
         self._known: Dict[int, Dict[object, object]] = {}
+        #: per attached node: the groups it holds (``None``: every group).
+        self._holdings: Dict[int, Optional[FrozenSet[object]]] = {}
         #: per-node batch callbacks: every ``_merge`` hands all the items
         #: it released for a node to the callback in one call, so the
         #: replica pays a single undo/redo cycle per gossip DELTA.
@@ -191,6 +180,10 @@ class GossipService:
         self.depends_on: Optional[DependsFn] = None
         #: optional trace sink: (kind, node, **detail).
         self.on_event: Optional[Callable[..., None]] = None
+        #: optional piggyback: (node, peer) -> extras for a SYN, ACK or
+        #: rumor, and (node, src, extras-or-None) on receiving one.
+        self.extras: Optional[Callable[[int, int], object]] = None
+        self.on_extras: Optional[Callable[[int, int, object], None]] = None
         self.scheduler = PeerScheduler(
             self.rng,
             base_backoff=self.config.anti_entropy_interval,
@@ -199,7 +192,7 @@ class GossipService:
         self.engine = ExchangeEngine(
             clock,
             transport.send,
-            _FlatStore(self),
+            self,
             self.scheduler,
             self.stats.delta,
             self.stats.wire,
@@ -230,14 +223,39 @@ class GossipService:
             and self.depends_on is not None
         )
 
+    def _holds(self, node_id: int, group: object) -> bool:
+        held = self._holdings.get(node_id)
+        return held is None or group in held
+
+    def _shares(self, node_id: int, peer: int) -> bool:
+        mine = self._holdings.get(node_id)
+        theirs = self._holdings.get(peer)
+        return mine is None or theirs is None or not mine.isdisjoint(theirs)
+
+    def _scope(self, node_id: int, peer: int) -> Optional[FrozenSet[object]]:
+        """The groups a digest or diff from ``node_id`` towards ``peer``
+        covers: ``None`` (all of ``node_id``'s, unrestricted and cached)
+        unless the peer lacks some of them, else the shared groups."""
+        mine = self._holdings.get(node_id)
+        theirs = self._holdings.get(peer)
+        if theirs is None or (mine is not None and mine <= theirs):
+            return None
+        return theirs if mine is None else mine & theirs
+
     # -- membership -----------------------------------------------------
 
-    def attach(self, node_id: int, on_deliver_batch: BatchDeliverFn) -> None:
-        """Register a node.
+    def attach(
+        self,
+        node_id: int,
+        on_deliver_batch: BatchDeliverFn,
+        groups: Optional[FrozenSet[object]] = None,
+    ) -> None:
+        """Register a node holding ``groups`` (``None``: every group).
 
         Every merge (a DELTA, a flood payload, a quiescence exchange)
         hands all the items it released for the node to
-        ``on_deliver_batch`` in one call, in delivery order.
+        ``on_deliver_batch`` in one call, in delivery order; items of
+        groups the node does not hold are never delivered to it.
         Exactly-once holds because items enter the known set the moment
         they are released.  The caller owns the node's transport slot
         and forwards gossip payloads via :meth:`receive`.
@@ -245,6 +263,7 @@ class GossipService:
         if node_id in self._known:
             raise ValueError(f"node {node_id} already attached")
         known = self._known[node_id] = {}
+        self._holdings[node_id] = None if groups is None else frozenset(groups)
         self._deliver_batch[node_id] = on_deliver_batch
         self._index[node_id] = DigestIndex()
         self._buffers[node_id] = CausalBuffer(
@@ -312,6 +331,39 @@ class GossipService:
     def known_keys(self, node_id: int) -> Tuple:
         return tuple(self._known[node_id])
 
+    # -- the exchange engine's store ---------------------------------------
+
+    def digest_for(self, node_id: int, peer: int) -> RangeDigest:
+        return self._index[node_id].digest(self._scope(node_id, peer))
+
+    def diff(self, node_id: int, remote: RangeDigest, peer: int) -> Tuple:
+        return differing_cells(
+            self._index[node_id], remote, self._scope(node_id, peer)
+        )
+
+    def keys_in(self, node_id: int, cell: Tuple):
+        return self._index[node_id].keys_in(cell)
+
+    def has(self, node_id: int, group: object, key: object) -> bool:
+        """Delivered at ``node_id`` or waiting in its causal buffer."""
+        return key in self._known[node_id] or key in self._buffers[node_id]
+
+    def item_for(self, node_id: int, group: object, key: object) -> object:
+        known = self._known[node_id]
+        if key in known:
+            return known[key]
+        return self._buffers[node_id].peek(key)
+
+    def merge_wire(self, node_id: int, wire_items: Iterable[WireItem]) -> None:
+        self._merge(node_id, [(key, item) for _g, key, item in wire_items])
+
+    def extra_for(self, node_id: int, peer: int) -> object:
+        return None if self.extras is None else self.extras(node_id, peer)
+
+    def accept_extra(self, node_id: int, src: int, extra: object) -> None:
+        if self.on_extras is not None:
+            self.on_extras(node_id, src, extra)
+
     # -- digest views (used by the synchronized pull path) ----------------
 
     def digest(self, node_id: int) -> RangeDigest:
@@ -333,7 +385,8 @@ class GossipService:
     # -- publishing -------------------------------------------------------
 
     def publish(self, node_id: int, key: object, item: object) -> None:
-        """Introduce a new item at ``node_id`` and flood it (if enabled).
+        """Introduce a new item at ``node_id`` and flood it (if enabled)
+        to every other holder of its group.
 
         The publishing node "delivers" to itself immediately (its own
         database reflects its own transactions at once).
@@ -344,32 +397,33 @@ class GossipService:
         self._merge(node_id, [(key, item)])
         if not self.config.flood:
             return
+        group = group_of(item)
+        targets = [
+            dst for dst in self._targets()
+            if dst != node_id and self._holds(dst, group)
+        ]
         if self.config.mode == "full":
             payload = (
                 tuple(self._known[node_id].items())
                 if self.config.piggyback
                 else ((key, item),)
             )
-            for dst in self._targets():
-                if dst != node_id:
-                    self.stats.flood_messages += 1
-                    self.stats.items_carried += len(payload)
-                    self.stats.wire.message(records=len(payload))
-                    self.transport.send(node_id, dst, ("items", payload))
+            for dst in targets:
+                self.stats.flood_messages += 1
+                self.stats.items_carried += len(payload)
+                self.stats.wire.message(records=len(payload))
+                self.transport.send(node_id, dst, ("items", payload))
         else:
             # rumor mongering: the new record plus (with piggyback) a
-            # digest of the sender's whole set, instead of the set itself.
-            digest = (
-                self._index[node_id].digest()
-                if self.config.piggyback
-                else None
-            )
-            for dst in self._targets():
-                if dst != node_id:
-                    self.stats.flood_messages += 1
-                    self.engine.send_rumor(
-                        node_id, dst, ((None, key, item),), digest
-                    )
+            # digest of the sender's set, instead of the set itself.
+            piggyback = self.config.piggyback
+            for dst in targets:
+                self.stats.flood_messages += 1
+                digest = self.digest_for(node_id, dst) if piggyback else None
+                self.engine.send_rumor(
+                    node_id, dst, ((group, key, item),), digest,
+                    extra=self.extra_for(node_id, dst),
+                )
 
     # -- anti-entropy -------------------------------------------------------
 
@@ -401,9 +455,11 @@ class GossipService:
     def _gossip_once(self, node_id: int) -> None:
         if not self._is_active(node_id):
             return
+        everyone = self.extras is not None
         peers = [
             n for n in self._targets()
             if n != node_id and self._is_active(n)
+            and (everyone or self._shares(node_id, n))
         ]
         if not peers:
             return
@@ -447,15 +503,17 @@ class GossipService:
             item = known.pop(key, None)
             if item is None:
                 continue
-            index.discard(key, default_timestamp_of(key, item))
+            index.discard(
+                key, default_timestamp_of(key, item), group_of(item)
+            )
             removed += 1
         self._buffers[node_id].clear()
         return removed
 
     def exchange_all(self) -> None:
-        """Synchronously push every node's set to every other node,
-        bypassing timers and the network (used to quiesce a run after
-        healing partitions)."""
+        """Synchronously push every node's set to every other node —
+        each receiving only the groups it holds — bypassing timers and
+        the network (used to quiesce a run after healing partitions)."""
         snapshot = {
             n: tuple(known.items()) for n, known in self._known.items()
         }
@@ -464,15 +522,32 @@ class GossipService:
                 if dst != src:
                     self._merge(dst, items)
 
+    def settle(self) -> None:
+        """Exchange whole sets until converged: at most
+        :data:`QUIESCE_ROUNDS` :meth:`exchange_all` rounds, re-checking
+        convergence after each (the owner stops anti-entropy and drains
+        its clock first)."""
+        for _ in range(QUIESCE_ROUNDS):
+            if self.converged():
+                return
+            self.exchange_all()
+        if not self.converged():
+            raise RuntimeError(
+                f"gossip failed to converge in {QUIESCE_ROUNDS} rounds"
+            )
+
     # -- receipt ----------------------------------------------------------
 
     def _merge(self, node_id: int, items) -> None:
         known = self._known[node_id]
+        held = self._holdings[node_id]
         gating = self._gating()
         buffer = self._buffers[node_id]
         with self.delivery_batch(node_id):
             for key, item in items:
-                if key in known:
+                if key in known or (
+                    held is not None and group_of(item) not in held
+                ):
                     continue
                 if gating:
                     buffer.offer(key, item, self.depends_on(key, item))
@@ -485,7 +560,9 @@ class GossipService:
         joins the node's open delivery batch (every caller runs inside a
         :meth:`_merge`)."""
         self._known[node_id][key] = item
-        self._index[node_id].add(key, default_timestamp_of(key, item))
+        self._index[node_id].add(
+            key, default_timestamp_of(key, item), group_of(item)
+        )
         self.stats.deliveries += 1
         published = self._published_at.get(key)
         if published is not None and self.clock.now > published:
@@ -495,16 +572,20 @@ class GossipService:
     # -- convergence ---------------------------------------------------------
 
     def converged(self) -> bool:
-        """All nodes know the same item set."""
-        sets = [frozenset(k) for k in self._known.values()]
-        return all(s == sets[0] for s in sets[1:]) if sets else True
+        """Every node knows every item of the groups it holds."""
+        return not any(self.missing_counts().values())
 
     def missing_counts(self) -> Dict[int, int]:
-        """Per node: how many globally-known items it has not yet seen."""
-        universe = set()
+        """Per node: how many globally known items of the groups it
+        holds it has not yet seen."""
+        universe: Dict[object, Set[object]] = {}
         for known in self._known.values():
-            universe |= set(known)
+            for key, item in known.items():
+                universe.setdefault(group_of(item), set()).add(key)
         return {
-            n: len(universe) - len(known)
+            n: sum(
+                len(keys) for group, keys in universe.items()
+                if self._holds(n, group)
+            ) - len(known)
             for n, known in self._known.items()
         }

@@ -36,9 +36,6 @@ from .host import NodeHost
 from .node import ShardNode
 from .sync import SyncManager
 
-#: direct log-exchange rounds ``quiesce`` allows before giving up.
-QUIESCE_ROUNDS = 10
-
 
 @dataclass
 class ClusterConfig:
@@ -223,12 +220,7 @@ class ShardCluster:
         node knows every update (models post-healing anti-entropy)."""
         self.broadcast.stop_anti_entropy()
         self.sim.run()
-        rounds = 0
-        while not self.broadcast.converged():
-            self.broadcast.exchange_all()
-            rounds += 1
-            if rounds > QUIESCE_ROUNDS:
-                raise RuntimeError("cluster failed to converge")
+        self.broadcast.settle()
 
     # -- counters -------------------------------------------------------------------
 

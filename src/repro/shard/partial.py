@@ -18,14 +18,12 @@ This module implements exactly that discipline:
 * updates are disseminated only to the object's holders — flooding to
   holders, and anti-entropy between *sharing* peers — so bandwidth
   scales with replication degree, not cluster size;
-* anti-entropy runs the gossip subsystem's push–pull delta protocol
-  over per-object digests (cells are tagged with the object key as
-  their *group*, and each exchange is restricted to the objects both
-  peers hold), floods are single-record rumors carrying a shared-groups
-  digest, and received records are causally gated on their per-object
-  seen-sets (each node's ``CausalBuffer`` reads its ``records_held``
-  directly; the ``(object, txid)`` dependency set is built once per
-  offered record);
+* dissemination is the one :class:`~repro.gossip.GossipService` full
+  replication uses, with each node attached for the objects it holds
+  (an object key is its records' gossip *group*): rumors, the push–pull
+  delta protocol and causal gating on each record's per-object seen-set
+  all run there, restricted to the objects the peers share; the cluster
+  adds only receipt-time clock observation and the summary piggyback;
 * per object, everything reduces to the fully-replicated theory: the
   extracted per-object executions satisfy the prefix subsequence
   condition, and all of the paper's per-constraint results apply
@@ -35,30 +33,20 @@ This module implements exactly that discipline:
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Dict, FrozenSet, Optional, Tuple
 
 from ..core.execution import TimedExecution
 from ..core.state import State
 from ..core.transaction import Transaction
-from ..gossip import (
-    CausalBuffer,
-    DeltaStats,
-    DigestIndex,
-    ExchangeEngine,
-    PeerScheduler,
-    RangeDigest,
-    differing_cells,
-)
-from ..network.link import DelayModel, FixedDelay
+from ..gossip import GossipConfig, GossipService, GossipStats, carried_records
+from ..network.link import FixedDelay
 from ..network.network import Network
 from ..network.partition import PartitionSchedule
-from ..replica import EngineFactory, LamportClock, Replica, UpdateRecord
+from ..replica import LamportClock, Replica, Timestamp, UpdateRecord
 from ..sim.engine import Simulator
-from ..sim.metrics import WireStats
 from ..sim.rng import SeededStreams
-from .cluster import QUIESCE_ROUNDS
 from .external import ExternalLedger
 from .history import extract_execution
 
@@ -72,33 +60,35 @@ class KeyedRecord:
     key: ObjectKey
     record: UpdateRecord
 
+    @property
+    def group(self) -> ObjectKey:
+        return self.key
+
+    @property
+    def ts(self) -> Timestamp:
+        return self.record.ts
+
+
+def _seen_txids(txid: int, keyed: KeyedRecord):
+    """Per-object causal gating: a txid belongs to exactly one object,
+    so the record's seen-set is its dependency set as it stands."""
+    return keyed.record.seen_txids
+
 
 @dataclass
 class PartialConfig:
     #: node id -> the object keys replicated there.
     placement: Dict[int, FrozenSet[ObjectKey]]
     seed: int = 0
-    delay: Optional[DelayModel] = None
     partitions: Optional[PartitionSchedule] = None
-    loss_probability: float = 0.0
     anti_entropy_interval: float = 5.0
     flood: bool = True
-    merge_factory: Optional[EngineFactory] = None
     #: optional summary function (Section 6: "data ... present in summary
     #: form"): substate -> an opaque summary value.  When set, every
     #: message additionally carries the sender's summaries of the objects
     #: it holds, and receivers cache them for objects they do NOT hold
-    #: (read via PartialNode.summary / PartialCluster.summaries).
+    #: (read via PartialNode.summary / PartialCluster.summary_view).
     summarize: Optional[Callable[[State], object]] = None
-
-
-@dataclass
-class PartialStats:
-    flood_messages: int = 0
-    anti_entropy_messages: int = 0
-    items_carried: int = 0
-    delta: DeltaStats = field(default_factory=DeltaStats)
-    wire: WireStats = field(default_factory=WireStats)
 
 
 class PartialNode:
@@ -109,7 +99,6 @@ class PartialNode:
         node_id: int,
         keys: FrozenSet[ObjectKey],
         initial_substates: Dict[ObjectKey, State],
-        merge_factory: Optional[EngineFactory],
         ledger: ExternalLedger,
     ):
         self.node_id = node_id
@@ -117,15 +106,9 @@ class PartialNode:
         self.clock = LamportClock(node_id)
         #: one replica (canonical log + merge view) per object held.
         self.replicas: Dict[ObjectKey, Replica] = {
-            k: Replica(initial_substates[k], engine_factory=merge_factory)
-            for k in keys
+            k: Replica(initial_substates[k]) for k in keys
         }
         self.ledger = ledger
-        #: digest over every held object's log; cells are grouped by
-        #: object key so exchanges can be restricted to shared objects.
-        self.index = DigestIndex()
-        #: (object key, txid) -> record, for delta-protocol lookups.
-        self.records_held: Dict[Tuple[ObjectKey, int], UpdateRecord] = {}
         #: stale summaries of objects this node does NOT hold:
         #: key -> (as-of simulated time, summary value).
         self.summaries: Dict[ObjectKey, Tuple[float, object]] = {}
@@ -134,11 +117,6 @@ class PartialNode:
     def logs(self):
         """The canonical per-object logs (view over the replicas)."""
         return {k: replica.log for k, replica in self.replicas.items()}
-
-    @property
-    def merges(self):
-        """The per-object merge views (stats live here)."""
-        return {k: replica.engine for k, replica in self.replicas.items()}
 
     def substate(self, key: ObjectKey) -> State:
         return self.replicas[key].state
@@ -166,7 +144,7 @@ class PartialNode:
             real_time=now,
             seen_txids=self.known_txids(key),
         )
-        self._insert(key, record)
+        self.replicas[key].ingest(record)
         return KeyedRecord(key, record)
 
     def receive(self, keyed: KeyedRecord) -> bool:
@@ -174,24 +152,13 @@ class PartialNode:
         self.clock.observe(keyed.record.ts)
         if keyed.key not in self.keys:
             return False
-        return self._insert(keyed.key, keyed.record)
+        return self.replicas[keyed.key].ingest(keyed.record) is not None
 
-    def _insert(self, key: ObjectKey, record: UpdateRecord) -> bool:
-        accepted = self.replicas[key].ingest(record) is not None
-        if accepted:
-            self.index.add(
-                record.txid,
-                (record.ts.counter, record.ts.node_id),
-                group=key,
-            )
-            self.records_held[(key, record.txid)] = record
-        return accepted
-
-    def _deliver(
-        self, held_key: Tuple[ObjectKey, int], record: UpdateRecord
-    ) -> None:
-        """Release from the causal buffer (keyed like ``records_held``)."""
-        self._insert(held_key[0], record)
+    def receive_batch(self, batch) -> None:
+        """One gossip delivery batch of ``(txid, keyed record)`` pairs,
+        merged one record at a time in delivery order."""
+        for _txid, keyed in batch:
+            self.receive(keyed)
 
     def accept_summary(
         self, key: ObjectKey, as_of: float, value: object
@@ -210,83 +177,10 @@ class PartialNode:
         return entry[1] if entry else None
 
 
-class _PartialStore:
-    """Store adapter driving the gossip engine over per-object groups.
-
-    Every digest (and diff) is restricted to the objects *both* peers
-    hold — non-shared objects are invisible to the exchange, which is
-    how "bandwidth scales with replication degree" survives the move to
-    delta gossip.  Summaries (Section 6) ride as the protocol's
-    ``extra`` payloads on SYN/ACK/rumor messages.
-    """
-
-    def __init__(self, cluster: "PartialCluster"):
-        self.cluster = cluster
-
-    def _shared(self, node: int, peer: int) -> FrozenSet[ObjectKey]:
-        nodes = self.cluster.nodes
-        if peer not in nodes:
-            return frozenset()
-        return nodes[node].keys & nodes[peer].keys
-
-    def digest_for(self, node: int, peer: int) -> RangeDigest:
-        return self.cluster.nodes[node].index.digest(
-            groups=self._shared(node, peer)
-        )
-
-    def diff(self, node: int, remote: RangeDigest, peer: int) -> Tuple:
-        return differing_cells(
-            self.cluster.nodes[node].index,
-            remote,
-            groups=self._shared(node, peer),
-        )
-
-    def keys_in(self, node: int, cell: Tuple):
-        return self.cluster.nodes[node].index.keys_in(cell)
-
-    def has(self, node: int, group: ObjectKey, key: int) -> bool:
-        pnode = self.cluster.nodes[node]
-        if group not in pnode.keys:
-            return False
-        if (group, key) in pnode.records_held:
-            return True
-        return (group, key) in self.cluster._buffers[node]
-
-    def item_for(self, node: int, group: ObjectKey, key: int) -> UpdateRecord:
-        pnode = self.cluster.nodes[node]
-        record = pnode.records_held.get((group, key))
-        if record is not None:
-            return record
-        return self.cluster._buffers[node].peek((group, key))
-
-    def merge(self, node: int, wire_items) -> None:
-        pnode = self.cluster.nodes[node]
-        buffer = self.cluster._buffers[node]
-        for group, txid, record in wire_items:
-            pnode.clock.observe(record.ts)
-            if group in pnode.keys:
-                # gate on the record's per-object seen-set so each
-                # replica's log stays causally closed under delta gossip
-                # (a held or buffered record never runs the generator).
-                buffer.offer(
-                    (group, txid),
-                    record,
-                    ((group, dep) for dep in record.seen_txids),
-                )
-
-    def extra_for(self, node: int, peer: int):
-        return self.cluster._summaries_from(node) or None
-
-    def accept_extra(self, node: int, src: int, extra) -> None:
-        if not extra:
-            return
-        pnode = self.cluster.nodes[node]
-        for key, as_of, value in extra:
-            pnode.accept_summary(key, as_of, value)
-
-
 class PartialCluster:
-    """A partially replicated SHARD deployment."""
+    """A partially replicated SHARD deployment: one gossip service whose
+    nodes attach with their placements, plus routing, summaries and
+    per-object history."""
 
     def __init__(
         self,
@@ -305,48 +199,50 @@ class PartialCluster:
         self.streams = SeededStreams(config.seed)
         self.network = Network(
             self.sim,
-            delay=config.delay or FixedDelay(1.0),
+            delay=FixedDelay(1.0),
             partitions=config.partitions or PartitionSchedule.always_connected(),
-            loss_probability=config.loss_probability,
             rng=self.streams.stream("network"),
         )
+        self.broadcast = GossipService(
+            self.sim,
+            self.network,
+            GossipConfig(
+                flood=config.flood,
+                anti_entropy_interval=config.anti_entropy_interval,
+            ),
+            rng=self.streams.stream("gossip"),
+        )
+        self.broadcast.depends_on = _seen_txids
+        if config.summarize is not None:
+            self.broadcast.extras = self._summaries_from
+            self.broadcast.on_extras = self._accept_summaries
+        self.stats: GossipStats = self.broadcast.stats
         self.ledger = ExternalLedger()
-        self.stats = PartialStats()
         self.nodes: Dict[int, PartialNode] = {}
-        self._buffers: Dict[int, CausalBuffer] = {}
         for node_id, keys in sorted(config.placement.items()):
             node = PartialNode(
-                node_id, frozenset(keys), self.initial_substates,
-                config.merge_factory, self.ledger,
+                node_id, frozenset(keys), self.initial_substates, self.ledger
             )
             self.nodes[node_id] = node
-            self._buffers[node_id] = CausalBuffer(
-                node.records_held, node._deliver
+            self.broadcast.attach(
+                node_id, node.receive_batch, groups=node.keys
             )
+            self.network.register(node_id, partial(self._dispatch, node_id))
         self._next_txid = 0
         self.records: Dict[int, KeyedRecord] = {}
-        self.scheduler = PeerScheduler(
-            self.streams.stream("gossip"),
-            base_backoff=config.anti_entropy_interval,
-        )
-        self.engine = ExchangeEngine(
-            self.sim,
-            lambda src, dst, payload: self.network.send(src, dst, payload),
-            _PartialStore(self),
-            self.scheduler,
-            self.stats.delta,
-            self.stats.wire,
-            count_records=self._count_records,
-        )
-        for node_id in self.nodes:
-            self.network.register(node_id, partial(self.engine.handle, node_id))
-        self._anti_entropy_stopped = False
-        self._start_anti_entropy()
+        self.broadcast.start_anti_entropy()
 
-    def _count_records(self, n: int) -> None:
-        self.stats.items_carried += n
+    def _dispatch(self, node_id: int, src: int, payload: Tuple) -> None:
+        """Observe at receipt: the node's Lamport clock passes every
+        record a rumor or DELTA carries before the service gates it, so
+        a record still waiting in the causal buffer already bounds the
+        next timestamp issued here."""
+        clock = self.nodes[node_id].clock
+        for keyed in carried_records(payload):
+            clock.observe(keyed.ts)
+        self.broadcast.receive(node_id, payload, src=src)
 
-    # -- topology helpers ---------------------------------------------------
+    # -- topology helpers --------------------------------------------------
 
     def holders(self, key: ObjectKey) -> Tuple[int, ...]:
         return tuple(
@@ -363,60 +259,21 @@ class PartialCluster:
             if other != node_id and node.keys & mine
         )
 
-    # -- dissemination --------------------------------------------------------
+    # -- summaries ---------------------------------------------------------
 
-    def _summaries_from(self, node_id: int) -> Tuple:
+    def _summaries_from(self, node_id: int, peer: int) -> Optional[Tuple]:
         """Summaries of every object the sender holds, stamped now."""
-        if self.config.summarize is None:
-            return ()
         node = self.nodes[node_id]
         return tuple(
             (key, self.sim.now, self.config.summarize(node.substate(key)))
             for key in sorted(node.keys)
-        )
+        ) or None
 
-    def _start_anti_entropy(self) -> None:
-        interval = self.config.anti_entropy_interval
-        for i, node_id in enumerate(sorted(self.nodes)):
-            offset = interval * (i + 1) / (len(self.nodes) + 1)
-            self.sim.schedule(offset, self._make_gossip_tick(node_id))
+    def _accept_summaries(self, node_id: int, src: int, extra) -> None:
+        for key, as_of, value in extra or ():
+            self.nodes[node_id].accept_summary(key, as_of, value)
 
-    def _make_gossip_tick(self, node_id: int) -> Callable[[], None]:
-        def tick() -> None:
-            if self._anti_entropy_stopped:
-                return
-            self._gossip_once(node_id)
-            self.sim.schedule(
-                self.config.anti_entropy_interval,
-                self._make_gossip_tick(node_id),
-            )
-
-        return tick
-
-    def _gossip_once(self, node_id: int) -> None:
-        if self.config.summarize is not None:
-            # with summaries on, gossip reaches every peer (summaries are
-            # the cross-placement information channel).
-            peers = tuple(n for n in sorted(self.nodes) if n != node_id)
-        else:
-            peers = self.sharing_peers(node_id)
-        if not peers:
-            return
-        for peer in self.scheduler.pick(node_id, peers, self.sim.now):
-            self.stats.anti_entropy_messages += 1
-            self.engine.initiate(node_id, peer)
-
-    def _items_for(
-        self, node_id: int, keys: FrozenSet[ObjectKey]
-    ) -> Tuple[KeyedRecord, ...]:
-        node = self.nodes[node_id]
-        return tuple(
-            KeyedRecord(key, record)
-            for key in sorted(keys)
-            for record in node.replicas[key].log
-        )
-
-    # -- submission --------------------------------------------------------------
+    # -- submission --------------------------------------------------------
 
     def submit(
         self,
@@ -436,25 +293,7 @@ class PartialCluster:
                 txid, key, transaction, self.sim.now
             )
             self.records[txid] = keyed
-            if self.config.flood:
-                # rumor mongering: the new record plus a digest of the
-                # shared objects (digest-mismatch triggers a repair
-                # pull); causal gating at receivers stands in for the
-                # full-log piggyback's per-object transitivity.
-                record = keyed.record
-                for holder in self.holders(key):
-                    if holder != node_id:
-                        self.stats.flood_messages += 1
-                        self.engine.send_rumor(
-                            node_id,
-                            holder,
-                            ((key, record.txid, record),),
-                            self.nodes[node_id].index.digest(
-                                groups=self.nodes[node_id].keys
-                                & self.nodes[holder].keys
-                            ),
-                            extra=self._summaries_from(node_id) or None,
-                        )
+            self.broadcast.publish(node_id, txid, keyed)
 
         self.sim.schedule_at(self.sim.now if at is None else at, fire)
 
@@ -473,36 +312,19 @@ class PartialCluster:
         self.submit(node_id, key, transaction, at=at)
         return node_id
 
-    # -- running / convergence -------------------------------------------------------
+    # -- running / convergence ---------------------------------------------
 
     def run(self, until: Optional[float] = None) -> None:
         self.sim.run(until=until)
 
     def converged(self) -> bool:
         """Every object's holders agree on its log."""
-        for key in self.initial_substates:
-            holders = self.holders(key)
-            if not holders:
-                continue
-            reference = self.nodes[holders[0]].known_txids(key)
-            for other in holders[1:]:
-                if self.nodes[other].known_txids(key) != reference:
-                    return False
-        return True
+        return self.broadcast.converged()
 
     def quiesce(self) -> None:
-        self._anti_entropy_stopped = True
+        self.broadcast.stop_anti_entropy()
         self.sim.run()
-        for _ in range(QUIESCE_ROUNDS):
-            if self.converged():
-                return
-            for node_id in sorted(self.nodes):
-                for peer in self.sharing_peers(node_id):
-                    shared = self.nodes[node_id].keys & self.nodes[peer].keys
-                    for keyed in self._items_for(node_id, shared):
-                        self.nodes[peer].receive(keyed)
-        if not self.converged():
-            raise RuntimeError("partial cluster failed to converge")
+        self.broadcast.settle()
 
     def mutually_consistent(self) -> bool:
         """Holders of each object hold identical substates when their
@@ -533,7 +355,7 @@ class PartialCluster:
                 view[key] = node.summary(key)
         return view
 
-    # -- history -------------------------------------------------------------------------
+    # -- history -----------------------------------------------------------
 
     def extract_execution(
         self, key: ObjectKey, verify: bool = True

@@ -1,6 +1,9 @@
 """Tests for the gossip service: delta protocol, gating, A/B economics."""
 
 import random
+from dataclasses import dataclass
+
+import pytest
 
 from repro.apps.banking import Deposit, INITIAL_BANK_STATE
 from repro.gossip import GossipConfig, GossipService
@@ -11,7 +14,7 @@ from repro.sim.trace import Tracer
 from tests.helpers import attach_bare
 
 
-def make_service(n=3, config=None, partitions=None, seed=0):
+def make_service(n=3, config=None, partitions=None, seed=0, holdings=None):
     sim = Simulator()
     net = Network(
         sim,
@@ -23,9 +26,21 @@ def make_service(n=3, config=None, partitions=None, seed=0):
     delivered = {i: [] for i in range(n)}
     for i in range(n):
         attach_bare(
-            service, i, lambda key, item, n=i: delivered[n].append(key)
+            service, i, lambda key, item, n=i: delivered[n].append(key),
+            groups=None if holdings is None else holdings[i],
         )
     return sim, service, delivered
+
+
+@dataclass(frozen=True)
+class Grouped:
+    """An opaque item of one group (the service reads ``group``)."""
+
+    group: str
+
+
+#: node 0 holds both groups, node 1 only "a", node 2 only "b".
+HOLDINGS = {0: {"a", "b"}, 1: {"a"}, 2: {"b"}}
 
 
 class TestDeltaProtocol:
@@ -85,6 +100,73 @@ class TestDeltaProtocol:
         service.stop_anti_entropy()
         sim.run()
         assert service.engine.open_sessions == 0
+
+
+class TestGroups:
+    def test_floods_reach_only_the_groups_holders(self):
+        sim, service, delivered = make_service(holdings=HOLDINGS)
+        service.publish(0, "ka", Grouped("a"))
+        service.publish(0, "kb", Grouped("b"))
+        service.publish(1, "ka2", Grouped("a"))
+        sim.run(until=5.0)
+        assert {n: sorted(keys) for n, keys in delivered.items()} == {
+            0: ["ka", "ka2", "kb"], 1: ["ka", "ka2"], 2: ["kb"],
+        }
+        assert service.stats.flood_messages == 3
+
+    def test_digest_restricted_only_when_the_peer_lacks_groups(self):
+        sim, service, _ = make_service(
+            config=GossipConfig(flood=False), holdings=HOLDINGS
+        )
+        service.publish(0, "ka", Grouped("a"))
+        service.publish(0, "kb", Grouped("b"))
+        service.publish(1, "ka2", Grouped("a"))
+        # node 0 holds all of node 1's groups: the cached digest itself.
+        assert service.digest_for(1, 0) is service.digest(1)
+        # node 1 lacks "b": node 0's digest towards it covers "a" only.
+        restricted = service.digest_for(0, 1)
+        assert restricted is not service.digest(0)
+        assert {group for group, *_ in restricted.cells} == {"a"}
+        assert {group for group, *_ in service.digest(0).cells} == {"a", "b"}
+        # full replication (no holdings) always gets the cached digest.
+        sim, flat, _ = make_service(config=GossipConfig(flood=False))
+        flat.publish(0, "k", "v")
+        assert flat.digest_for(0, 1) is flat.digest(0)
+
+    def test_convergence_and_exchange_count_held_groups_only(self):
+        sim, service, delivered = make_service(
+            config=GossipConfig(flood=False), holdings=HOLDINGS
+        )
+        service.publish(0, "ka", Grouped("a"))
+        service.publish(0, "kb", Grouped("b"))
+        assert service.missing_counts() == {0: 0, 1: 1, 2: 1}
+        assert not service.converged()
+        service.exchange_all()
+        # nobody counts or receives a foreign group's item.
+        assert service.missing_counts() == {0: 0, 1: 0, 2: 0}
+        assert service.converged()
+        assert delivered == {0: ["ka", "kb"], 1: ["ka"], 2: ["kb"]}
+
+    @pytest.mark.parametrize("extras", [False, True])
+    def test_anti_entropy_picks_only_sharing_peers_unless_extras(
+        self, extras
+    ):
+        sim, service, _ = make_service(
+            config=GossipConfig(anti_entropy_interval=1.0),
+            holdings={0: {"a"}, 1: {"b"}, 2: {"a"}},
+        )
+        pairs = set()
+        service.on_event = lambda kind, node, peer=None, **_: (
+            pairs.add(frozenset((node, peer))) if kind == "gossip_syn"
+            else None
+        )
+        if extras:
+            service.extras = lambda node, peer: None
+        service.start_anti_entropy()
+        sim.run(until=30.0)
+        lonely = {frozenset((0, 1)), frozenset((1, 2))}
+        assert frozenset((0, 2)) in pairs
+        assert bool(pairs & lonely) == extras
 
 
 class TestCausalGating:

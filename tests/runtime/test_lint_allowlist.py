@@ -102,3 +102,35 @@ def test_the_app_registry_is_the_one_table_and_unset_options_stay_gone():
     ]
     assert offenders == []
     assert "apps.airline" not in (root / "runtime" / "wire.py").read_text()
+
+
+def _called_name(call):
+    return getattr(call.func, "id", None) or getattr(call.func, "attr", None)
+
+
+def test_one_gossip_service_builds_the_dissemination_machinery():
+    """Partial replication runs on the one ``GossipService``: its store
+    adapter, its stats, the flat store and the documentation-only store
+    class were deleted, not wrapped, and the exchange engine, peer
+    scheduler, digest index and causal buffer are each constructed in
+    exactly one place (the CI grep step holds the same line)."""
+    retired = ("_PartialStore", "_FlatStore", "GossipStore", "PartialStats")
+    built = ("ExchangeEngine", "PeerScheduler", "DigestIndex", "CausalBuffer")
+    root = Path(repro.__file__).parent
+    offenders = []
+    sites = {name: [] for name in built}
+    for path in sorted(root.rglob("*.py")):
+        text = path.read_text()
+        where = str(path.relative_to(root))
+        offenders += [(where, name) for name in retired if name in text]
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, ast.Call) and _called_name(node) in sites:
+                sites[_called_name(node)].append(where)
+            if (
+                isinstance(node, ast.ImportFrom)
+                and (node.module or "").endswith("cluster")
+                and any(a.name == "QUIESCE_ROUNDS" for a in node.names)
+            ):
+                offenders.append((where, "QUIESCE_ROUNDS from cluster"))
+    assert offenders == []
+    assert sites == {name: ["gossip/service.py"] for name in built}

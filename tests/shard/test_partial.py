@@ -85,6 +85,32 @@ class TestDissemination:
         assert cluster.nodes[0].substate("f1").is_known("A")
 
 
+class TestReceiptTimeObservation:
+    def test_buffered_rumor_still_raises_the_next_timestamp(self):
+        """A rumor whose dependency is missing waits in the causal
+        buffer, yet its timestamp already bounds what the receiver issues
+        next: partial nodes observe records at receipt, not delivery."""
+        cluster = PartialCluster(
+            {"f1": AirlineState()},
+            PartialConfig(
+                placement={0: frozenset({"f1"}), 1: frozenset({"f1"})},
+                partitions=PartitionSchedule.split(0, 5, [0], [1]),
+                anti_entropy_interval=1000.0,
+            ),
+        )
+        cluster.submit(0, "f1", Request("A"), at=1.0)  # flood lost
+        cluster.submit(0, "f1", Request("B"), at=6.0)  # B has seen A
+        cluster.submit(1, "f1", Request("C"), at=7.2)
+        cluster.run(until=7.5)
+        rumored = cluster.records[1].record
+        assert rumored.seen_txids == {0}
+        assert rumored.txid not in cluster.nodes[1].known_txids("f1")
+        assert cluster.broadcast.has(1, "f1", rumored.txid)  # buffered
+        assert cluster.records[2].record.ts > rumored.ts
+        cluster.quiesce()
+        cluster.extract_execution("f1").validate()
+
+
 class TestPerObjectExecutions:
     def test_extracted_executions_validate_per_object(self):
         cluster = two_flight_cluster()

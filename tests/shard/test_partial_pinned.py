@@ -1,0 +1,148 @@
+"""Partial replication pinned end to end: one digest over a grid of runs.
+
+Every observable a partially replicated run produces is folded into one
+sha256: the flood, anti-entropy and items-carried counters with every
+delta-protocol and wire counter; each node's per-object log; each
+replica's merge statistics; each object's extracted prefixes, deficits
+and final state; and each node's cache of foreign-object summaries,
+mid-run and at the end.  The grid crosses three placements with two
+seeds, summaries on/off, one partition on/off and flooding on/off.
+
+The constant moves only when partial replication's behaviour does — a
+refactor of how the cluster is wired must leave it alone.  It does move
+if nodes observe a record's timestamp at delivery instead of at receipt
+(the partitioned, flooding runs issue different timestamps).
+"""
+
+import dataclasses
+import hashlib
+import itertools
+import random
+
+from repro.apps.airline import AirlineState, Cancel, MoveUp, Request
+from repro.network import PartitionSchedule
+from repro.shard.partial import PartialCluster, PartialConfig
+
+OBJECTS = ("f1", "f2", "f3")
+CAPACITY = 3
+
+PLACEMENTS = {
+    "chain": {0: {"f1"}, 1: {"f1", "f2"}, 2: {"f2", "f3"}, 3: {"f3"}},
+    "everything": {n: set(OBJECTS) for n in range(3)},
+    "mix": {
+        0: {"f1", "f2"},
+        1: {"f2", "f3"},
+        2: {"f1", "f3"},
+        3: {"f1", "f2", "f3"},
+    },
+}
+
+PINNED_DIGEST = (
+    "cfaee2ef8559cb879d5903591c5fb322002564c8c5c4452ecf71864316b50017"
+)
+
+
+def summarize(state):
+    return (state.al, state.wl)
+
+
+def drive(placement, seed, summaries, partition, flood):
+    """One seeded run: REQUEST/MOVE_UP/CANCEL traffic routed to holders
+    from before the partition until well after it heals (so rumors meet
+    causal gaps), a mid-run snapshot of the summary caches, then run and
+    quiesce."""
+    nodes = sorted(placement)
+    cluster = PartialCluster(
+        {key: AirlineState() for key in OBJECTS},
+        PartialConfig(
+            placement={n: frozenset(keys) for n, keys in placement.items()},
+            seed=seed,
+            partitions=(
+                PartitionSchedule.split(6, 20, nodes[:2], nodes[2:])
+                if partition else None
+            ),
+            anti_entropy_interval=3.0,
+            flood=flood,
+            summarize=summarize if summaries else None,
+        ),
+    )
+    rng = random.Random(seed)
+    people = {key: [] for key in OBJECTS}
+    for i in range(60):
+        key = rng.choice(OBJECTS)
+        roll = rng.random()
+        if roll < 0.3:
+            transaction = MoveUp(CAPACITY)
+        elif roll < 0.45 and people[key]:
+            transaction = Cancel(rng.choice(people[key]))
+        else:
+            person = f"{key}-P{i}"
+            people[key].append(person)
+            transaction = Request(person)
+        cluster.route_submit(key, transaction, rng, at=0.5 * i)
+    cluster.run(until=12.0)
+    mid = summary_caches(cluster)
+    cluster.run(until=60.0)
+    cluster.quiesce()
+    return cluster, mid
+
+
+def summary_caches(cluster):
+    return tuple(
+        (n, tuple(sorted(node.summaries.items())))
+        for n, node in sorted(cluster.nodes.items())
+    )
+
+
+def fields(obj):
+    return tuple(
+        (f.name, getattr(obj, f.name)) for f in dataclasses.fields(obj)
+    )
+
+
+def observables(cluster, mid):
+    stats = cluster.stats
+    out = [
+        ("counters", stats.flood_messages, stats.anti_entropy_messages,
+         stats.items_carried),
+        ("delta", fields(stats.delta)),
+        ("wire", fields(stats.wire)),
+    ]
+    for n, node in sorted(cluster.nodes.items()):
+        for key, replica in sorted(node.replicas.items()):
+            out.append((
+                "log", n, key,
+                tuple(
+                    (r.ts.counter, r.ts.node_id, r.txid)
+                    for r in replica.log
+                ),
+            ))
+            out.append(("merge", n, key, fields(replica.stats)))
+    for key in OBJECTS:
+        e = cluster.extract_execution(key)
+        out.append((
+            "execution", key, e.prefixes,
+            tuple(e.deficit(i) for i in e.indices),
+            repr(e.final_state),
+        ))
+    out.append(("summaries", mid, summary_caches(cluster)))
+    return out
+
+
+def grid_digest():
+    digest = hashlib.sha256()
+    for label, seed, summaries, partition, flood in itertools.product(
+        sorted(PLACEMENTS), (0, 1), (False, True), (False, True),
+        (False, True),
+    ):
+        cluster, mid = drive(
+            PLACEMENTS[label], seed, summaries, partition, flood
+        )
+        assert cluster.converged() and cluster.mutually_consistent()
+        run = (label, seed, summaries, partition, flood)
+        digest.update(repr((run, observables(cluster, mid))).encode())
+    return digest.hexdigest()
+
+
+def test_partial_replication_grid_is_pinned():
+    assert grid_digest() == PINNED_DIGEST
