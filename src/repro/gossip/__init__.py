@@ -5,9 +5,10 @@ anti-entropy with piggybacked knowledge — is preserved, but instead of
 shipping each node's entire known set every round, nodes exchange
 compact timestamp-range digests and reconcile only the ranges that
 differ.  See :mod:`repro.gossip.digest` for the summaries,
-:mod:`repro.gossip.protocol` for the push–pull delta exchange,
-:mod:`repro.gossip.scheduler` for partition-aware peer selection and
-:mod:`repro.gossip.service` for the node-facing service.
+:mod:`repro.gossip.protocol` for the exchange's message vocabulary and
+the causal gate, :mod:`repro.gossip.scheduler` for partition-aware peer
+selection and :mod:`repro.gossip.service` for the one service that runs
+floods and the SYN/ACK/DELTA exchange over the node data it owns.
 """
 
 from .digest import (
@@ -25,7 +26,6 @@ from .protocol import (
     GOSSIP_SYN,
     CausalBuffer,
     DeltaStats,
-    ExchangeEngine,
     carried_records,
 )
 from .scheduler import PeerScheduler, SchedulerStats
@@ -44,7 +44,6 @@ __all__ = [
     "GOSSIP_SYN",
     "CausalBuffer",
     "DeltaStats",
-    "ExchangeEngine",
     "carried_records",
     "PeerScheduler",
     "SchedulerStats",

@@ -36,9 +36,12 @@ only peers sharing a group; digests and diffs are restricted to the
 shared groups only when the peer lacks some of the sender's, so full
 replication keeps one cached digest per node.
 
-The receive path reads top to bottom — payload → ``_merge`` → gate →
-``_deliver_one`` → the node's batch callback — over data the service
-owns, and the service is the store its ``ExchangeEngine`` reads.  The
+The receive path reads top to bottom — :meth:`GossipService.receive`
+picks the handler for the payload's kind, every record it carries goes
+through ``_merge`` → gate → ``_deliver_one`` → the node's batch
+callback — and the digest exchange (``_initiate`` → ``_on_syn`` →
+``_on_ack`` → ``_on_delta``, see :mod:`repro.gossip.protocol`) reads
+the same per-node known sets, digest indexes and causal buffers.  The
 owner answers the rest through hooks: ``depends_on(key, item)`` (the
 keys to deliver after; enables gating), ``on_event(kind, node,
 **detail)`` (tracing), ``active_filter(node)`` (False for crashed
@@ -61,10 +64,13 @@ from ..ports import Clock, Rng, Transport
 from ..sim.metrics import WireStats
 from .digest import DigestIndex, RangeDigest, differing_cells, fingerprint
 from .protocol import (
-    GOSSIP_KINDS,
+    GOSSIP_ACK,
+    GOSSIP_DELTA,
+    GOSSIP_RUMOR,
+    GOSSIP_SYN,
+    REPAIR_COOLDOWN,
     CausalBuffer,
     DeltaStats,
-    ExchangeEngine,
     WireItem,
 )
 from .scheduler import PeerScheduler
@@ -149,6 +155,8 @@ class GossipService:
         self.config = config or GossipConfig()
         if self.config.mode not in ("digest", "full"):
             raise ValueError(f"unknown gossip mode {self.config.mode!r}")
+        if self.config.ack_timeout <= 0:
+            raise ValueError("ack timeout must be positive")
         # seeded-instance default: peer choice must never touch the
         # module-global random (reproducibility satellite).
         self.rng = rng if rng is not None else random.Random(0)
@@ -189,26 +197,31 @@ class GossipService:
             base_backoff=self.config.anti_entropy_interval,
             max_backoff_factor=self.config.max_backoff_factor,
         )
-        self.engine = ExchangeEngine(
-            clock,
-            transport.send,
-            self,
-            self.scheduler,
-            self.stats.delta,
-            self.stats.wire,
-            ack_timeout=self.config.ack_timeout,
-            count_records=self._count_records,
-            trace=self._trace,
-        )
+        #: open digest exchanges: SYN id -> (node, peer, timeout handle).
+        self._sessions: Dict[int, Tuple[int, int, object]] = {}
+        self._next_syn = 0
+        #: directed pair -> clock time of its last rumor-triggered pull.
+        self._last_repair: Dict[Tuple[int, int], float] = {}
+        self._handlers = {
+            "items": self._on_items,
+            GOSSIP_SYN: self._on_syn,
+            GOSSIP_ACK: self._on_ack,
+            GOSSIP_DELTA: self._on_delta,
+            GOSSIP_RUMOR: self._on_rumor,
+        }
 
     # -- plumbing ---------------------------------------------------------
-
-    def _count_records(self, n: int) -> None:
-        self.stats.items_carried += n
 
     def _trace(self, kind: str, node: int, **detail) -> None:
         if self.on_event is not None:
             self.on_event(kind, node, **detail)
+
+    def _extras_for(self, node_id: int, peer: int) -> object:
+        return None if self.extras is None else self.extras(node_id, peer)
+
+    def _receive_extras(self, node_id: int, src: int, extra: object) -> None:
+        if self.on_extras is not None:
+            self.on_extras(node_id, src, extra)
 
     def _is_active(self, node_id: int) -> bool:
         return self.active_filter is None or self.active_filter(node_id)
@@ -300,13 +313,10 @@ class GossipService:
         ``src`` is required for the digest protocol kinds (the exchange
         replies to its peer); legacy ``"items"`` payloads ignore it.
         """
-        kind = payload[0]
-        if kind == "items":
-            self._merge(node_id, payload[1])
-        elif kind in GOSSIP_KINDS:
-            self.engine.handle(node_id, src, payload)
-        else:
-            raise ValueError(f"unknown broadcast payload kind {kind!r}")
+        handler = self._handlers.get(payload[0])
+        if handler is None:
+            raise ValueError(f"unknown broadcast payload kind {payload[0]!r}")
+        handler(node_id, src, payload)
 
     def known_items(self, node_id: int) -> Tuple:
         """Snapshot of (key, item) pairs known at ``node_id``."""
@@ -331,38 +341,18 @@ class GossipService:
     def known_keys(self, node_id: int) -> Tuple:
         return tuple(self._known[node_id])
 
-    # -- the exchange engine's store ---------------------------------------
+    @property
+    def open_sessions(self) -> int:
+        """Digest exchanges still waiting for their ACK."""
+        return len(self._sessions)
 
     def digest_for(self, node_id: int, peer: int) -> RangeDigest:
+        """``node_id``'s digest as sent to ``peer`` (see ``_scope``)."""
         return self._index[node_id].digest(self._scope(node_id, peer))
 
-    def diff(self, node_id: int, remote: RangeDigest, peer: int) -> Tuple:
-        return differing_cells(
-            self._index[node_id], remote, self._scope(node_id, peer)
-        )
-
-    def keys_in(self, node_id: int, cell: Tuple):
-        return self._index[node_id].keys_in(cell)
-
-    def has(self, node_id: int, group: object, key: object) -> bool:
+    def has(self, node_id: int, key: object) -> bool:
         """Delivered at ``node_id`` or waiting in its causal buffer."""
         return key in self._known[node_id] or key in self._buffers[node_id]
-
-    def item_for(self, node_id: int, group: object, key: object) -> object:
-        known = self._known[node_id]
-        if key in known:
-            return known[key]
-        return self._buffers[node_id].peek(key)
-
-    def merge_wire(self, node_id: int, wire_items: Iterable[WireItem]) -> None:
-        self._merge(node_id, [(key, item) for _g, key, item in wire_items])
-
-    def extra_for(self, node_id: int, peer: int) -> object:
-        return None if self.extras is None else self.extras(node_id, peer)
-
-    def accept_extra(self, node_id: int, src: int, extra: object) -> None:
-        if self.on_extras is not None:
-            self.on_extras(node_id, src, extra)
 
     # -- digest views (used by the synchronized pull path) ----------------
 
@@ -417,12 +407,20 @@ class GossipService:
             # rumor mongering: the new record plus (with piggyback) a
             # digest of the sender's set, instead of the set itself.
             piggyback = self.config.piggyback
+            stats = self.stats
+            items = ((key, item),)
             for dst in targets:
-                self.stats.flood_messages += 1
+                stats.flood_messages += 1
                 digest = self.digest_for(node_id, dst) if piggyback else None
-                self.engine.send_rumor(
-                    node_id, dst, ((group, key, item),), digest,
-                    extra=self.extra_for(node_id, dst),
+                extra = self._extras_for(node_id, dst)
+                stats.items_carried += 1
+                stats.wire.message(
+                    records=1,
+                    cells=digest.n_cells if digest is not None else 0,
+                    summaries=len(extra) if extra else 0,
+                )
+                self.transport.send(
+                    node_id, dst, (GOSSIP_RUMOR, items, digest, extra)
                 )
 
     # -- anti-entropy -------------------------------------------------------
@@ -479,7 +477,7 @@ class GossipService:
             )
             for dst in targets:
                 self.stats.anti_entropy_messages += 1
-                self.engine.initiate(node_id, dst)
+                self._initiate(node_id, dst)
 
     def trigger_anti_entropy(self, node_id: int) -> None:
         """Run one immediate anti-entropy exchange from ``node_id``
@@ -536,7 +534,150 @@ class GossipService:
                 f"gossip failed to converge in {QUIESCE_ROUNDS} rounds"
             )
 
+    # -- the digest exchange ------------------------------------------------
+
+    def _initiate(
+        self, node_id: int, peer: int, reason: str = "anti_entropy"
+    ) -> None:
+        """Open a digest exchange from ``node_id`` to ``peer``."""
+        digest = self.digest_for(node_id, peer)
+        extra = self._extras_for(node_id, peer)
+        syn_id = self._next_syn
+        self._next_syn += 1
+        handle = self.clock.schedule(
+            self.config.ack_timeout, partial(self._on_timeout, syn_id)
+        )
+        self._sessions[syn_id] = (node_id, peer, handle)
+        self.stats.delta.syns += 1
+        self.stats.wire.message(
+            cells=digest.n_cells, summaries=len(extra) if extra else 0
+        )
+        self._trace(
+            GOSSIP_SYN, node_id,
+            peer=peer, cells=digest.n_cells, reason=reason,
+        )
+        self.transport.send(node_id, peer, (GOSSIP_SYN, syn_id, digest, extra))
+
+    def _repair_pull(self, node_id: int, peer: int) -> None:
+        """A rumor-triggered pull, rate-limited per directed pair."""
+        now = self.clock.now
+        last = self._last_repair.get((node_id, peer))
+        if last is not None and now - last < REPAIR_COOLDOWN:
+            return
+        if not self.scheduler.eligible(node_id, peer, now):
+            return  # peer is backing off: wait for the probe
+        self._last_repair[(node_id, peer)] = now
+        self.stats.delta.repair_pulls += 1
+        self._initiate(node_id, peer, reason="repair")
+
+    def _on_timeout(self, syn_id: int) -> None:
+        session = self._sessions.pop(syn_id, None)
+        if session is None:
+            return
+        node_id, peer, _handle = session
+        self.stats.delta.timeouts += 1
+        self.scheduler.failure(node_id, peer, self.clock.now)
+
+    def _on_syn(self, node_id: int, src: int, payload: Tuple) -> None:
+        """Responder: answer a digest with the keys held in every cell
+        that differs (stateless; an empty ACK means in sync)."""
+        _, syn_id, digest, extra = payload
+        self._receive_extras(node_id, src, extra)
+        index = self._index[node_id]
+        cells = differing_cells(index, digest, self._scope(node_id, src))
+        ack_cells = tuple(
+            (group, lo, tuple(sorted(index.keys_in((group, lo)), key=repr)))
+            for group, lo in cells
+        )
+        reply_extra = self._extras_for(node_id, src)
+        self.stats.delta.acks += 1
+        self.stats.wire.message(
+            keys=sum(len(keys) for _, _, keys in ack_cells),
+            cells=len(ack_cells),
+            summaries=len(reply_extra) if reply_extra else 0,
+        )
+        self.transport.send(
+            node_id, src, (GOSSIP_ACK, syn_id, ack_cells, reply_extra)
+        )
+
+    def _on_ack(self, node_id: int, src: int, payload: Tuple) -> None:
+        """Initiator: close the session, then push what the peer's key
+        lists lack and want what they hold that this node lacks."""
+        _, syn_id, cells, extra = payload
+        self._receive_extras(node_id, src, extra)
+        session = self._sessions.pop(syn_id, None)
+        if session is not None:
+            session[2].cancel()
+            self.scheduler.success(node_id, src, self.clock.now)
+        index = self._index[node_id]
+        known = self._known[node_id]
+        buffer = self._buffers[node_id]
+        push: List[WireItem] = []
+        want: List[object] = []
+        for group, lo, their_keys in cells:
+            theirs = set(their_keys)
+            mine = index.keys_in((group, lo))
+            for key in sorted(mine - theirs, key=repr):
+                push.append((key, known[key]))
+            for key in sorted(theirs - mine, key=repr):
+                if key not in known and key not in buffer:
+                    want.append(key)
+        if not push and not want:
+            # in sync, or the differing keys are already known elsewhere.
+            self.stats.delta.skips += 1
+            self._trace("gossip_skip", node_id, peer=src)
+            return
+        self._send_delta(node_id, src, syn_id, tuple(push), tuple(want))
+
+    def _on_delta(self, node_id: int, src: int, payload: Tuple) -> None:
+        _, syn_id, items, want = payload
+        if items:
+            self._merge(node_id, items)
+        if want:
+            known = self._known[node_id]
+            buffer = self._buffers[node_id]
+            reply = []
+            for key in want:
+                if key in known:
+                    reply.append((key, known[key]))
+                elif key in buffer:
+                    reply.append((key, buffer.peek(key)))
+            self._send_delta(node_id, src, syn_id, tuple(reply), ())
+
+    def _send_delta(
+        self,
+        node_id: int,
+        dst: int,
+        syn_id: int,
+        items: Tuple[WireItem, ...],
+        want: Tuple,
+    ) -> None:
+        stats = self.stats
+        stats.delta.deltas += 1
+        stats.delta.delta_records += len(items)
+        stats.items_carried += len(items)
+        stats.wire.message(records=len(items), keys=len(want))
+        self._trace(
+            GOSSIP_DELTA, node_id,
+            peer=dst, pushed=len(items), wanted=len(want),
+        )
+        self.transport.send(node_id, dst, (GOSSIP_DELTA, syn_id, items, want))
+
+    def _on_rumor(self, node_id: int, src: int, payload: Tuple) -> None:
+        _, items, digest, extra = payload
+        self._receive_extras(node_id, src, extra)
+        self._merge(node_id, items)
+        if digest is not None and differing_cells(
+            self._index[node_id], digest, self._scope(node_id, src)
+        ):
+            self._repair_pull(node_id, src)
+
     # -- receipt ----------------------------------------------------------
+
+    def _on_items(self, node_id: int, src: int, payload: Tuple) -> None:
+        """A legacy full-mode flood or anti-entropy set."""
+        self._merge(node_id, payload[1])
+
 
     def _merge(self, node_id: int, items) -> None:
         known = self._known[node_id]

@@ -104,6 +104,7 @@ class NodeClient:
                     break
                 for frame in splitter.feed(chunk):
                     self._resolve(frame)
+                self.profile.absorb_splitter(splitter)
         except (OSError, ValueError) as exc:
             reason = str(exc) or type(exc).__name__
         finally:

@@ -77,12 +77,14 @@ class RuntimeProfile:
         self.decode_ns += ns
 
     def absorb_splitter(self, splitter: FrameSplitter) -> None:
-        """Fold a finished connection's splitter counters in."""
+        """Fold a splitter's counters in: after every chunk it was fed,
+        so a snapshot taken mid-connection is current, and once more
+        when its connection closes (a chunk that failed to decode)."""
         self.frames_in += splitter.frames
         self.bytes_in += splitter.bytes_in
         self.batch_frames_in += splitter.batch_frames
         self.batched_payloads_in += splitter.batched_payloads
-        # zero the source so re-absorbing a live splitter stays correct.
+        # zero the source so absorbing it again counts only what is new.
         splitter.frames = 0
         splitter.bytes_in = 0
         splitter.batch_frames = 0

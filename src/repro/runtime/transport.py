@@ -245,6 +245,7 @@ class TcpTransport:
                     self.profile.frames_rejected += 1
                     break
                 self.profile.decoded(perf_ns() - started)
+                self.profile.absorb_splitter(splitter)
                 responses: List[str] = []
                 for frame in frames:
                     await self._dispatch_frame(frame, responses)

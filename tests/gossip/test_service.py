@@ -99,7 +99,7 @@ class TestDeltaProtocol:
         sim.run(until=50.0)
         service.stop_anti_entropy()
         sim.run()
-        assert service.engine.open_sessions == 0
+        assert service.open_sessions == 0
 
 
 class TestGroups:

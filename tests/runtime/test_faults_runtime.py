@@ -16,9 +16,11 @@ from repro.chaos.faults import (
 )
 from repro.chaos.inject import MessageFaultLayer
 from repro.network.network import NetworkStats
+from repro.runtime.client import NodeClient
 from repro.runtime.clock import RuntimeClock, wall_epoch
 from repro.runtime.config import ClusterSpec
 from repro.runtime.faults import RuntimeFaultSeam
+from repro.runtime.node import RES
 from repro.runtime.supervisor import free_ports
 from repro.runtime.transport import TcpTransport
 from repro.runtime.wire import MAX_FRAME, FrameSplitter, encode, frame_from_text
@@ -247,6 +249,43 @@ class TestRejectedFrames:
                 writer.close()
                 assert replies == [("echo", ("ping", 7))]
                 assert pair.receiver.profile.frames_rejected == 1
+
+        run(scenario())
+
+
+class TestInboundCountersAreLive:
+    """Inbound frame and byte counters move while a connection is still
+    open, on the node side and on the client side, so a ``status``
+    snapshot shows what the node has received so far."""
+
+    def test_snapshots_mid_connection_count_received_frames(self):
+        async def scenario():
+            async with TransportPair() as pair:
+                server = pair.receiver.profile
+
+                async def status(frame):
+                    return encode((RES, frame[1], True, server.snapshot()))
+
+                pair.receiver.on_request = status
+                for i in range(20):
+                    assert pair.sender.send(0, 1, ("items", (i,)))
+                assert await wait_for(lambda: len(pair.received) == 20)
+                assert server.frames_in == pair.sender.profile.frames_out
+                assert server.bytes_in == pair.sender.profile.bytes_out
+
+                client = NodeClient(*pair.spec.address(1))
+                try:
+                    first = await client.request("status")
+                    second = await client.request("status")
+                    # each snapshot already counts the request it answers.
+                    sent = pair.sender.profile.frames_out
+                    assert first["frames_in"] == sent + 1
+                    assert second["frames_in"] == first["frames_in"] + 1
+                    assert second["bytes_in"] > first["bytes_in"]
+                    assert client.profile.frames_in == 2
+                    assert client.profile.bytes_in > 0
+                finally:
+                    client.close()
 
         run(scenario())
 

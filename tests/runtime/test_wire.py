@@ -75,8 +75,8 @@ class TestRoundtrip:
 
     @given(st.lists(update_records(), min_size=1, max_size=3))
     def test_delta_payload(self, records):
-        items = tuple((None, r.txid, r) for r in records)
-        want = ((None, 7), (None, 9))
+        items = tuple((r.txid, r) for r in records)
+        want = (7, 9)
         payload = ("gossip_delta", 3, items, want)
         assert wire.decode(wire.encode(payload)) == payload
 

@@ -77,7 +77,7 @@ class Harness:
 
 
 def rumor(*records):
-    return (GOSSIP_RUMOR, tuple((None, r.txid, r) for r in records), None, None)
+    return (GOSSIP_RUMOR, tuple((r.txid, r) for r in records), None, None)
 
 
 def scripted_events(adapters):

@@ -105,7 +105,7 @@ class TestReceiptTimeObservation:
         rumored = cluster.records[1].record
         assert rumored.seen_txids == {0}
         assert rumored.txid not in cluster.nodes[1].known_txids("f1")
-        assert cluster.broadcast.has(1, "f1", rumored.txid)  # buffered
+        assert cluster.broadcast.has(1, rumored.txid)  # buffered
         assert cluster.records[2].record.ts > rumored.ts
         cluster.quiesce()
         cluster.extract_execution("f1").validate()
