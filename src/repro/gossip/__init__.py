@@ -26,7 +26,6 @@ from .protocol import (
     GOSSIP_SYN,
     CausalBuffer,
     DeltaStats,
-    carried_records,
 )
 from .scheduler import PeerScheduler, SchedulerStats
 from .service import GossipConfig, GossipService, GossipStats
@@ -44,7 +43,6 @@ __all__ = [
     "GOSSIP_SYN",
     "CausalBuffer",
     "DeltaStats",
-    "carried_records",
     "PeerScheduler",
     "SchedulerStats",
     "GossipConfig",

@@ -45,15 +45,6 @@ WireItem = Tuple[object, object]
 REPAIR_COOLDOWN = 2.0
 
 
-def carried_records(payload: Tuple) -> Tuple[object, ...]:
-    """The items a rumor or DELTA payload carries (none for SYN/ACK)."""
-    kind = payload[0]
-    if kind not in (GOSSIP_RUMOR, GOSSIP_DELTA):
-        return ()
-    items = payload[1] if kind == GOSSIP_RUMOR else payload[2]
-    return tuple(item for _key, item in items)
-
-
 @dataclass
 class DeltaStats:
     """Protocol-level counters (message counts live in ``WireStats``)."""

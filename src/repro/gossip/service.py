@@ -28,8 +28,8 @@ pull and the gating) is disabled, faithfully reproducing the
 intransitivity the paper warns about.
 
 **Groups** let one service serve both topologies (Section 6).  An
-item's group is its ``group`` attribute (``None`` if absent, as for
-:class:`~repro.replica.UpdateRecord`); a node attaches with the groups
+item's group is its ``group`` attribute (``None`` if absent or unset,
+as on a full-replication record); a node attaches with the groups
 it holds, ``None`` (the default, and every remote ``membership`` peer)
 meaning all.  Floods reach only the group's holders and anti-entropy
 only peers sharing a group; digests and diffs are restricted to the

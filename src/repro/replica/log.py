@@ -2,10 +2,11 @@
 
 Each entry records one transaction's update part plus the metadata needed
 to reconstruct the formal execution afterwards: the transaction, its
-origin node, its timestamp, and the set of transaction ids its decision
-saw.  Because messages can arrive out of timestamp order, insertion may
-land anywhere — triggering the undo/redo machinery in
-:mod:`repro.replica.engine`.
+origin node, its timestamp, the set of transaction ids its decision
+saw, and its group (the object it updates under partial replication,
+``None`` under full).  Because messages can arrive out of timestamp
+order, insertion may land anywhere — triggering the undo/redo
+machinery in :mod:`repro.replica.engine`.
 
 This is the *single* copy of the sequence: merge engines are views over
 it (see :class:`repro.replica.engine.LogUpdateSource`) and never shadow
@@ -34,6 +35,8 @@ class UpdateRecord:
     origin: int
     real_time: float
     seen_txids: FrozenSet[int]
+    #: the object (gossip group) this record updates; ``None``: all.
+    group: object = None
 
     def __lt__(self, other: "UpdateRecord") -> bool:
         return self.ts < other.ts

@@ -39,7 +39,7 @@ from ..apps.airline.state import AirlineState
 from ..gossip import GossipConfig, GossipService
 from ..replica import UpdateRecord
 from ..shard.host import NodeHost
-from ..shard.sync import SyncManager
+from ..shard.sync import SYNC_PULL, SYNC_PUSH, SyncManager
 from ..sim.rng import SeededStreams
 from .clock import RuntimeClock
 from .config import NodeSpec
@@ -107,10 +107,10 @@ class NodeServer:
         )
         self.host = NodeHost(
             spec.node_id,
-            AirlineState(),
+            {None: AirlineState()},
             broadcast=self.broadcast,
-            sync=self.sync,
             trace=self._trace,
+            handlers={SYNC_PULL: self.sync.handle, SYNC_PUSH: self.sync.handle},
         )
         self.node = self.host.node
         # whole-frame delivery: one inbound batch frame's gossip

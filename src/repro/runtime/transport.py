@@ -237,18 +237,19 @@ class TcpTransport:
                 if not chunk:
                     break
                 started = perf_ns()
+                responses: List[str] = []
                 try:
                     frames = list(splitter.feed(chunk))
+                    self.profile.decoded(perf_ns() - started)
+                    self.profile.absorb_splitter(splitter)
+                    for frame in frames:
+                        await self._dispatch_frame(frame, responses)
                 except (ValueError, TypeError, LookupError):
-                    # framing is lost with an undecodable frame: count
-                    # it and close this connection only.
+                    # framing is lost with an undecodable frame, and a
+                    # decoded payload no protocol can parse is just as
+                    # malformed: count it and close this connection only.
                     self.profile.frames_rejected += 1
                     break
-                self.profile.decoded(perf_ns() - started)
-                self.profile.absorb_splitter(splitter)
-                responses: List[str] = []
-                for frame in frames:
-                    await self._dispatch_frame(frame, responses)
                 if responses:
                     if len(responses) == 1:
                         writer.write(frame_from_text(responses[0]))

@@ -113,7 +113,7 @@ def _enc(value: object) -> object:
     if isinstance(value, RangeDigest):
         return {"%dg": [value.width, _enc(value.cells), _enc(value.tail)]}
     if isinstance(value, UpdateRecord):
-        return {"%ur": [
+        fields = [
             _enc(value.ts),
             value.txid,
             _enc(value.transaction),
@@ -121,7 +121,11 @@ def _enc(value: object) -> object:
             value.origin,
             value.real_time,
             _enc(value.seen_txids),
-        ]}
+        ]
+        # a full-replication record (group None) keeps its 7-field form.
+        if value.group is not None:
+            fields.append(_enc(value.group))
+        return {"%ur": fields}
     if isinstance(value, Transaction):
         return {"%tx": [value.name, [_enc(p) for p in value.params]]}
     if isinstance(value, Update):
@@ -160,6 +164,7 @@ def _dec(value: object) -> object:
             origin=body[4],
             real_time=body[5],
             seen_txids=_dec(body[6]),
+            group=_dec(body[7]) if len(body) > 7 else None,
         )
     if tag == "%tx":
         name, params = body

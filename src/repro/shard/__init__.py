@@ -21,7 +21,7 @@ from .external import ExternalLedger, LedgerEntry
 from .history import extract_execution
 from .host import NodeHost
 from .node import ShardNode
-from .partial import KeyedRecord, PartialCluster, PartialConfig, PartialNode
+from .partial import PartialCluster, PartialConfig
 from .sync import SyncManager, SyncStats
 from .workload import PeriodicSubmitter, PoissonSubmitter
 
@@ -32,11 +32,9 @@ __all__ = [
     "LamportClock",
     "LedgerEntry",
     "MergeOutcome",
-    "KeyedRecord",
     "NodeHost",
     "PartialCluster",
     "PartialConfig",
-    "PartialNode",
     "PeriodicSubmitter",
     "PoissonSubmitter",
     "Replica",

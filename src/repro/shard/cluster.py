@@ -34,7 +34,7 @@ from .external import ExternalLedger
 from .history import extract_execution
 from .host import NodeHost
 from .node import ShardNode
-from .sync import SyncManager
+from .sync import SYNC_PULL, SYNC_PUSH, SyncManager
 
 
 @dataclass
@@ -101,13 +101,14 @@ class ShardCluster:
         self.hosts: List[NodeHost] = [
             NodeHost(
                 node_id,
-                initial_state,
+                {None: initial_state},
                 broadcast=self.broadcast,
-                sync=self.sync,
                 trace=self._trace,
                 merge_factory=self.config.merge_factory,
                 ledger=self.ledger,
                 handlers={
+                    SYNC_PULL: self.sync.handle,
+                    SYNC_PUSH: self.sync.handle,
                     TOKEN_REQUEST: self._on_token,
                     TOKEN_GRANT: self._on_token,
                 },

@@ -1,18 +1,19 @@
 """The one node assembly: a :class:`ShardNode` wired to its ports.
 
-The paper has exactly one kind of node — a full replica that runs the
+The paper has exactly one kind of node — a replica that runs the
 decision part locally, timestamps the update, hands it to reliable
 broadcast and merges what arrives by undo/redo (Sections 1.2, 3.3).  A
 :class:`NodeHost` is that node's wiring, written once and knowing its
 environment only as the :mod:`repro.ports` adapters its gossip service
 was given: the simulator's
-:class:`~repro.shard.cluster.ShardCluster` is N hosts sharing one gossip
-service and one sync manager on the simulated clock and network, and the
-live :class:`~repro.runtime.node.NodeServer` is one host on the asyncio
-clock and the TCP transport.  Everything the two environments must agree
-on lives here and nowhere else: how a node is built, what each merge
-outcome is called in the trace, what a delivery is, which protocol a
-payload belongs to, and what initiating a transaction means.
+:class:`~repro.shard.cluster.ShardCluster` (and, holding only its
+placement's objects, :class:`~repro.shard.partial.PartialCluster`) is N
+hosts sharing one gossip service on the simulated clock and network,
+and the live :class:`~repro.runtime.node.NodeServer` is one host on the
+asyncio clock and the TCP transport.  Everything the environments must
+agree on lives here and nowhere else: how a node is built, what each
+merge outcome is called in the trace, what a delivery is, which
+protocol a payload belongs to, and what initiating a transaction means.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ from ..gossip import GOSSIP_KINDS, GossipService
 from ..replica import EngineFactory, MergeOutcome, UpdateRecord
 from .external import ExternalLedger
 from .node import ShardNode
-from .sync import SyncManager
 
 #: the host's trace sink: ``(kind, node, **detail)``; the owner stamps
 #: the time and decides where events go (tracer, history file, nowhere).
@@ -44,17 +44,16 @@ def _seen_txids(key: object, record: UpdateRecord):
 
 
 class NodeHost:
-    """One SHARD node attached to a gossip service and a sync manager
-    (both may be shared between hosts), on that service's clock and
-    transport ports."""
+    """One SHARD node holding ``initial_states``' groups (``{None: s}``:
+    a full replica), attached to a gossip service that may be shared
+    between hosts; other protocols are the owner's per-kind ``handlers``."""
 
     def __init__(
         self,
         node_id: int,
-        initial_state: State,
+        initial_states: Mapping[object, State],
         *,
         broadcast: GossipService,
-        sync: SyncManager,
         trace: TraceFn,
         merge_factory: Optional[EngineFactory] = None,
         ledger: Optional[ExternalLedger] = None,
@@ -62,17 +61,20 @@ class NodeHost:
     ):
         self.node_id = node_id
         self.broadcast = broadcast
-        self.sync = sync
         self.trace = trace
         self.handlers = dict(handlers or {})
         self.node = ShardNode(
-            node_id, initial_state, merge_factory=merge_factory, ledger=ledger
+            node_id, initial_states, merge_factory=merge_factory, ledger=ledger
         )
-        self.node.replica.on_merge = self._on_merge
+        for replica in self.node.replicas.values():
+            replica.on_merge = self._on_merge
         # hosts sharing one service install the same hooks again.
         broadcast.depends_on = _seen_txids
         broadcast.on_event = trace
-        broadcast.attach(node_id, self._deliver_batch)
+        groups = frozenset(self.node.replicas)
+        broadcast.attach(
+            node_id, self._deliver_batch, None if groups == {None} else groups
+        )
         broadcast.transport.register(node_id, self.dispatch)
 
     # -- merging ----------------------------------------------------------
@@ -103,9 +105,9 @@ class NodeHost:
             )
 
     def _deliver_batch(self, batch: tuple) -> None:
-        """Everything one gossip merge released, in one undo/redo cycle,
-        but still one ``deliver`` event per inserted record so the
-        exactly-once oracles see each of them."""
+        """Everything one gossip merge released, in one undo/redo cycle
+        per group, but still one ``deliver`` event per inserted record so
+        the exactly-once oracles see each of them."""
         records = [item for _key, item in batch]
         for record in self.node.receive_batch(records):
             self.trace(
@@ -116,23 +118,28 @@ class NodeHost:
     # -- inbound ----------------------------------------------------------
 
     def dispatch(self, src: int, payload: Tuple) -> None:
-        """Multiplex the protocols sharing the node's transport slot."""
+        """Multiplex the protocols sharing the node's transport slot; a
+        kind nobody registered raises ``ValueError``."""
         if not self.node.online:
             return  # crashed nodes drop everything on the floor
         kind = payload[0]
         if kind == "items" or kind in GOSSIP_KINDS:
             self.broadcast.receive(self.node_id, payload, src=src)
             return
-        handler = self.handlers.get(kind, self.sync.handle)
+        handler = self.handlers.get(kind)
+        if handler is None:
+            raise ValueError(f"unknown payload kind {kind!r}")
         handler(self.node_id, src, payload)
 
     # -- submission -------------------------------------------------------
 
-    def initiate(self, txid: int, transaction: Transaction) -> UpdateRecord:
+    def initiate(
+        self, txid: int, transaction: Transaction, group: object = None
+    ) -> UpdateRecord:
         """The availability path: decide against the local copy now,
         then publish the update; no other node is consulted."""
         record = self.node.initiate(
-            txid, transaction, self.broadcast.clock.now
+            txid, transaction, self.broadcast.clock.now, group
         )
         self.trace(
             "initiate", self.node_id,

@@ -85,12 +85,12 @@ class SyncManager:
     One manager serves every :class:`~repro.shard.host.NodeHost` that
     shares its gossip service — all N hosts of a simulated
     :class:`~repro.shard.cluster.ShardCluster`, the single host of a
-    live :class:`~repro.runtime.node.NodeServer`.  The host's
-    dispatcher hands it every payload that is neither gossip nor a
-    kind the owner registered a handler for; it is given a clock for
-    timeouts, a transport for the pull/push messages, the gossip
-    service whose digests shape the deltas, and the owner's submission
-    path for the finally-complete decision.
+    live :class:`~repro.runtime.node.NodeServer`.  The owner registers
+    :meth:`handle` for :data:`SYNC_PULL` and :data:`SYNC_PUSH` in each
+    host's ``handlers``.  It is given a clock for timeouts, a transport
+    for the pull/push messages, the gossip service whose digests shape
+    the deltas, and the owner's submission path for the finally-complete
+    decision.
     """
 
     def __init__(

@@ -6,6 +6,7 @@ import struct
 
 import pytest
 
+from repro.apps.airline import AirlineState
 from repro.chaos.faults import (
     ClockSkew,
     Crash,
@@ -15,6 +16,7 @@ from repro.chaos.faults import (
     Partition,
 )
 from repro.chaos.inject import MessageFaultLayer
+from repro.gossip import GOSSIP_SYN, GossipConfig, GossipService
 from repro.network.network import NetworkStats
 from repro.runtime.client import NodeClient
 from repro.runtime.clock import RuntimeClock, wall_epoch
@@ -22,8 +24,10 @@ from repro.runtime.config import ClusterSpec
 from repro.runtime.faults import RuntimeFaultSeam
 from repro.runtime.node import RES
 from repro.runtime.supervisor import free_ports
-from repro.runtime.transport import TcpTransport
+from repro.runtime.transport import MSG, TcpTransport
 from repro.runtime.wire import MAX_FRAME, FrameSplitter, encode, frame_from_text
+from repro.shard.host import NodeHost
+from repro.shard.sync import SYNC_PULL, SYNC_PUSH, SyncManager
 
 
 def seam(*faults, seed=0):
@@ -210,9 +214,63 @@ class TestBatchedSendsKeepFaultSemantics:
         run(scenario())
 
 
+def attach_node_host(pair):
+    """Put a full-replication NodeHost (gossip plus the sync kinds) on
+    the receiving transport's node slot, as a live node server does."""
+    broadcast = GossipService(pair.clock, pair.receiver, GossipConfig())
+    broadcast.membership = pair.spec.node_ids
+    sync = SyncManager(
+        clock=pair.clock, transport=pair.receiver, broadcast=broadcast,
+        apply=lambda origin, transaction: None,
+    )
+    return NodeHost(
+        1, {None: AirlineState()},
+        broadcast=broadcast,
+        trace=lambda kind, node=None, **detail: None,
+        handlers={SYNC_PULL: sync.handle, SYNC_PUSH: sync.handle},
+    )
+
+
+def assert_rejected_then_served(garbage, with_host=False):
+    """Send ``garbage`` on one connection: the node hangs up on it and
+    counts one rejected frame, and a fresh connection is still served."""
+
+    async def echo(frame):
+        return encode(("echo", frame))
+
+    async def scenario():
+        async with TransportPair() as pair:
+            if with_host:
+                attach_node_host(pair)
+            pair.receiver.on_request = echo
+            address = pair.spec.address(1)
+            reader, writer = await asyncio.open_connection(*address)
+            writer.write(garbage)
+            await writer.drain()
+            assert await reader.read() == b""  # the node hung up
+            writer.close()
+            assert pair.receiver.profile.snapshot()["frames_rejected"] == 1
+
+            reader, writer = await asyncio.open_connection(*address)
+            writer.write(frame_from_text(encode(("ping", 7))))
+            await writer.drain()
+            replies = []
+            splitter = FrameSplitter()
+            while not replies:
+                chunk = await reader.read(65536)
+                assert chunk
+                replies.extend(splitter.feed(chunk))
+            writer.close()
+            assert replies == [("echo", ("ping", 7))]
+            assert pair.receiver.profile.frames_rejected == 1
+
+    run(scenario())
+
+
 class TestRejectedFrames:
-    """A frame the node cannot decode is counted, costs only its own
-    connection, and leaves the server accepting."""
+    """A frame the node cannot decode, or a decoded protocol payload no
+    handler can parse, is counted, costs only its own connection, and
+    leaves the server accepting."""
 
     @pytest.mark.parametrize("garbage", [
         struct.pack(">I", 9) + b"{not json",
@@ -221,36 +279,17 @@ class TestRejectedFrames:
         struct.pack(">I", MAX_FRAME + 1),
     ], ids=["bad-json", "unknown-family", "type-confused", "oversized"])
     def test_counted_and_a_fresh_connection_is_served(self, garbage):
-        async def echo(frame):
-            return encode(("echo", frame))
+        assert_rejected_then_served(garbage)
 
-        async def scenario():
-            async with TransportPair() as pair:
-                pair.receiver.on_request = echo
-                address = pair.spec.address(1)
-                reader, writer = await asyncio.open_connection(*address)
-                writer.write(garbage)
-                await writer.drain()
-                assert await reader.read() == b""  # the node hung up
-                writer.close()
-                assert pair.receiver.profile.snapshot()[
-                    "frames_rejected"
-                ] == 1
-
-                reader, writer = await asyncio.open_connection(*address)
-                writer.write(frame_from_text(encode(("ping", 7))))
-                await writer.drain()
-                replies = []
-                splitter = FrameSplitter()
-                while not replies:
-                    chunk = await reader.read(65536)
-                    assert chunk
-                    replies.extend(splitter.feed(chunk))
-                writer.close()
-                assert replies == [("echo", ("ping", 7))]
-                assert pair.receiver.profile.frames_rejected == 1
-
-        run(scenario())
+    @pytest.mark.parametrize("payload", [
+        ("bogus",),
+        (GOSSIP_SYN, 1),
+        (SYNC_PULL, 1),
+    ], ids=["unknown-kind", "short-gossip-syn", "short-sync-pull"])
+    def test_malformed_payload_through_a_node_host(self, payload):
+        assert_rejected_then_served(
+            frame_from_text(encode((MSG, 0, payload))), with_host=True
+        )
 
 
 class TestInboundCountersAreLive:

@@ -138,3 +138,25 @@ def test_one_gossip_service_builds_the_dissemination_machinery():
                 offenders.append((where, "QUIESCE_ROUNDS from cluster"))
     assert offenders == []
     assert sites == {name: ["gossip/service.py"] for name in built}
+
+
+def test_one_node_class_serves_both_topologies():
+    """Partial replication runs on ``NodeHost``/``ShardNode`` with one
+    replica per held group: the partial node class, the keyed record
+    wrapper and the payload peek behind receipt-time clock observation
+    were deleted, not wrapped, and ``ShardNode`` is built in exactly one
+    place (the CI grep step holds the same line)."""
+    retired = ("PartialNode", "KeyedRecord", "carried_records")
+    root = Path(repro.__file__).parent
+    offenders = []
+    sites = []
+    for path in sorted(root.rglob("*.py")):
+        text = path.read_text()
+        where = str(path.relative_to(root))
+        offenders += [(where, name) for name in retired if name in text]
+        sites += [
+            where for node in ast.walk(ast.parse(text))
+            if isinstance(node, ast.Call) and _called_name(node) == "ShardNode"
+        ]
+    assert offenders == []
+    assert sites == ["shard/host.py"]

@@ -1,5 +1,7 @@
 """Wire codec: every protocol payload roundtrips to an equal object."""
 
+import dataclasses
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -79,6 +81,30 @@ class TestRoundtrip:
         want = (7, 9)
         payload = ("gossip_delta", 3, items, want)
         assert wire.decode(wire.encode(payload)) == payload
+
+    @given(update_records(), st.sampled_from(["f1", "flight-7"]))
+    def test_update_record_with_a_group(self, record, group):
+        grouped = dataclasses.replace(record, group=group)
+        decoded = wire.decode(wire.encode(grouped))
+        assert decoded == grouped and decoded.group == group
+
+    def test_full_replication_record_text_is_pinned(self):
+        """A record without a group keeps its seven-field encoding, byte
+        for byte: the group is appended only when it is set."""
+        txn = Request("P1")
+        record = UpdateRecord(
+            ts=Timestamp(3, 1), txid=7, transaction=txn,
+            update=txn.decide(AirlineState(("a",), ())).update, origin=1,
+            real_time=2.5, seen_txids=frozenset({5, 2}),
+        )
+        assert wire.encode(record) == (
+            '{"%ur":[{"%ts":[3,1]},7,{"%tx":["REQUEST",["P1"]]},'
+            '{"%up":["request",["P1"]]},1,2.5,{"%fs":[2,5]}]}'
+        )
+        assert wire.encode(dataclasses.replace(record, group="f1")) == (
+            '{"%ur":[{"%ts":[3,1]},7,{"%tx":["REQUEST",["P1"]]},'
+            '{"%up":["request",["P1"]]},1,2.5,{"%fs":[2,5]},"f1"]}'
+        )
 
     def test_identity_update_stays_singleton(self):
         record = UpdateRecord(

@@ -14,8 +14,8 @@ class TestMutualConsistency:
         everything against node 0 only and missed this)."""
         cluster = ShardCluster(AirlineState(), ClusterConfig(n_nodes=3))
         shared = cluster.nodes[1].initiate(0, Request("A"), now=0.0)
-        cluster.nodes[2].receive(shared)
-        cluster.nodes[0].receive(shared)
+        cluster.nodes[2].receive_batch([shared])
+        cluster.nodes[0].receive_batch([shared])
         cluster.nodes[0].initiate(1, Request("B"), now=0.0)
         # logs: node0 {0,1}; node1 {0}; node2 {0} — consistent so far.
         assert cluster.mutually_consistent()

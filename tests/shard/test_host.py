@@ -57,11 +57,14 @@ class Harness:
             broadcast=self.broadcast,
             apply=lambda node, transaction: self.applied.append(transaction),
         )
+        host_kwargs.setdefault(
+            "handlers",
+            {SYNC_PULL: self.sync.handle, SYNC_PUSH: self.sync.handle},
+        )
         self.host = NodeHost(
             0,
-            INITIAL_STATE,
+            {None: INITIAL_STATE},
             broadcast=self.broadcast,
-            sync=self.sync,
             trace=self.trace,
             **host_kwargs,
         )
@@ -91,7 +94,7 @@ def scripted_events(adapters):
     )
     host, send = harness.host, harness.transport.send
     # records as remote nodes would have produced them.
-    peer, other = ShardNode(1, INITIAL_STATE), ShardNode(2, INITIAL_STATE)
+    peer, other = ShardNode(1, {None: INITIAL_STATE}), ShardNode(2, {None: INITIAL_STATE})
     first = peer.initiate(100, Request("Q1"), now=0.0)
     second = peer.initiate(101, Request("Q2"), now=0.5)
     commuting = other.initiate(200, Cancel("Z9"), now=0.0)
@@ -144,7 +147,7 @@ class TestOneWiringOnEveryAdapter:
 class TestDispatch:
     def test_offline_host_drops_gossip_and_sync(self, adapters):
         harness = Harness(adapters)
-        record = ShardNode(1, INITIAL_STATE).initiate(
+        record = ShardNode(1, {None: INITIAL_STATE}).initiate(
             100, Request("Q1"), now=0.0
         )
         payloads = [rumor(record), (SYNC_PULL, 7, 1, None)]
@@ -184,15 +187,19 @@ class TestDispatch:
         assert seen == [(0, 1, request), (0, 1, grant)]
         assert harness.events == []
 
-    def test_unknown_kind_falls_through_to_sync_which_ignores_it(
-        self, adapters
-    ):
+    def test_unregistered_kind_raises(self, adapters):
         harness = Harness(adapters)
-        harness.transport.send(1, 0, ("mystery", 1, 2))
-        harness.run()
+        with pytest.raises(ValueError, match="mystery"):
+            harness.host.dispatch(1, ("mystery", 1, 2))
+        # an owner that registers no sync handlers hears no sync kind:
+        # nothing falls through to a default.
+        bare = Harness(adapters, handlers={})
+        with pytest.raises(ValueError, match=SYNC_PULL):
+            bare.host.dispatch(1, (SYNC_PULL, 7, 1, None))
+        bare.run()
+        assert bare.inbox == [] and bare.sync.stats.pushed_records == 0
         assert harness.events == [] and harness.inbox == []
         assert harness.applied == []
-        assert harness.sync.pending_count == 0
         assert len(harness.host.node.log) == 0
 
 

@@ -15,49 +15,49 @@ from repro.shard import ClusterConfig, ShardCluster, ShardNode
 
 class TestShardNode:
     def test_initiate_applies_locally(self):
-        node = ShardNode(0, AirlineState())
+        node = ShardNode(0, {None: AirlineState()})
         node.initiate(0, Request("P1"), now=0.0)
         assert node.state == AirlineState((), ("P1",))
         assert node.transactions_initiated == 1
 
     def test_initiate_records_seen_set(self):
-        node = ShardNode(0, AirlineState())
+        node = ShardNode(0, {None: AirlineState()})
         r1 = node.initiate(0, Request("P1"), now=0.0)
         r2 = node.initiate(1, Request("P2"), now=1.0)
         assert r1.seen_txids == frozenset()
         assert r2.seen_txids == frozenset({0})
 
     def test_external_actions_on_ledger(self):
-        node = ShardNode(0, AirlineState())
+        node = ShardNode(0, {None: AirlineState()})
         node.initiate(0, Request("P1"), now=0.0)
         node.initiate(1, MoveUp(5), now=1.0)
         assert node.ledger.count("inform_assigned") == 1
 
     def test_receive_merges_in_timestamp_order(self):
-        a = ShardNode(0, AirlineState())
-        b = ShardNode(1, AirlineState())
+        a = ShardNode(0, {None: AirlineState()})
+        b = ShardNode(1, {None: AirlineState()})
         ra = a.initiate(0, Request("P1"), now=0.0)
         rb = b.initiate(1, Request("P2"), now=0.0)
         # cross-deliver in both orders; states must agree.
-        assert a.receive(rb)
-        assert b.receive(ra)
+        assert a.receive_batch([rb])
+        assert b.receive_batch([ra])
         assert a.state == b.state
         # both have counter 1; tie broken by node id: P1 (node 0) first.
         assert a.state == AirlineState((), ("P1", "P2"))
 
     def test_receive_duplicate_is_noop(self):
-        a = ShardNode(0, AirlineState())
-        b = ShardNode(1, AirlineState())
+        a = ShardNode(0, {None: AirlineState()})
+        b = ShardNode(1, {None: AirlineState()})
         record = a.initiate(0, Request("P1"), now=0.0)
-        assert b.receive(record)
-        assert not b.receive(record)
+        assert b.receive_batch([record])
+        assert not b.receive_batch([record])
         assert b.state == AirlineState((), ("P1",))
 
     def test_lamport_ordering_across_nodes(self):
-        a = ShardNode(0, AirlineState())
-        b = ShardNode(1, AirlineState())
+        a = ShardNode(0, {None: AirlineState()})
+        b = ShardNode(1, {None: AirlineState()})
         ra = a.initiate(0, Request("P1"), now=0.0)
-        b.receive(ra)
+        b.receive_batch([ra])
         rb = b.initiate(1, Request("P2"), now=1.0)
         assert rb.ts > ra.ts  # b observed a's timestamp first
 

@@ -25,7 +25,7 @@ class TestPartialEdges:
             }),
         )
         with pytest.raises(KeyError):
-            cluster.nodes[0].initiate(0, "f2", Request("P"), 0.0)
+            cluster.nodes[0].initiate(0, Request("P"), 0.0, group="f2")
 
     def test_disjoint_nodes_never_gossip(self):
         cluster = PartialCluster(
@@ -55,7 +55,7 @@ class TestPartialEdges:
         cluster.submit(0, "f1", Request("A"), at=0.0)
         cluster.run(until=30.0)
         cluster.quiesce()
-        assert cluster.nodes[1].substate("f1").is_known("A")
+        assert cluster.nodes[1].replicas["f1"].state.is_known("A")
         assert cluster.stats.flood_messages == 0
         assert cluster.stats.anti_entropy_messages > 0
 
@@ -66,13 +66,13 @@ class TestPartialEdges:
                 0: frozenset({"f1"}), 1: frozenset({"f2"}),
             }),
         )
-        keyed = cluster.nodes[0].initiate(0, "f1", Request("A"), 0.0)
-        accepted = cluster.nodes[1].receive(keyed)
+        record = cluster.nodes[0].initiate(0, Request("A"), 0.0, group="f1")
+        accepted = cluster.nodes[1].receive_batch([record])
         assert not accepted
         # but node 1's clock advanced past the foreign timestamp, so its
         # next issue is globally larger.
-        later = cluster.nodes[1].initiate(1, "f2", Request("B"), 1.0)
-        assert later.record.ts > keyed.record.ts
+        later = cluster.nodes[1].initiate(1, Request("B"), 1.0, group="f2")
+        assert later.ts > record.ts
 
     def test_per_key_prefix_isolation(self):
         """A transaction's seen-set contains only same-key transactions:

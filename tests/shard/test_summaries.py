@@ -44,7 +44,7 @@ class TestSummaryPropagation:
         cluster.submit(1, "f2", Request("B"), at=0.5)
         cluster.run(until=10.0)
         # node 0 does not hold f2 yet knows roughly how busy it is.
-        summary = cluster.nodes[0].summary("f2")
+        summary = cluster.summary(0, "f2")
         assert summary == {"al": 0, "wl": 2}
 
     def test_summary_view_mixes_exact_and_stale(self):
@@ -61,25 +61,25 @@ class TestSummaryPropagation:
         cluster = make_cluster(partitions=partitions)
         cluster.submit(1, "f2", Request("A"), at=1.0)
         cluster.run(until=4.9)
-        assert cluster.nodes[0].summary("f2") == {"al": 0, "wl": 1}
+        assert cluster.summary(0, "f2") == {"al": 0, "wl": 1}
         # more f2 traffic during the partition; node 0's summary freezes.
         for i in range(5):
             cluster.submit(1, "f2", Request(f"B{i}"), at=10.0 + i)
         cluster.run(until=35.0)
-        assert cluster.nodes[0].summary("f2") == {"al": 0, "wl": 1}  # stale
+        assert cluster.summary(0, "f2") == {"al": 0, "wl": 1}  # stale
         cluster.run(until=60.0)  # healed: gossip refreshes
-        assert cluster.nodes[0].summary("f2")["wl"] == 6
+        assert cluster.summary(0, "f2")["wl"] == 6
 
     def test_newer_summary_wins(self):
         cluster = make_cluster()
-        cluster.nodes[0].accept_summary("f2", 5.0, {"al": 1, "wl": 0})
-        cluster.nodes[0].accept_summary("f2", 3.0, {"al": 9, "wl": 9})
-        assert cluster.nodes[0].summary("f2") == {"al": 1, "wl": 0}
+        cluster.accept_summary(0, "f2", 5.0, {"al": 1, "wl": 0})
+        cluster.accept_summary(0, "f2", 3.0, {"al": 9, "wl": 9})
+        assert cluster.summary(0, "f2") == {"al": 1, "wl": 0}
 
     def test_held_objects_never_cached(self):
         cluster = make_cluster()
-        cluster.nodes[2].accept_summary("f1", 1.0, {"al": 99, "wl": 99})
-        assert cluster.nodes[2].summary("f1") is None
+        cluster.accept_summary(2, "f1", 1.0, {"al": 99, "wl": 99})
+        assert cluster.summary(2, "f1") is None
 
     def test_summary_view_requires_configuration(self):
         cluster = PartialCluster(
