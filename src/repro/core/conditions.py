@@ -19,7 +19,7 @@ at some cost in availability.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Iterable, List, Optional, Sequence, Set, Tuple
 
 from .execution import Execution, TimedExecution
 from .transaction import Transaction
@@ -40,6 +40,8 @@ def transitivity_violations(
     for i in execution.indices:
         seen_i = prefix_sets[i]
         for j in execution.prefixes[i]:
+            if prefix_sets[j] <= seen_i:
+                continue
             for h in execution.prefixes[j]:
                 if h not in seen_i:
                     violations.append((i, j, h))
@@ -47,13 +49,22 @@ def transitivity_violations(
 
 
 def is_transitive(execution: Execution) -> bool:
-    """Section 3.2: prefixes are transitively closed."""
+    """Section 3.2: prefixes are transitively closed.
+
+    Walks each prefix from newest to oldest and skips a ``j`` that lies
+    in the prefix of a ``j'`` already checked: every earlier transaction
+    has passed, so ``j``'s prefix lies inside ``j'``'s and hence inside
+    this one."""
     prefix_sets = [set(p) for p in execution.prefixes]
     for i in execution.indices:
         seen_i = prefix_sets[i]
-        for j in execution.prefixes[i]:
+        covered: Set[int] = set()
+        for j in reversed(execution.prefixes[i]):
+            if j in covered:
+                continue
             if not prefix_sets[j] <= seen_i:
                 return False
+            covered |= prefix_sets[j]
     return True
 
 

@@ -28,6 +28,8 @@ from scratch.
 
 from __future__ import annotations
 
+from itertools import compress, count
+from operator import lt, ne
 from typing import Iterable, Iterator, List, Sequence, Tuple
 
 from .state import State
@@ -39,21 +41,80 @@ class InvalidExecutionError(ValueError):
     """Raised when the data fails the Section 3.1 conditions."""
 
 
-def _check_prefix(index: int, prefix: Sequence[int]) -> Tuple[int, ...]:
-    """Validate condition (1) for one transaction and normalize the prefix."""
-    prefix = tuple(prefix)
-    for a, b in zip(prefix, prefix[1:]):
-        if a >= b:
+class _CheckedPrefixes(tuple):
+    """Prefix subsequences that have passed condition (1).  An execution
+    built from another one's prefixes, or by :meth:`Execution.run`, keeps
+    them as they are instead of checking them again."""
+
+
+def _check_prefixes(prefixes: Iterable[Sequence[int]]) -> _CheckedPrefixes:
+    """Validate condition (1) for every transaction and normalize the
+    prefixes to tuples."""
+    if isinstance(prefixes, _CheckedPrefixes):
+        return prefixes
+    checked = []
+    for index, prefix in enumerate(prefixes):
+        prefix = tuple(prefix)
+        if not all(map(lt, prefix, prefix[1:])):
             raise InvalidExecutionError(
                 f"prefix of transaction {index} is not strictly increasing: "
                 f"{prefix}"
             )
-    if prefix and (prefix[0] < 0 or prefix[-1] >= index):
-        raise InvalidExecutionError(
-            f"prefix of transaction {index} is not a subsequence of its "
-            f"preceding indices: {prefix}"
-        )
-    return prefix
+        if prefix and (prefix[0] < 0 or prefix[-1] >= index):
+            raise InvalidExecutionError(
+                f"prefix of transaction {index} is not a subsequence of its "
+                f"preceding indices: {prefix}"
+            )
+        checked.append(prefix)
+    return _CheckedPrefixes(checked)
+
+
+class _FoldCursor:
+    """Condition (2)'s apparent states for a run of prefix subsequences,
+    each folded on from the last one rather than from the initial state.
+
+    It keeps the last prefix and ``(position, state)`` checkpoints:
+    position 0 and the last prefix's end always, and in between only
+    positions spaced geometrically back from the end (1, 2, 4, ... apart)
+    — O(log n) states.  A prefix resumes from the newest checkpoint
+    inside its common part with the last one, so an extension applies
+    only its new indices.  While prefixes grow, one that diverges ``d``
+    positions before the last one's end redoes fewer than ``d`` common
+    positions."""
+
+    def __init__(self, updates: Sequence[Update], initial_state: State):
+        #: read by index as the caller appends to it.
+        self._updates = updates
+        self._prefix: Tuple[int, ...] = ()
+        self._marks = [0]
+        self._states = [initial_state]
+
+    def fold(self, prefix: Tuple[int, ...]) -> State:
+        """The result of applying the updates at ``prefix`` in order."""
+        last, marks, states = self._prefix, self._marks, self._states
+        if prefix[:len(last)] != last:
+            common = next(compress(count(), map(ne, last, prefix)), len(prefix))
+            while marks[-1] > common:
+                marks.pop()
+                states.pop()
+        state = states[-1]
+        end = len(prefix)
+        if end > marks[-1]:
+            updates = self._updates
+            for position in range(marks[-1] + 1, end + 1):
+                state = updates[prefix[position - 1]].apply(state)
+                # lay checkpoints 0, 1, 2, 4, ... positions before the end
+                distance = end - position
+                if not distance & (distance - 1):
+                    marks.append(position)
+                    states.append(state)
+            # drop a checkpoint when the gap it leaves is no larger than
+            # its newer neighbour's distance from the end.
+            for i in range(len(marks) - 2, 0, -1):
+                if marks[i + 1] - marks[i - 1] <= end - marks[i + 1]:
+                    del marks[i], states[i]
+        self._prefix = prefix
+        return state
 
 
 class Execution:
@@ -83,9 +144,7 @@ class Execution:
             raise InvalidExecutionError("inconsistent sequence lengths")
         self.initial_state = initial_state
         self.transactions: Tuple[Transaction, ...] = tuple(transactions)
-        self.prefixes: Tuple[Tuple[int, ...], ...] = tuple(
-            _check_prefix(i, p) for i, p in enumerate(prefixes)
-        )
+        self.prefixes: Tuple[Tuple[int, ...], ...] = _check_prefixes(prefixes)
         self.updates: Tuple[Update, ...] = tuple(updates)
         self.external_actions: Tuple[Tuple[ExternalAction, ...], ...] = tuple(
             tuple(e) for e in external_actions
@@ -113,9 +172,7 @@ class Execution:
         """
         initial_state.require_well_formed()
         transactions = tuple(transactions)
-        norm_prefixes = [
-            _check_prefix(i, p) for i, p in enumerate(prefixes)
-        ]
+        norm_prefixes = _check_prefixes(prefixes)
         if len(norm_prefixes) != len(transactions):
             raise InvalidExecutionError(
                 "need exactly one prefix subsequence per transaction"
@@ -144,11 +201,13 @@ class Execution:
         """What conditions (2)-(4) determine, one transaction at a time:
         ``(update, external actions, apparent state, actual state
         after)``.  A generator, so a caller that only compares (see
-        :meth:`validate`) never holds more than one step's states."""
+        :meth:`validate`) never holds more than one step's states beside
+        the cursor's O(log n) checkpoints."""
         updates: List[Update] = []
+        cursor = _FoldCursor(updates, initial_state)
         actual = initial_state
         for txn, prefix in zip(transactions, prefixes):
-            seen = apply_sequence((updates[j] for j in prefix), initial_state)
+            seen = cursor.fold(prefix)
             decision = txn.decide(seen)
             updates.append(decision.update)
             actual = decision.update.apply(actual)
@@ -259,6 +318,7 @@ class TimedExecution(Execution):
     def __init__(self, execution: Execution, times: Sequence[float]):
         if len(times) != len(execution):
             raise InvalidExecutionError("need one time per transaction")
+        # the execution's prefixes passed condition (1) when it was built.
         super().__init__(
             execution.initial_state,
             execution.transactions,

@@ -34,7 +34,14 @@ def extract_execution(
     transactions = [r.transaction for r in ordered]
     prefixes: List[tuple] = []
     for i, record in enumerate(ordered):
-        prefix = sorted(index_of[txid] for txid in record.seen_txids)
+        try:
+            prefix = sorted(map(index_of.__getitem__, record.seen_txids))
+        except KeyError:
+            missing = min(set(record.seen_txids) - index_of.keys())
+            raise InvalidExecutionError(
+                f"transaction {record.txid} saw transaction {missing}, "
+                "which is not among the records"
+            ) from None
         if prefix and prefix[-1] >= i:
             raise InvalidExecutionError(
                 f"transaction {record.txid} saw a transaction with a larger "

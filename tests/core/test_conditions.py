@@ -1,5 +1,10 @@
 """Tests for the system-guaranteed conditions (Section 3.2)."""
 
+import random
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from repro.apps.counter import Allocate, CounterState, Release
 from repro.core import (
     Execution,
@@ -42,6 +47,12 @@ class TestTransitivity:
         assert not is_transitive(e)
         assert (2, 1, 0) in transitivity_violations(e)
 
+    def test_violation_behind_the_newest_predecessor_detected(self):
+        # 3's newest predecessor 2 is fine; 1 (which saw 0) is not.
+        e = run([(), (0,), (), (1, 2)])
+        assert not is_transitive(e)
+        assert transitivity_violations(e) == [(3, 1, 0)]
+
     def test_empty_prefixes_trivially_transitive(self):
         e = run([(), (), ()])
         assert is_transitive(e)
@@ -54,6 +65,57 @@ class TestTransitivity:
     def test_closure_idempotent_on_transitive(self):
         e = run([(), (0,), (0, 1)])
         assert transitive_closure_prefixes(e) == e.prefixes
+
+
+def brute_force_violations(prefixes):
+    """Every ``(i, j, h)`` with ``h`` in P_j, ``j`` in P_i, ``h`` not in
+    P_i, by the definition and nothing else."""
+    return [
+        (i, j, h)
+        for i, prefix in enumerate(prefixes)
+        for j in prefix
+        for h in prefixes[j]
+        if h not in prefix
+    ]
+
+
+@st.composite
+def prefix_families(draw):
+    """Random prefixes; or their transitive closure; or that closure
+    with a few indices knocked out again.  A knocked-out index is one
+    the newest member of the prefix did not see where there is one, so
+    the violation lies behind it and not at it."""
+    n = draw(st.integers(min_value=0, max_value=40))
+    density = draw(st.sampled_from((0.1, 0.4, 0.8)))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    prefixes = [
+        frozenset(j for j in range(i) if rng.random() < density)
+        for i in range(n)
+    ]
+    family = draw(st.sampled_from(("random", "closed", "knocked")))
+    if family != "random":
+        closed = []
+        for prefix in prefixes:
+            closed.append(prefix.union(*(closed[j] for j in prefix)))
+        prefixes = closed
+    if family == "knocked":
+        for _ in range(draw(st.integers(1, 3))):
+            i = rng.randrange(n) if n else 0
+            if prefixes and prefixes[i]:
+                newest = max(prefixes[i])
+                behind = prefixes[i] - prefixes[newest] - {newest}
+                knock = rng.choice(sorted(behind or prefixes[i]))
+                prefixes[i] = prefixes[i] - {knock}
+    return [tuple(sorted(p)) for p in prefixes]
+
+
+@given(prefix_families())
+@settings(max_examples=300, deadline=None)
+def test_transitivity_checks_agree_with_brute_force(prefixes):
+    e = run(prefixes)
+    expected = brute_force_violations(prefixes)
+    assert transitivity_violations(e) == expected
+    assert is_transitive(e) == (not expected)
 
 
 class TestCompleteness:

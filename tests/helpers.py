@@ -1,8 +1,30 @@
 """Shared test helpers: attaching a bare :class:`GossipService` (no
-``NodeHost`` owning the transport slot) and counting Python calls."""
+``NodeHost`` owning the transport slot), counting Python calls, and the
+from-scratch fold that the execution's incremental one is checked
+against."""
 
 import gc
 import sys
+
+from repro.core.update import apply_sequence
+
+
+def reference_derive(initial_state, transactions, prefixes):
+    """What conditions (2)-(4) determine, one transaction at a time, as
+    ``(update, external actions, apparent state, actual state after)``
+    — each apparent state folded from the initial state over the whole
+    prefix, exactly as Section 3.1 defines it.  Θ(n²) applies; the
+    reference oracle for ``Execution._derive``."""
+    updates = []
+    actual = initial_state
+    for txn, prefix in zip(transactions, prefixes):
+        seen = apply_sequence((updates[j] for j in prefix), initial_state)
+        decision = txn.decide(seen)
+        updates.append(decision.update)
+        actual = decision.update.apply(actual)
+        yield (
+            decision.update, tuple(decision.external_actions), seen, actual
+        )
 
 
 def attach_bare(service, node_id, on_deliver, on_batch=None, groups=None):

@@ -75,6 +75,27 @@ class TestRecordedRun:
         assert any(v.oracle == "conditions" for v in violations)
         assert execution is None
 
+    def test_dangling_seen_txid_is_a_typed_conditions_violation(self):
+        """A record naming a seen txid that no log carries is reported
+        as a Section 3.1 extraction failure, not as a bare KeyError."""
+        logs = healthy_logs()
+        tampered = list(logs[0])
+        victim = tampered[3]
+        tampered[3] = dataclasses.replace(
+            victim, seen_txids=victim.seen_txids | {1234}
+        )
+        run = RecordedRun(
+            AirlineState(),
+            {0: tuple(tampered), 1: tuple(tampered), 2: tuple(tampered)},
+        )
+        violations, execution = check_recorded_run(run, capacity=3)
+        assert execution is None
+        (violation,) = [v for v in violations if v.oracle == "conditions"]
+        assert violation.details["error"] == (
+            f"InvalidExecutionError: transaction {victim.txid} saw "
+            "transaction 1234, which is not among the records"
+        )
+
     def test_all_records_dedupes_by_txid(self):
         logs = healthy_logs()
         run = RecordedRun(AirlineState(), logs)

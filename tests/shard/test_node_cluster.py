@@ -1,5 +1,7 @@
 """Tests for SHARD nodes and the assembled cluster."""
 
+import dataclasses
+
 import pytest
 
 from repro.apps.airline import (
@@ -8,9 +10,11 @@ from repro.apps.airline import (
     MoveUp,
     Request,
 )
+from repro.core import InvalidExecutionError
 from repro.network import PartitionSchedule
 from repro.replica import InitialOnlyPolicy, policy_engine_factory
 from repro.shard import ClusterConfig, ShardCluster, ShardNode
+from repro.shard.history import extract_execution
 
 
 class TestShardNode:
@@ -134,3 +138,21 @@ class TestShardCluster:
         e = cluster.extract_execution()
         for i in e.indices:
             assert all(j < i for j in e.prefixes[i])
+
+    def test_dangling_seen_txid_is_a_typed_error(self):
+        """A record that claims to have seen a txid no record carries
+        fails extraction with an error naming both txids."""
+        cluster = ShardCluster(AirlineState(), ClusterConfig(n_nodes=2))
+        for i in range(4):
+            cluster.submit(i % 2, Request(f"P{i}"), at=float(i))
+        cluster.quiesce()
+        records = list(cluster.records.values())
+        records[2] = dataclasses.replace(
+            records[2], seen_txids=records[2].seen_txids | {1234}
+        )
+        with pytest.raises(
+            InvalidExecutionError,
+            match=rf"transaction {records[2].txid} saw transaction 1234, "
+            "which is not among the records",
+        ):
+            extract_execution(AirlineState(), records)
