@@ -20,8 +20,10 @@ the realized integrity costs — the quantified version of the paper's
 import json
 import os
 import random
+from contextlib import nullcontext
 
 from common import RESULTS_DIR, run_once, save_tables
+from fullset import full_set_gossip
 
 from repro.apps.airline import (
     AirlineState,
@@ -30,7 +32,6 @@ from repro.apps.airline import (
     make_airline_application,
 )
 from repro.apps.airline.simulation import AirlineScenario, run_airline_scenario
-from repro.gossip import GossipConfig
 from repro.harness import Table
 from repro.network import PartitionSchedule, UniformDelay
 from repro.serializable import PrimaryCopySystem, QuorumSystem
@@ -155,16 +156,18 @@ def _experiment():
 
 
 def _run_gossip(mode, partition_duration):
-    run = run_airline_scenario(
-        AirlineScenario(
-            capacity=CAPACITY,
-            n_nodes=N_NODES,
-            duration=GOSSIP_DURATION,
-            seed=31,
-            partitions=_partitions(partition_duration),
-            broadcast=GossipConfig(mode=mode),
+    """One E9b run: ``mode`` "digest" is the production service, "full"
+    the whole-set reference arm (benchmarks/fullset.py)."""
+    with full_set_gossip() if mode == "full" else nullcontext():
+        run = run_airline_scenario(
+            AirlineScenario(
+                capacity=CAPACITY,
+                n_nodes=N_NODES,
+                duration=GOSSIP_DURATION,
+                seed=31,
+                partitions=_partitions(partition_duration),
+            )
         )
-    )
     cluster = run.cluster
     assert cluster.converged()
     assert cluster.mutually_consistent()

@@ -18,7 +18,10 @@ serializability's all-or-nothing character.  Two experiments:
   reconciliation saves at every point of the continuity curve.
 """
 
+from contextlib import nullcontext
+
 from common import run_once, save_tables
+from fullset import full_set_gossip
 
 from repro.analysis import (
     CalibrationPoint,
@@ -40,18 +43,21 @@ WIRE_SEEDS = range(3)
 
 
 def _run(seed, interval, mode="digest"):
-    return run_airline_scenario(
-        AirlineScenario(
-            capacity=CAPACITY,
-            n_nodes=3,
-            duration=60,
-            seed=seed,
-            request_rate=1.5,
-            broadcast=GossipConfig(
-                flood=False, anti_entropy_interval=interval, mode=mode
-            ),
+    """``mode`` "full" runs the whole-set reference arm
+    (benchmarks/fullset.py) instead of the production digest gossip."""
+    with full_set_gossip() if mode == "full" else nullcontext():
+        return run_airline_scenario(
+            AirlineScenario(
+                capacity=CAPACITY,
+                n_nodes=3,
+                duration=60,
+                seed=seed,
+                request_rate=1.5,
+                broadcast=GossipConfig(
+                    flood=False, anti_entropy_interval=interval
+                ),
+            )
         )
-    )
 
 
 def _mover_k(execution):

@@ -180,8 +180,14 @@ def differing_cells(
     A cell differs when it is non-empty on exactly one side or when its
     (count, fingerprint) pair differs; the result is restricted to
     ``groups`` when given (both the remote's advertised cells and the
-    local ones), and sorted for deterministic wire payloads.
+    local ones), and sorted for deterministic wire payloads.  A
+    ``remote`` that is not a digest (a malformed peer payload) raises
+    ``TypeError``.
     """
+    if not isinstance(remote, RangeDigest):
+        raise TypeError(
+            f"expected a RangeDigest, got {type(remote).__name__}"
+        )
     mine = local.digest(groups).cell_map()
     theirs = {
         cell: value

@@ -1,11 +1,11 @@
 """Partition-aware peer scheduling for anti-entropy rounds.
 
-Under the legacy full-set protocol every round targeted a uniformly
-random peer, so a long partition meant every round burned a full-history
-message into a black hole.  The scheduler keeps per-directed-pair state:
-an exchange that times out (no ACK) backs the pair off exponentially —
-``base * 2^failures`` up to ``base * max_backoff_factor`` — and an
-exchange that completes resets it.  Backoff expiry doubles as the
+Picking a uniformly random peer every round means a long partition
+burns a message per round into a black hole.  The scheduler keeps
+per-directed-pair state: an exchange that times out (no ACK) backs the
+pair off exponentially — ``base * 2^failures`` up to
+``base * max_backoff_factor`` — and an exchange that completes resets
+it.  Backoff expiry doubles as the
 **recovery probe**: an unreachable peer is retried exactly when its
 backoff lapses, so healed partitions and recovered crashes are
 discovered within one capped backoff period instead of being hammered

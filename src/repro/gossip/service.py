@@ -5,20 +5,17 @@
 caller-supplied keys.  It keeps the paper-facing contract — every item
 is delivered to every attached node holding its group exactly once,
 flooding gives low latency on the healthy part of the network,
-anti-entropy guarantees eventual delivery — but implements
-dissemination in one of two modes:
+anti-entropy guarantees eventual delivery — but ships only what a peer
+lacks.  Rumor-mongering floods carry the new record plus a
+:class:`~repro.gossip.digest.RangeDigest`, anti-entropy runs the
+SYN/ACK/DELTA push–pull protocol so only missing records cross the
+wire, and peers are chosen by the partition-aware
+:class:`~repro.gossip.scheduler.PeerScheduler`.  The paper's literal
+protocol, where every message carries the sender's whole known set, is
+a measurement baseline only (``benchmarks/fullset.py``).
 
-* ``mode="full"`` — the legacy Section 3.3 literalism: flood messages
-  piggyback the sender's entire known set and every anti-entropy round
-  ships full history.  O(nodes × history) bytes; kept for A/B runs.
-* ``mode="digest"`` (default) — rumor-mongering floods carry the new
-  record plus a :class:`~repro.gossip.digest.RangeDigest`, anti-entropy
-  runs the SYN/ACK/DELTA push–pull protocol so only missing records
-  cross the wire, and peers are chosen by the partition-aware
-  :class:`~repro.gossip.scheduler.PeerScheduler`.
-
-Digest mode preserves the piggyback transitivity guarantee *causally*
-instead of by brute force: when a ``depends_on`` hook is installed (the
+The piggyback transitivity guarantee holds *causally* instead of by
+brute force: when a ``depends_on`` hook is installed (the
 shard cluster supplies ``record.seen_txids``), received items are held in
 a :class:`~repro.gossip.protocol.CausalBuffer` until their dependencies
 have been delivered, so every node's delivered set remains causally
@@ -112,8 +109,6 @@ class GossipConfig:
     piggyback: bool = True
     anti_entropy_interval: float = 5.0
     fanout: int = 1
-    #: "digest" (delta reconciliation) or "full" (legacy full-set A/B).
-    mode: str = "digest"
     #: how long an initiator waits for an ACK before declaring the peer
     #: unreachable and backing off.
     ack_timeout: float = 4.0
@@ -127,8 +122,8 @@ class GossipStats:
     published: int = 0
     flood_messages: int = 0
     anti_entropy_messages: int = 0
-    #: record copies shipped, across floods, deltas and full-set rounds —
-    #: the item-copy axis the full-vs-digest benchmarks compare.
+    #: record copies shipped, across rumors and deltas — the item-copy
+    #: axis the E9b/E10d bandwidth benchmarks compare.
     items_carried: int = 0
     deliveries: int = 0
     delta: DeltaStats = field(default_factory=DeltaStats)
@@ -153,8 +148,6 @@ class GossipService:
         self.clock = clock
         self.transport = transport
         self.config = config or GossipConfig()
-        if self.config.mode not in ("digest", "full"):
-            raise ValueError(f"unknown gossip mode {self.config.mode!r}")
         if self.config.ack_timeout <= 0:
             raise ValueError("ack timeout must be positive")
         # seeded-instance default: peer choice must never touch the
@@ -203,7 +196,6 @@ class GossipService:
         #: directed pair -> clock time of its last rumor-triggered pull.
         self._last_repair: Dict[Tuple[int, int], float] = {}
         self._handlers = {
-            "items": self._on_items,
             GOSSIP_SYN: self._on_syn,
             GOSSIP_ACK: self._on_ack,
             GOSSIP_DELTA: self._on_delta,
@@ -227,14 +219,9 @@ class GossipService:
         return self.active_filter is None or self.active_filter(node_id)
 
     def _gating(self) -> bool:
-        """Causal delivery gating is a digest-mode, piggyback-mode
-        feature: it is what stands in for the full-set piggyback's
+        """Causal delivery gating stands in for the full-set piggyback's
         transitivity, so ``piggyback=False`` must disable it too."""
-        return (
-            self.config.mode == "digest"
-            and self.config.piggyback
-            and self.depends_on is not None
-        )
+        return self.config.piggyback and self.depends_on is not None
 
     def _holds(self, node_id: int, group: object) -> bool:
         held = self._holdings.get(node_id)
@@ -308,11 +295,8 @@ class GossipService:
     def receive(
         self, node_id: int, payload: object, src: int = -1
     ) -> None:
-        """Handle a dissemination payload delivered to ``node_id``.
-
-        ``src`` is required for the digest protocol kinds (the exchange
-        replies to its peer); legacy ``"items"`` payloads ignore it.
-        """
+        """Handle a dissemination payload delivered to ``node_id`` from
+        ``src`` (the exchange replies to it)."""
         handler = self._handlers.get(payload[0])
         if handler is None:
             raise ValueError(f"unknown broadcast payload kind {payload[0]!r}")
@@ -379,7 +363,9 @@ class GossipService:
         to every other holder of its group.
 
         The publishing node "delivers" to itself immediately (its own
-        database reflects its own transactions at once).
+        database reflects its own transactions at once).  The flood is a
+        rumor: the new record plus (with piggyback) a digest of the
+        sender's set, instead of the set itself.
         """
         self.stats.published += 1
         if key not in self._published_at:
@@ -388,40 +374,24 @@ class GossipService:
         if not self.config.flood:
             return
         group = group_of(item)
-        targets = [
-            dst for dst in self._targets()
-            if dst != node_id and self._holds(dst, group)
-        ]
-        if self.config.mode == "full":
-            payload = (
-                tuple(self._known[node_id].items())
-                if self.config.piggyback
-                else ((key, item),)
+        piggyback = self.config.piggyback
+        stats = self.stats
+        items = ((key, item),)
+        for dst in self._targets():
+            if dst == node_id or not self._holds(dst, group):
+                continue
+            stats.flood_messages += 1
+            digest = self.digest_for(node_id, dst) if piggyback else None
+            extra = self._extras_for(node_id, dst)
+            stats.items_carried += 1
+            stats.wire.message(
+                records=1,
+                cells=digest.n_cells if digest is not None else 0,
+                summaries=len(extra) if extra else 0,
             )
-            for dst in targets:
-                self.stats.flood_messages += 1
-                self.stats.items_carried += len(payload)
-                self.stats.wire.message(records=len(payload))
-                self.transport.send(node_id, dst, ("items", payload))
-        else:
-            # rumor mongering: the new record plus (with piggyback) a
-            # digest of the sender's set, instead of the set itself.
-            piggyback = self.config.piggyback
-            stats = self.stats
-            items = ((key, item),)
-            for dst in targets:
-                stats.flood_messages += 1
-                digest = self.digest_for(node_id, dst) if piggyback else None
-                extra = self._extras_for(node_id, dst)
-                stats.items_carried += 1
-                stats.wire.message(
-                    records=1,
-                    cells=digest.n_cells if digest is not None else 0,
-                    summaries=len(extra) if extra else 0,
-                )
-                self.transport.send(
-                    node_id, dst, (GOSSIP_RUMOR, items, digest, extra)
-                )
+            self.transport.send(
+                node_id, dst, (GOSSIP_RUMOR, items, digest, extra)
+            )
 
     # -- anti-entropy -------------------------------------------------------
 
@@ -461,23 +431,12 @@ class GossipService:
         ]
         if not peers:
             return
-        if self.config.mode == "full":
-            targets = self.rng.sample(
-                peers, min(self.config.fanout, len(peers))
-            )
-            payload = tuple(self._known[node_id].items())
-            for dst in targets:
-                self.stats.anti_entropy_messages += 1
-                self.stats.items_carried += len(payload)
-                self.stats.wire.message(records=len(payload))
-                self.transport.send(node_id, dst, ("items", payload))
-        else:
-            targets = self.scheduler.pick(
-                node_id, peers, self.clock.now, fanout=self.config.fanout
-            )
-            for dst in targets:
-                self.stats.anti_entropy_messages += 1
-                self._initiate(node_id, dst)
+        targets = self.scheduler.pick(
+            node_id, peers, self.clock.now, fanout=self.config.fanout
+        )
+        for dst in targets:
+            self.stats.anti_entropy_messages += 1
+            self._initiate(node_id, dst)
 
     def trigger_anti_entropy(self, node_id: int) -> None:
         """Run one immediate anti-entropy exchange from ``node_id``
@@ -673,11 +632,6 @@ class GossipService:
             self._repair_pull(node_id, src)
 
     # -- receipt ----------------------------------------------------------
-
-    def _on_items(self, node_id: int, src: int, payload: Tuple) -> None:
-        """A legacy full-mode flood or anti-entropy set."""
-        self._merge(node_id, payload[1])
-
 
     def _merge(self, node_id: int, items) -> None:
         known = self._known[node_id]

@@ -100,9 +100,7 @@ class NodeServer:
         # this process hosts one node; gossip targets the whole cluster.
         self.broadcast.membership = cluster.node_ids
         self.sync = SyncManager(
-            clock=self.clock,
-            transport=self.transport,
-            broadcast=self.broadcast,
+            self.broadcast,
             apply=lambda origin, transaction: self.initiate_now(transaction),
         )
         self.host = NodeHost(

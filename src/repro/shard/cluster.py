@@ -91,12 +91,7 @@ class ShardCluster:
             rng=self.streams.stream("gossip"),
         )
         self.ledger = ExternalLedger()
-        self.sync = SyncManager(
-            clock=self.sim,
-            transport=self.network,
-            broadcast=self.broadcast,
-            apply=self.initiate_now,
-        )
+        self.sync = SyncManager(self.broadcast, apply=self.initiate_now)
         self.agents: Dict[str, TokenAgent] = {}
         self.hosts: List[NodeHost] = [
             NodeHost(

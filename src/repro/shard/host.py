@@ -123,7 +123,7 @@ class NodeHost:
         if not self.node.online:
             return  # crashed nodes drop everything on the floor
         kind = payload[0]
-        if kind == "items" or kind in GOSSIP_KINDS:
+        if kind in GOSSIP_KINDS:
             self.broadcast.receive(self.node_id, payload, src=src)
             return
         handler = self.handlers.get(kind)

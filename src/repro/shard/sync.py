@@ -17,15 +17,12 @@ cluster:
   transaction is **rejected** — exactly the availability price the paper
   predicts for serializable operation.
 
-Under the digest gossip mode the pull is delta-shaped: the ``sync_pull``
-carries the origin's :class:`~repro.gossip.digest.RangeDigest`, and each
-peer pushes only the records it holds in timestamp ranges where the
-digests disagree — the origin's round-trip count (and hence latency) is
-unchanged, but the pushes no longer ship the peers' full histories.
-Completeness is preserved because a record the origin lacks necessarily
-makes its cell's (count, fingerprint) differ from the origin's.  In
-``GossipConfig(mode="full")`` peers push their entire known sets (the
-Section 3.3-literal reference arm).
+The pull is delta-shaped: the ``sync_pull`` carries the origin's
+:class:`~repro.gossip.digest.RangeDigest`, and each peer pushes only the
+records it holds in timestamp ranges where the digests disagree, not
+its whole history.  Completeness is preserved because a record the
+origin lacks necessarily makes its cell's (count, fingerprint) differ
+from the origin's.
 
 The guarantee is honest rather than absolute: transactions initiated
 concurrently with the pull can still land before the synchronized one in
@@ -41,7 +38,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Tuple
 
 from ..core.transaction import Transaction
-from ..ports import Clock, Transport
+from ..gossip import GossipService
 
 #: runs a transaction's decision at a node, now: the owner assigns the
 #: txid and calls :meth:`repro.shard.host.NodeHost.initiate`
@@ -62,7 +59,7 @@ class SyncStats:
     rejected: int = 0
     #: pull latencies of served synchronized transactions.
     latencies: List[float] = field(default_factory=list)
-    #: records carried by sync_push replies (delta-sized in digest mode).
+    #: records carried by sync_push replies.
     pushed_records: int = 0
 
     @property
@@ -87,21 +84,13 @@ class SyncManager:
     :class:`~repro.shard.cluster.ShardCluster`, the single host of a
     live :class:`~repro.runtime.node.NodeServer`.  The owner registers
     :meth:`handle` for :data:`SYNC_PULL` and :data:`SYNC_PUSH` in each
-    host's ``handlers``.  It is given a clock for timeouts, a transport
-    for the pull/push messages, the gossip service whose digests shape
-    the deltas, and the owner's submission path for the finally-complete
-    decision.
+    host's ``handlers``.  It is given the gossip service — whose digests
+    shape the deltas, and whose clock and transport carry the timeouts
+    and the pull/push messages — and the owner's submission path for
+    the finally-complete decision.
     """
 
-    def __init__(
-        self,
-        clock: Clock,
-        transport: Transport,
-        broadcast,
-        apply: ApplyFn,
-    ) -> None:
-        self.clock = clock
-        self.transport = transport
+    def __init__(self, broadcast: GossipService, apply: ApplyFn) -> None:
         self.broadcast = broadcast
         self.apply = apply
         self.stats = SyncStats()
@@ -126,6 +115,9 @@ class SyncManager:
     ) -> None:
         """Schedule a synchronized submission now (see module docstring)."""
 
+        broadcast = self.broadcast
+        clock = broadcast.clock
+
         def fire() -> None:
             self.stats.requested += 1
             sync_id = self._next_id
@@ -137,47 +129,38 @@ class SyncManager:
                 self.stats.served += 1
                 self.stats.latencies.append(0.0)
                 return
-            handle = self.clock.schedule(
+            handle = clock.schedule(
                 timeout, lambda: self._on_timeout(sync_id)
             )
             self._pending[sync_id] = _PendingSync(
                 origin=node_id,
                 transaction=transaction,
-                started_at=self.clock.now,
+                started_at=clock.now,
                 awaiting=set(others),
                 timeout_handle=handle,
             )
-            digest = (
-                self.broadcast.digest(node_id)
-                if self.broadcast.config.mode == "digest"
-                else None
-            )
+            digest = broadcast.digest(node_id)
             for other in others:
-                self.broadcast.stats.wire.message(
-                    cells=digest.n_cells if digest is not None else 0
-                )
-                self.transport.send(
+                broadcast.stats.wire.message(cells=digest.n_cells)
+                broadcast.transport.send(
                     node_id, other, (SYNC_PULL, sync_id, node_id, digest)
                 )
 
-        self.clock.schedule(0.0, fire)
+        clock.schedule(0.0, fire)
 
     # -- message handling ---------------------------------------------------
 
     def handle(self, node_id: int, src: int, payload: Tuple) -> None:
         kind = payload[0]
+        broadcast = self.broadcast
         if kind == SYNC_PULL:
             _, sync_id, origin, digest = payload
-            broadcast = self.broadcast
-            if digest is not None:
-                # delta push: only records in ranges where the origin's
-                # digest disagrees with ours.
-                items = broadcast.delta_records(node_id, digest)
-            else:
-                items = broadcast.known_items(node_id)
+            # delta push: only records in ranges where the origin's
+            # digest disagrees with ours.
+            items = broadcast.delta_records(node_id, digest)
             self.stats.pushed_records += len(items)
             broadcast.stats.wire.message(records=len(items))
-            self.transport.send(
+            broadcast.transport.send(
                 node_id, origin, (SYNC_PUSH, sync_id, node_id, items)
             )
         elif kind == SYNC_PUSH:
@@ -185,7 +168,7 @@ class SyncManager:
             pending = self._pending.get(sync_id)
             if pending is None:
                 return
-            self.broadcast.merge_items(pending.origin, items)
+            broadcast.merge_items(pending.origin, items)
             pending.awaiting.discard(pusher)
             if not pending.awaiting:
                 self._complete(sync_id)
@@ -207,7 +190,7 @@ class SyncManager:
         self.apply(pending.origin, pending.transaction)
         self.stats.served += 1
         self.stats.latencies.append(
-            self.clock.now - pending.started_at
+            self.broadcast.clock.now - pending.started_at
         )
 
     def _on_timeout(self, sync_id: int) -> None:

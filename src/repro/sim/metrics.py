@@ -26,9 +26,9 @@ WIRE_COSTS: Dict[str, int] = {
 class WireStats:
     """Counts of what crossed the (simulated) wire, by payload unit.
 
-    Shared by the legacy full-set dissemination paths and the digest
-    gossip subsystem so full-set vs. digest runs are comparable on one
-    axis: modeled bytes shipped."""
+    Every dissemination message is accounted here, so runs with
+    different protocols or settings are comparable on one axis: modeled
+    bytes shipped."""
 
     messages: int = 0
     records: int = 0

@@ -16,7 +16,7 @@ from repro.chaos.faults import (
     Partition,
 )
 from repro.chaos.inject import MessageFaultLayer
-from repro.gossip import GOSSIP_SYN, GossipConfig, GossipService
+from repro.gossip import GOSSIP_RUMOR, GOSSIP_SYN, GossipConfig, GossipService
 from repro.network.network import NetworkStats
 from repro.runtime.client import NodeClient
 from repro.runtime.clock import RuntimeClock, wall_epoch
@@ -219,10 +219,7 @@ def attach_node_host(pair):
     the receiving transport's node slot, as a live node server does."""
     broadcast = GossipService(pair.clock, pair.receiver, GossipConfig())
     broadcast.membership = pair.spec.node_ids
-    sync = SyncManager(
-        clock=pair.clock, transport=pair.receiver, broadcast=broadcast,
-        apply=lambda origin, transaction: None,
-    )
+    sync = SyncManager(broadcast, apply=lambda origin, transaction: None)
     return NodeHost(
         1, {None: AirlineState()},
         broadcast=broadcast,
@@ -285,7 +282,18 @@ class TestRejectedFrames:
         ("bogus",),
         (GOSSIP_SYN, 1),
         (SYNC_PULL, 1),
-    ], ids=["unknown-kind", "short-gossip-syn", "short-sync-pull"])
+        ("items", ()),
+        (SYNC_PULL, 1, 0, None),
+        (SYNC_PULL, 1, 0, 5),
+        (GOSSIP_SYN, 1, None, None),
+        (GOSSIP_SYN, 1, 5, None),
+        (GOSSIP_RUMOR, (), 5, None),
+    ], ids=[
+        "unknown-kind", "short-gossip-syn", "short-sync-pull",
+        "retired-items-kind", "sync-pull-without-digest",
+        "sync-pull-int-digest", "gossip-syn-without-digest",
+        "gossip-syn-int-digest", "rumor-int-digest",
+    ])
     def test_malformed_payload_through_a_node_host(self, payload):
         assert_rejected_then_served(
             frame_from_text(encode((MSG, 0, payload))), with_host=True

@@ -14,7 +14,7 @@ import pytest
 
 from repro.apps.airline import INITIAL_STATE, Cancel, Request
 from repro.certify import CommutationOracle, airline_spec, build_pair_table
-from repro.gossip import GOSSIP_RUMOR, GossipConfig, GossipService
+from repro.gossip import GOSSIP_RUMOR, DigestIndex, GossipConfig, GossipService
 from repro.network import FixedDelay, Network
 from repro.replica import EveryPositionPolicy, policy_engine_factory
 from repro.runtime.loopback import LoopbackNet, VirtualClock
@@ -52,9 +52,7 @@ class Harness:
         )
         self.applied = []
         self.sync = SyncManager(
-            clock=self.clock,
-            transport=self.transport,
-            broadcast=self.broadcast,
+            self.broadcast,
             apply=lambda node, transaction: self.applied.append(transaction),
         )
         host_kwargs.setdefault(
@@ -150,7 +148,9 @@ class TestDispatch:
         record = ShardNode(1, {None: INITIAL_STATE}).initiate(
             100, Request("Q1"), now=0.0
         )
-        payloads = [rumor(record), (SYNC_PULL, 7, 1, None)]
+        # the pull carries node 1's (empty) digest.
+        pull = (SYNC_PULL, 7, 1, DigestIndex().digest())
+        payloads = [rumor(record), pull]
         harness.host.node.online = False
         for payload in payloads:
             harness.host.dispatch(1, payload)

@@ -144,34 +144,37 @@ class TestSyncProtocol:
     def test_digest_pull_pushes_fewer_records_than_full(self):
         """The delta-shaped pull: peers ship only what the origin's
         digest shows it lacks, yet the audit still sees everything."""
-        def run(mode):
-            cluster = ShardCluster(
-                INITIAL_BANK_STATE,
-                ClusterConfig(
-                    n_nodes=3,
-                    broadcast=GossipConfig(
-                        mode=mode, anti_entropy_interval=1e9
-                    ),
-                ),
-            )
-            for i in range(10):
-                cluster.submit(i % 3, Deposit("alice", 1), at=float(i))
-            cluster.sim.schedule_at(
-                20.0, lambda: cluster.submit_synchronized(0, Audit())
-            )
-            cluster.quiesce()
-            assert cluster.sync.stats.served == 1
-            report = [
-                entry.action.payload[0]
-                for entry in cluster.ledger
-                if entry.action.kind == AUDIT_REPORT
-            ]
-            assert report == [10]
-            return cluster.sync.stats.pushed_records
+        cluster = ShardCluster(
+            INITIAL_BANK_STATE,
+            ClusterConfig(
+                n_nodes=3,
+                broadcast=GossipConfig(anti_entropy_interval=1e9),
+            ),
+        )
+        for i in range(10):
+            cluster.submit(i % 3, Deposit("alice", 1), at=float(i))
+        whole_sets = []
 
+        def pull():
+            # what a whole-set push would ship: both peers' known sets.
+            whole_sets.extend(
+                len(cluster.broadcast.known_keys(n)) for n in (1, 2)
+            )
+            cluster.submit_synchronized(0, Audit())
+
+        cluster.sim.schedule_at(20.0, pull)
+        cluster.quiesce()
+        assert cluster.sync.stats.served == 1
+        report = [
+            entry.action.payload[0]
+            for entry in cluster.ledger
+            if entry.action.kind == AUDIT_REPORT
+        ]
+        assert report == [10]
         # flooding keeps nodes nearly in sync, so the digest pull has
-        # little left to ship; the full pull reships both known sets.
-        assert run("digest") < run("full")
+        # little left to ship next to both peers' whole known sets.
+        assert whole_sets == [10, 10]
+        assert cluster.sync.stats.pushed_records < sum(whole_sets)
 
     def test_mixed_mode_costs(self):
         """A synchronized MOVE_UP never overbooks even when plain movers
