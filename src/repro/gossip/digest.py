@@ -68,10 +68,6 @@ class RangeDigest:
     def n_cells(self) -> int:
         return len(self.cells)
 
-    def cell_map(self) -> Dict[Cell, Tuple[int, int]]:
-        """``(group, lo) -> (count, fingerprint)`` for comparisons."""
-        return {(g, lo): (count, fp) for g, lo, count, fp in self.cells}
-
 
 class DigestIndex:
     """Incrementally maintained digest + per-cell membership for one node.
@@ -87,6 +83,12 @@ class DigestIndex:
         self.width = width
         self._cells: Dict[Cell, List[int]] = {}  # cell -> [count, fp]
         self._members: Dict[Cell, Set[object]] = {}
+        #: the rendered ``(group, lo, count, fp)`` rows in wire order,
+        #: updated in place as cells change; None once a cell is created
+        #: or deleted, re-sorted on the next rendering.
+        self._rows: Optional[List[Tuple[object, int, int, int]]] = None
+        #: cell -> its position in ``_rows``.
+        self._row_of: Dict[Cell, int] = {}
         self._tail: Optional[TsPair] = None
         self._cached: Optional[RangeDigest] = None
         self.adds = 0
@@ -101,9 +103,14 @@ class DigestIndex:
     def add(self, key: object, ts: TsPair, group: object = None) -> Cell:
         """Fold a newly delivered key into its cell; returns the cell."""
         cell = self.cell_of(ts[0], group)
-        slot = self._cells.setdefault(cell, [0, 0])
+        slot = self._cells.get(cell)
+        if slot is None:
+            slot = self._cells[cell] = [0, 0]
+            self._rows = None
         slot[0] += 1
         slot[1] ^= fingerprint(key)
+        if self._rows is not None:
+            self._rows[self._row_of[cell]] = (*cell, *slot)
         self._members.setdefault(cell, set()).add(key)
         self.adds += 1
         if self._tail is None or ts >= self._tail:
@@ -134,6 +141,9 @@ class DigestIndex:
         if slot[0] == 0:
             del self._cells[cell]
             del self._members[cell]
+            self._rows = None
+        elif self._rows is not None:
+            self._rows[self._row_of[cell]] = (*cell, *slot)
         self._cached = None
 
     @property
@@ -160,13 +170,14 @@ class DigestIndex:
         return self._render(groups)
 
     def _render(self, groups: Optional[FrozenSet[object]]) -> RangeDigest:
-        cells = tuple(
-            (g, lo, slot[0], slot[1])
-            for (g, lo), slot in sorted(
-                self._cells.items(), key=lambda kv: _cell_sort_key(kv[0])
-            )
-            if groups is None or g in groups
-        )
+        if self._rows is None:
+            order = sorted(self._cells, key=_cell_sort_key)
+            self._row_of = {cell: i for i, cell in enumerate(order)}
+            self._rows = [(*cell, *self._cells[cell]) for cell in order]
+        if groups is None:
+            cells = tuple(self._rows)
+        else:
+            cells = tuple(row for row in self._rows if row[0] in groups)
         return RangeDigest(self.width, cells, self._tail)
 
 
@@ -183,20 +194,21 @@ def differing_cells(
     local ones), and sorted for deterministic wire payloads.  A
     ``remote`` that is not a digest (a malformed peer payload) raises
     ``TypeError``.
+
+    Peers in sync render identical cell tuples, which is one compare;
+    otherwise every ``(group, lo, count, fp)`` entry on exactly one side
+    names a differing cell.
     """
     if not isinstance(remote, RangeDigest):
         raise TypeError(
             f"expected a RangeDigest, got {type(remote).__name__}"
         )
-    mine = local.digest(groups).cell_map()
-    theirs = {
-        cell: value
-        for cell, value in remote.cell_map().items()
-        if groups is None or cell[0] in groups
-    }
+    mine = local.digest(groups).cells
+    if mine == remote.cells:
+        return ()
     out = {
-        cell
-        for cell in set(mine) | set(theirs)
-        if mine.get(cell) != theirs.get(cell)
+        (g, lo)
+        for g, lo, _count, _fp in set(mine).symmetric_difference(remote.cells)
+        if groups is None or g in groups
     }
     return tuple(sorted(out, key=_cell_sort_key))

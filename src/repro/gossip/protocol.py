@@ -27,7 +27,7 @@ directly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, Mapping, Tuple
+from typing import Callable, Dict, Iterable, List, Mapping, Tuple
 
 GOSSIP_SYN = "gossip_syn"
 GOSSIP_ACK = "gossip_ack"
@@ -75,8 +75,15 @@ class CausalBuffer:
     exactly the transitivity invariant the paper's broadcast provides.
 
     ``delivered`` is the owning node's *live* key -> item mapping (the
-    one ``deliver`` fills and a crash scrubs), never a copy: readiness
-    is one set inclusion against its keys.
+    one ``deliver`` fills and a crash scrubs), never a copy.  Deps that
+    name a prefix of an append-only sequence — they carry ``seq`` and
+    ``n``, as a :class:`~repro.replica.log.SeenView` does — are checked
+    against one cursor per sequence: how far ``seq`` is known delivered
+    here.  Readiness advances the cursor, so each sequence is walked
+    once per buffer, not once per item.  Any other iterable is one set
+    inclusion against the mapping's keys.  A cursor stays true only
+    while ``delivered`` grows: whoever removes keys from it must call
+    :meth:`clear` (``GossipService.forget`` does).
     """
 
     def __init__(
@@ -86,9 +93,16 @@ class CausalBuffer:
     ):
         self._delivered = delivered
         self._deliver = deliver
-        #: key -> (item, the keys it must be delivered after).
-        self._pending: Dict[object, Tuple[object, frozenset]] = {}
+        #: key -> (item, deps, None) for a set of deps, or
+        #: (item, n, cursor) for the prefix ``seq[:n]`` of a sequence.
+        self._pending: Dict[object, Tuple[object, object, object]] = {}
+        #: id(seq) -> [seq, length of its prefix known delivered].
+        self._cursors: Dict[int, List] = {}
+        #: items that did not deliver at once and were buffered.
         self.buffered_total = 0
+        #: buffered items delivered later (never those :meth:`clear`
+        #: dropped).
+        self.deferred_total = 0
 
     def __len__(self) -> int:
         return len(self._pending)
@@ -105,25 +119,48 @@ class CausalBuffer:
         buffer; then flush chains."""
         if key in self._delivered or key in self._pending:
             return
-        self._pending[key] = (item, frozenset(deps))
-        self._flush()
+        seq = getattr(deps, "seq", None)
+        if seq is None:
+            self._pending[key] = (item, frozenset(deps), None)
+        else:
+            cursor = self._cursors.get(id(seq))
+            if cursor is None:
+                cursor = self._cursors[id(seq)] = [seq, 0]
+            self._pending[key] = (item, deps.n, cursor)
+        self._flush(key)
         if key in self._pending:
             self.buffered_total += 1
 
     def clear(self) -> int:
-        """Drop everything buffered (crash losing volatile state);
-        returns how many pending items were discarded."""
+        """Drop everything buffered and every cursor (crash losing
+        volatile state); returns how many pending items were
+        discarded."""
         n = len(self._pending)
         self._pending.clear()
+        self._cursors.clear()
         return n
 
-    def _flush(self) -> None:
-        delivered = self._delivered.keys()
+    def _flush(self, offered: object) -> None:
+        delivered = self._delivered
+        keys = delivered.keys()
         progress = True
         while progress:
             progress = False
-            for key, (item, deps) in list(self._pending.items()):
-                if key in self._pending and deps <= delivered:
-                    del self._pending[key]
-                    self._deliver(key, item)
-                    progress = True
+            for key, (item, deps, cursor) in list(self._pending.items()):
+                if key not in self._pending:
+                    continue
+                if cursor is None:
+                    if not deps <= keys:
+                        continue
+                else:
+                    seq, done = cursor
+                    while done < deps and seq[done] in delivered:
+                        done += 1
+                    cursor[1] = done
+                    if done < deps:
+                        continue
+                del self._pending[key]
+                self._deliver(key, item)
+                if key != offered:
+                    self.deferred_total += 1
+                progress = True

@@ -20,9 +20,12 @@ shard cluster supplies ``record.seen_txids``), received items are held in
 a :class:`~repro.gossip.protocol.CausalBuffer` until their dependencies
 have been delivered, so every node's delivered set remains causally
 closed — the invariant behind the paper's transitive prefix
-subsequences.  With ``piggyback=False`` the digest (and hence the repair
-pull and the gating) is disabled, faithfully reproducing the
-intransitivity the paper warns about.
+subsequences.  Dependencies may be any iterable of keys; a seen-set
+taken in-process is a view of a prefix of the origin log's arrival
+sequence, which the gate checks with one cursor per sequence instead of
+re-reading the whole set.  With ``piggyback=False`` the digest (and
+hence the repair pull and the gating) is disabled, faithfully
+reproducing the intransitivity the paper warns about.
 
 **Groups** let one service serve both topologies (Section 6).  An
 item's group is its ``group`` attribute (``None`` if absent or unset,
@@ -638,6 +641,7 @@ class GossipService:
         held = self._holdings[node_id]
         gating = self._gating()
         buffer = self._buffers[node_id]
+        deferred = buffer.deferred_total
         with self.delivery_batch(node_id):
             for key, item in items:
                 if key in known or (
@@ -648,6 +652,7 @@ class GossipService:
                     buffer.offer(key, item, self.depends_on(key, item))
                 else:
                     self._deliver_one(node_id, key, item)
+        self.stats.causally_deferred += buffer.deferred_total - deferred
 
     def _deliver_one(self, node_id: int, key: object, item: object) -> None:
         """The single point where an item becomes *delivered* at a node:

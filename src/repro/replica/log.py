@@ -8,6 +8,12 @@ saw, and its group (the object it updates under partial replication,
 order, insertion may land anywhere — triggering the undo/redo
 machinery in :mod:`repro.replica.engine`.
 
+Beside the timestamp order the log keeps the *arrival sequence* of its
+txids, append-only between truncations.  A decision's seen-set (the
+paper's prefix subsequence, Section 3.3) is then a :class:`SeenView`
+of the first ``n`` arrivals: O(1) to take, with no copy, where a
+``frozenset`` of the log's txids costs O(log length) per transaction.
+
 This is the *single* copy of the sequence: merge engines are views over
 it (see :class:`repro.replica.engine.LogUpdateSource`) and never shadow
 the records.
@@ -16,12 +22,65 @@ the records.
 from __future__ import annotations
 
 import bisect
+from collections.abc import Set as AbcSet
 from dataclasses import dataclass
-from typing import FrozenSet, Iterator, List, Optional, Tuple
+from itertools import islice
+from typing import AbstractSet, Dict, Iterator, List, Optional, Tuple
 
 from ..core.transaction import Transaction
 from ..core.update import Update
 from .timestamps import Timestamp
+
+
+class SeenView(AbcSet):
+    """The txids of the first ``n`` arrivals of a log's arrival
+    sequence ``seq`` (``index``: txid -> arrival position), as an
+    immutable set.
+
+    A log only appends to a sequence, and starts a fresh one when it
+    truncates, so ``seq[:n]`` never changes.  It equals, hashes, pickles
+    and wire-encodes as the ``frozenset`` of the same txids; set
+    operators return ``frozenset``.  Readers that know the layout (the
+    causal gate) use ``seq`` and ``n`` directly.
+    """
+
+    __slots__ = ("seq", "index", "n", "_hash")
+
+    def __init__(self, seq: List[int], index: Dict[int, int], n: int):
+        self.seq = seq
+        self.index = index
+        self.n = n
+        self._hash: Optional[int] = None
+
+    @classmethod
+    def _from_iterable(cls, iterable) -> frozenset:
+        return frozenset(iterable)
+
+    def __len__(self) -> int:
+        return self.n
+
+    def __contains__(self, txid: object) -> bool:
+        position = self.index.get(txid)
+        return position is not None and position < self.n
+
+    def __iter__(self) -> Iterator[int]:
+        return islice(self.seq, self.n)
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, SeenView) and other.seq is self.seq:
+            return other.n == self.n
+        return AbcSet.__eq__(self, other)
+
+    def __hash__(self) -> int:
+        if self._hash is None:
+            self._hash = hash(frozenset(self))
+        return self._hash
+
+    def __reduce__(self):
+        return (frozenset, (tuple(self),))
+
+    def __repr__(self) -> str:
+        return f"SeenView({sorted(self)!r})"
 
 
 @dataclass(frozen=True)
@@ -34,7 +93,9 @@ class UpdateRecord:
     update: Update
     origin: int
     real_time: float
-    seen_txids: FrozenSet[int]
+    #: the txids the decision saw: a :class:`SeenView` when initiated
+    #: here, a ``frozenset`` when decoded off the wire; equal either way.
+    seen_txids: AbstractSet[int]
     #: the object (gossip group) this record updates; ``None``: all.
     group: object = None
 
@@ -43,11 +104,15 @@ class UpdateRecord:
 
 
 class SystemLog:
-    """A list of update records kept sorted by timestamp."""
+    """A list of update records kept sorted by timestamp, plus the
+    arrival sequence of their txids."""
 
     def __init__(self) -> None:
         self._records: List[UpdateRecord] = []
-        self._ids: set = set()
+        #: txids in arrival order; appended to, never edited in place.
+        self._arrivals: List[int] = []
+        #: txid -> its position in ``_arrivals``.
+        self._arrival_of: Dict[int, int] = {}
 
     def __len__(self) -> int:
         return len(self._records)
@@ -59,20 +124,22 @@ class SystemLog:
         return self._records[index]
 
     def __contains__(self, txid: int) -> bool:
-        return txid in self._ids
+        return txid in self._arrival_of
 
     @property
-    def txids(self) -> FrozenSet[int]:
-        return frozenset(self._ids)
+    def txids(self) -> SeenView:
+        """The txids in the log now, as an O(1) view (no copy)."""
+        return SeenView(self._arrivals, self._arrival_of, len(self._arrivals))
 
     def insert(self, record: UpdateRecord) -> Optional[int]:
         """Insert in timestamp order; returns the position, or None if the
         record was already present (duplicate delivery)."""
-        if record.txid in self._ids:
+        if record.txid in self._arrival_of:
             return None
         position = bisect.bisect_left(self._records, record)
         self._records.insert(position, record)
-        self._ids.add(record.txid)
+        self._arrival_of[record.txid] = len(self._arrivals)
+        self._arrivals.append(record.txid)
         return position
 
     def records(self) -> Tuple[UpdateRecord, ...]:
@@ -85,6 +152,9 @@ class SystemLog:
         Models a crash losing volatile state: the prefix up to the last
         stable checkpoint survives, the rest is gone and must be
         re-fetched via anti-entropy.
+
+        The survivors start a fresh arrival sequence (in their arrival
+        order): views taken earlier keep the old one, unedited.
         """
         if not 0 <= length <= len(self._records):
             raise ValueError(
@@ -92,7 +162,10 @@ class SystemLog:
             )
         lost = tuple(self._records[length:])
         del self._records[length:]
-        self._ids.difference_update(r.txid for r in lost)
+        if lost:
+            gone = {r.txid for r in lost}
+            self._arrivals = [t for t in self._arrivals if t not in gone]
+            self._arrival_of = {t: i for i, t in enumerate(self._arrivals)}
         return lost
 
     def max_timestamp(self) -> Optional[Timestamp]:

@@ -16,12 +16,12 @@ baselines — goes through one seam.
 
 from __future__ import annotations
 
-from typing import Callable, FrozenSet, Optional, Tuple
+from typing import Callable, Optional, Tuple
 
 from ..core.state import State
 from ..core.update import Update
 from .engine import LogUpdateSource, MergeOutcome, MergeStats, MergeView
-from .log import SystemLog, UpdateRecord
+from .log import SeenView, SystemLog, UpdateRecord
 from .policy import CheckpointPolicy, EveryPositionPolicy, InitialOnlyPolicy
 
 #: anything that builds a merge view (or a seed-compat engine, which is
@@ -90,7 +90,7 @@ class Replica:
         return self.engine.stats
 
     @property
-    def txids(self) -> FrozenSet[int]:
+    def txids(self) -> SeenView:
         return self.log.txids
 
     def ingest(self, record: UpdateRecord) -> Optional[MergeOutcome]:

@@ -47,7 +47,7 @@ from ..apps.registry import APP_NAMES, app_entry
 from ..core.transaction import Transaction
 from ..core.update import IDENTITY, Update
 from ..gossip.digest import RangeDigest
-from ..replica.log import UpdateRecord
+from ..replica.log import SeenView, UpdateRecord
 from ..replica.timestamps import Timestamp
 
 
@@ -99,8 +99,9 @@ def _enc(value: object) -> object:
         return {"%t": [_enc(v) for v in value]}
     if isinstance(value, list):
         return {"%l": [_enc(v) for v in value]}
-    if isinstance(value, frozenset):
-        # wire sets are txid sets: sort for a canonical byte form.
+    if isinstance(value, (frozenset, SeenView)):
+        # wire sets are txid sets: sort for a canonical byte form (a
+        # seen-set view encodes, and decodes, as its frozenset).
         return {"%fs": sorted(_enc(v) for v in value)}
     if isinstance(value, dict):
         # str-keyed mappings (profile counters); wrapped so the decoder

@@ -15,11 +15,17 @@ no other inter-node concurrency control, exactly as Section 1.2 says.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Mapping, Optional
+from typing import Dict, Mapping, Optional
 
 from ..core.state import State
 from ..core.transaction import Transaction
-from ..replica import EngineFactory, LamportClock, Replica, UpdateRecord
+from ..replica import (
+    EngineFactory,
+    LamportClock,
+    Replica,
+    SeenView,
+    UpdateRecord,
+)
 from .external import ExternalLedger
 
 
@@ -66,7 +72,7 @@ class ShardNode:
         return self.replica.state
 
     @property
-    def known_txids(self) -> FrozenSet[int]:
+    def known_txids(self) -> SeenView:
         return self.replica.txids
 
     def initiate(
@@ -84,6 +90,7 @@ class ShardNode:
         for the broadcast layer to disseminate.
         """
         replica = self.replicas[group]
+        # an O(1) view of the replica's arrivals so far, not a copy.
         seen = replica.txids
         decision = transaction.decide(replica.state)
         self.ledger.record(now, self.node_id, txid, tuple(decision.external_actions))

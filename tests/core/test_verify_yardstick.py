@@ -17,18 +17,18 @@ from tests.helpers import count_python_calls
 TXNS = 2000
 
 
-def steady_airline_history():
+def steady_airline_history(txns=TXNS):
     """``(initial state, records)`` of a steady 3-node airline run of
-    :data:`TXNS` transactions (6 per simulated second, 0.1-0.5 s links).
+    ``txns`` transactions (6 per simulated second, 0.1-0.5 s links).
     The 50 people keep the state, and so the cost of one update, the
     same size from head to tail: what grows with the log is then only
     what the verifier does."""
     spec = WorkloadSpec(
         name="verify-yardstick", category="airline", seed=1,
-        duration=1.1 * TXNS / 6.0, n_nodes=3, rate=6.0, universe=50,
+        duration=1.1 * txns / 6.0, n_nodes=3, rate=6.0, universe=50,
     )
-    events = generate_stream(spec)[:TXNS]
-    assert len(events) == TXNS
+    events = generate_stream(spec)[:txns]
+    assert len(events) == txns
     cluster = ShardCluster(
         app_entry("airline").initial_state,
         ClusterConfig(n_nodes=3, seed=1, delay=UniformDelay(*spec.delay)),

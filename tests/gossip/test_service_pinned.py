@@ -31,7 +31,7 @@ N_NODES = 4
 CAPACITY = 3
 
 PINNED_DIGEST = (
-    "7db4265ece91e34a4c3f69709921df462c72caef694278baa78d92d07f160ba7"
+    "731328baf3c043f833accdc5cf71f03b1280b49c1b987ca9169b94a685fc30c4"
 )
 
 
