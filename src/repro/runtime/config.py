@@ -19,9 +19,13 @@ from typing import Dict, List, Optional, Tuple
 from ..chaos.faults import FaultPlan
 
 #: txid packing moduli (see NodeSpec.txid): enough for any cluster this
-#: repo will ever boot, small enough to keep txids readable ints.
+#: repo will ever boot, and few enough that every txid stays below 2**53
+#: (exact in any JSON reader).
 MAX_NODES = 64
 MAX_INCARNATIONS = 256
+#: local sequence numbers per (node, incarnation): the low nine decimal
+#: digits of a txid, so ``2_000_000_017`` reads as node 2's txn 17.
+SEQ_SPACE = 10 ** 9
 
 
 @dataclass(frozen=True)
@@ -109,10 +113,19 @@ class NodeSpec:
 
     def txid(self, local_seq: int) -> int:
         """A globally unique txid with no central counter: unique per
-        (node, incarnation, sequence), monotone in the sequence."""
+        (node, incarnation, sequence), monotone in the sequence.
+
+        The sequence sits in the low digits, so one (node, incarnation)
+        issues consecutive ints.  A seen-set is, under causal delivery,
+        a prefix of each origin's sequence, so it is a handful of
+        consecutive runs, which is what the wire's set encoding stores
+        (one pair of ints per run, :mod:`repro.runtime.wire`).
+        """
+        if not 0 <= local_seq < SEQ_SPACE:
+            raise ValueError(f"local sequence {local_seq} out of range")
         return (
-            (local_seq * MAX_INCARNATIONS + self.incarnation) * MAX_NODES
-            + self.node_id
+            (self.incarnation * MAX_NODES + self.node_id) * SEQ_SPACE
+            + local_seq
         )
 
     def to_json(self) -> str:
@@ -130,3 +143,11 @@ class NodeSpec:
             node_id=data["node_id"],
             incarnation=data["incarnation"],
         )
+
+
+def txid_origin(txid: int) -> Tuple[int, int, int]:
+    """``(node_id, incarnation, local_seq)`` of a txid
+    :meth:`NodeSpec.txid` issued."""
+    origin, local_seq = divmod(txid, SEQ_SPACE)
+    incarnation, node_id = divmod(origin, MAX_NODES)
+    return node_id, incarnation, local_seq

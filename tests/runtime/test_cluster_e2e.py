@@ -16,7 +16,7 @@ from repro.apps.airline.transactions import MoveUp, Request
 from repro.chaos.offline import RecordedRun, check_recorded_run
 from repro.runtime import demo
 from repro.runtime.client import ClusterClient, NodeUnreachable
-from repro.runtime.config import MAX_INCARNATIONS, MAX_NODES
+from repro.runtime.config import txid_origin
 from repro.runtime.history import load_history
 from repro.runtime.supervisor import ClusterSupervisor, make_spec
 
@@ -87,8 +87,7 @@ def test_kill_respawn_recovery(tmp_path):
             # txids stay unique across the incarnation bump.
             post = await client.submit(2, Request("p-after-recovery"))
             assert post not in txids
-            assert post % MAX_NODES == 2
-            assert (post // MAX_NODES) % MAX_INCARNATIONS == 1
+            assert txid_origin(post)[:2] == (2, 1)
 
             # let the post-recovery record disseminate before the dumps.
             assert await converge(client, supervisor)
@@ -170,8 +169,7 @@ def test_sigkill_mid_pipeline_loses_only_unacked_ops(tmp_path):
             # paper's loss model — but an op the cluster kept that the
             # client never saw acked can only be an unacked initiation.
             for txid in final:
-                assert txid % MAX_NODES == 0
-                assert (txid // MAX_NODES) % MAX_INCARNATIONS == 0
+                assert txid_origin(txid)[:2] == (0, 0)
             # the survivors keep taking pipelined work afterwards.
             more = await client.submit_many(
                 1, [Request("after-kill")], window=4

@@ -9,9 +9,9 @@ from repro.replica import UpdateRecord
 from repro.replica.timestamps import Timestamp
 from repro.runtime.config import (
     ClusterSpec,
-    MAX_INCARNATIONS,
-    MAX_NODES,
     NodeSpec,
+    SEQ_SPACE,
+    txid_origin,
 )
 from repro.runtime.history import (
     HistoryWriter,
@@ -69,10 +69,19 @@ class TestSpecs:
 
     def test_txid_packing_decodes_back(self):
         spec = NodeSpec(make_cluster_spec(), 2, 5)
-        txid = spec.txid(9)
-        assert txid % MAX_NODES == 2
-        assert (txid // MAX_NODES) % MAX_INCARNATIONS == 5
-        assert txid // (MAX_NODES * MAX_INCARNATIONS) == 9
+        assert txid_origin(spec.txid(9)) == (2, 5, 9)
+
+    def test_one_incarnation_issues_consecutive_txids(self):
+        spec = NodeSpec(make_cluster_spec(), 1, 2)
+        assert spec.txid(6) == spec.txid(5) + 1
+        assert txid_origin(spec.txid(SEQ_SPACE - 1)) == (1, 2, SEQ_SPACE - 1)
+
+    def test_txid_rejects_a_sequence_past_its_space(self):
+        spec = NodeSpec(make_cluster_spec(), 0, 0)
+        with pytest.raises(ValueError):
+            spec.txid(SEQ_SPACE)
+        with pytest.raises(ValueError):
+            spec.txid(-1)
 
 
 class TestHistory:
