@@ -33,7 +33,7 @@ from repro.replica import (
     InitialOnlyPolicy,
     policy_engine_factory,
 )
-from repro.shard.partial import PartialCluster, PartialConfig
+from repro.shard import ClusterConfig, ShardCluster
 
 CAPACITY = 5
 
@@ -42,9 +42,10 @@ CAPACITY = 5
 
 
 def _partial_run(placement, seed=3):
-    cluster = PartialCluster(
+    cluster = ShardCluster(
         {"f1": AirlineState(), "f2": AirlineState()},
-        PartialConfig(
+        ClusterConfig(
+            n_nodes=len(placement),
             placement=placement,
             seed=seed,
             partitions=PartitionSchedule.split(10, 40, [0], [1, 2]),
@@ -91,9 +92,10 @@ def _partial_table():
             table.add(label, key, len(e), k,
                       report.hypothesis_holds and report.holds,
                       cluster.mutually_consistent(),
-                      cluster.stats.items_carried if key == "f1" else "-")
+                      cluster.broadcast.stats.items_carried
+                      if key == "f1" else "-")
             payload[(label, key)] = report
-        payload[label] = cluster.stats.items_carried
+        payload[label] = cluster.broadcast.stats.items_carried
     return table, payload
 
 

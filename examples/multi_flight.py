@@ -25,8 +25,9 @@ from repro.apps.airline import (
     make_airline_application,
 )
 from repro.apps.airline.theorems import corollary8
+from repro.gossip import GossipConfig
 from repro.network import PartitionSchedule
-from repro.shard.partial import PartialCluster, PartialConfig
+from repro.shard import ClusterConfig, ShardCluster, Summaries
 
 CAPACITY = 8
 
@@ -35,20 +36,21 @@ def summarize(state):
     return {"al": state.al, "wl": state.wl}
 
 
-cluster = PartialCluster(
+cluster = ShardCluster(
     {"flight-7": AirlineState(), "flight-9": AirlineState()},
-    PartialConfig(
+    ClusterConfig(
+        n_nodes=3,
         placement={
             0: frozenset({"flight-7"}),
             1: frozenset({"flight-7", "flight-9"}),
             2: frozenset({"flight-9"}),
         },
-        summarize=summarize,
-        anti_entropy_interval=2.0,
+        broadcast=GossipConfig(anti_entropy_interval=2.0),
         partitions=PartitionSchedule.split(20, 50, [0], [1, 2]),
         seed=11,
     ),
 )
+summaries = Summaries(cluster, summarize)
 
 rng = random.Random(11)
 routed = {"flight-7": 0, "flight-9": 0}
@@ -58,13 +60,13 @@ for i in range(60):
     cluster.run(until=t)  # let the world advance before deciding
     # the front-end (node 1 holds both flights) routes each request to
     # the flight its current summary view says is less loaded.
-    view = cluster.summary_view(1)
+    view = summaries.summary_view(1)
     loads = {
         key: (s["al"] + s["wl"]) if s else 0 for key, s in view.items()
     }
     key = min(sorted(loads), key=loads.get)
     routed[key] += 1
-    cluster.submit(1, key, Request(f"P{i}"), at=t)
+    cluster.submit(1, Request(f"P{i}"), at=t, group=key)
     # each flight's own agents sweep for free seats.
     if i % 2 == 0:
         for flight in ("flight-7", "flight-9"):
@@ -76,7 +78,7 @@ cluster.quiesce()
 print("routing by summaries:", routed)
 print("per-flight convergence:", cluster.converged(),
       "| consistent:", cluster.mutually_consistent())
-print("items carried on the wire:", cluster.stats.items_carried)
+print("items carried on the wire:", cluster.broadcast.stats.items_carried)
 
 app = make_airline_application(capacity=CAPACITY)
 for key in ("flight-7", "flight-9"):

@@ -1,6 +1,6 @@
 """The SHARD system: replicated nodes, their one wiring
-(:class:`~repro.shard.host.NodeHost`), the simulated cluster, and
-execution extraction.
+(:class:`~repro.shard.host.NodeHost`), the simulated cluster (fully or,
+with a placement, partially replicated), and execution extraction.
 
 Per-node storage (logs, merge views, checkpoint policies) lives in
 :mod:`repro.replica`; this package re-exports the record and clock
@@ -21,7 +21,7 @@ from .external import ExternalLedger, LedgerEntry
 from .history import extract_execution
 from .host import NodeHost
 from .node import ShardNode
-from .partial import PartialCluster, PartialConfig
+from .summaries import Summaries
 from .sync import SyncManager, SyncStats
 from .workload import PeriodicSubmitter, PoissonSubmitter
 
@@ -33,13 +33,12 @@ __all__ = [
     "LedgerEntry",
     "MergeOutcome",
     "NodeHost",
-    "PartialCluster",
-    "PartialConfig",
     "PeriodicSubmitter",
     "PoissonSubmitter",
     "Replica",
     "ShardCluster",
     "ShardNode",
+    "Summaries",
     "SyncManager",
     "SyncStats",
     "TokenAgent",

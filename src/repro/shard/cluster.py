@@ -1,11 +1,15 @@
 """The assembled SHARD system: nodes + network + reliable broadcast.
 
 A :class:`ShardCluster` owns the simulator, the partition-aware network,
-the broadcast layer and the fully replicated nodes.  Transactions are
-submitted to a node at a simulated time; the node runs the decision part
-against its local copy immediately (this is the availability story — no
-cross-node coordination on the critical path), and the update propagates
-via flooding and anti-entropy.
+the broadcast layer and the nodes.  Transactions are submitted to a node
+at a simulated time; the node runs the decision part against its local
+copy immediately (this is the availability story — no cross-node
+coordination on the critical path), and the update propagates via
+flooding and anti-entropy.
+
+Every node is a full replica unless :attr:`ClusterConfig.placement`
+gives it named objects (Section 6's partial replication); per object, a
+run is then a fully replicated run over the object's holders.
 
 After a run, :meth:`quiesce` heals everything and drains dissemination so
 that mutual consistency can be asserted, and
@@ -15,8 +19,9 @@ from the run for analysis by the core/theorem machinery.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, FrozenSet, List, Mapping, Optional, Tuple
 
 from ..core.execution import TimedExecution
 from ..core.state import State
@@ -25,7 +30,7 @@ from ..gossip import GossipConfig, GossipService
 from ..network.link import DelayModel, FixedDelay
 from ..network.network import Network
 from ..network.partition import PartitionSchedule
-from ..replica import EngineFactory, UpdateRecord
+from ..replica import EngineFactory, Replica, UpdateRecord
 from ..sim.engine import Simulator
 from ..sim.rng import SeededStreams
 from ..sim.trace import NULL_TRACER, Tracer
@@ -48,6 +53,10 @@ class ClusterConfig:
     #: per-node merge engine; ``None`` is the replica layer's default.
     merge_factory: Optional[EngineFactory] = None
     tracer: Optional[Tracer] = None
+    #: node id -> the groups (objects) it holds; ``None``: full replicas
+    #: of group ``None``.  It must place nodes ``0 .. n_nodes - 1`` (else
+    #: ``ValueError``), and the cluster then takes ``{group: State}``.
+    placement: Optional[Mapping[int, FrozenSet[object]]] = None
 
 
 class NodeDownError(RuntimeError):
@@ -59,15 +68,27 @@ class NodeDownError(RuntimeError):
 
 
 class ShardCluster:
-    """A fully replicated SHARD deployment in one simulator: N
+    """A SHARD deployment in one simulator: N placed
     :class:`~repro.shard.host.NodeHost`\\ s sharing one gossip service
     and one sync manager on the simulated clock and network."""
 
-    def __init__(self, initial_state: State, config: Optional[ClusterConfig] = None):
+    def __init__(self, initial_state, config: Optional[ClusterConfig] = None):
         self.config = config or ClusterConfig()
-        if self.config.n_nodes < 1:
+        n_nodes = self.config.n_nodes
+        if n_nodes < 1:
             raise ValueError("need at least one node")
-        self.initial_state = initial_state
+        self.initial_state = initial_state  # or {group: State}
+        placement = self.config.placement
+        if placement is None:
+            self.initial_states: Dict[object, State] = {None: initial_state}
+            placement = dict.fromkeys(range(n_nodes), {None})
+        elif set(placement) != set(range(n_nodes)):
+            raise ValueError("placement must place nodes 0 .. n_nodes - 1")
+        else:
+            self.initial_states = dict(initial_state)
+        for node_id, groups in placement.items():
+            if groups - self.initial_states.keys():
+                raise ValueError(f"node {node_id} placed for unknown objects")
         self.sim = Simulator()
         self.streams = SeededStreams(self.config.seed)
         # note: Tracer defines __len__, so an empty tracer is falsy —
@@ -96,7 +117,8 @@ class ShardCluster:
         self.hosts: List[NodeHost] = [
             NodeHost(
                 node_id,
-                {None: initial_state},
+                {group: self.initial_states[group]
+                 for group in sorted(placement[node_id])},
                 broadcast=self.broadcast,
                 trace=self._trace,
                 merge_factory=self.config.merge_factory,
@@ -108,7 +130,7 @@ class ShardCluster:
                     TOKEN_GRANT: self._on_token,
                 },
             )
-            for node_id in range(self.config.n_nodes)
+            for node_id in range(n_nodes)
         ]
         self.nodes: List[ShardNode] = [host.node for host in self.hosts]
         self.broadcast.start_anti_entropy()
@@ -128,35 +150,60 @@ class ShardCluster:
 
     # -- submission ----------------------------------------------------------
 
-    def initiate_now(self, node_id: int, transaction: Transaction) -> None:
+    def _require_holder(self, node_id: int, group: object) -> NodeHost:
+        host = self.hosts[node_id]
+        if group not in host.node.replicas:
+            raise KeyError(f"node {node_id} does not hold {group!r}")
+        return host
+
+    def initiate_now(
+        self, node_id: int, transaction: Transaction, group: object = None
+    ) -> None:
         """Run a transaction's decision at ``node_id`` immediately (no
         scheduling): assign a txid, record externals, publish the update.
 
-        Raises :class:`NodeDownError` if the node has crashed; callers
-        modeling client behavior should catch it (``submit`` does, and
-        counts the rejection)."""
-        host = self.hosts[node_id]
+        Raises ``KeyError`` (``group`` not held) or :class:`NodeDownError`
+        before drawing a txid; ``submit`` counts the latter rejected."""
+        host = self._require_holder(node_id, group)
         if not host.node.online:
             raise NodeDownError(node_id)
         txid = self._next_txid
         self._next_txid += 1
-        self.records[txid] = host.initiate(txid, transaction)
+        self.records[txid] = host.initiate(txid, transaction, group)
 
     def submit(
-        self,
-        node_id: int,
-        transaction: Transaction,
-        at: Optional[float] = None,
+        self, node_id: int, transaction: Transaction,
+        at: Optional[float] = None, group: object = None,
     ) -> None:
-        """Schedule ``transaction`` to be initiated at ``node_id`` at
-        simulated time ``at`` (default: now)."""
+        """Schedule ``transaction`` on ``group`` at ``node_id`` for time
+        ``at`` (default: now); ``KeyError`` now if ``group`` is not held."""
+        self._require_holder(node_id, group)
+
         def fire() -> None:
             try:
-                self.initiate_now(node_id, transaction)
+                self.initiate_now(node_id, transaction, group)
             except NodeDownError:
                 self.rejected_submissions += 1
 
         self.sim.schedule_at(self.sim.now if at is None else at, fire)
+
+    def holders(self, group: object) -> Tuple[int, ...]:
+        return tuple(
+            node_id for node_id, node in enumerate(self.nodes)
+            if group in node.replicas
+        )
+
+    def route_submit(
+        self, group: object, transaction: Transaction,
+        rng: random.Random, at: Optional[float] = None,
+    ) -> int:
+        """Submit at a uniformly chosen holder of ``group``; returns it."""
+        holders = self.holders(group)
+        if not holders:
+            raise KeyError(f"no node holds object {group!r}")
+        node_id = rng.choice(holders)
+        self.submit(node_id, transaction, at=at, group=group)
+        return node_id
 
     def submit_synchronized(
         self,
@@ -222,10 +269,13 @@ class ShardCluster:
 
     def merge_counters(self) -> Dict[str, object]:
         """The merge-engine and cost-cache work of the whole run, summed
-        over nodes — the deterministic core every benchmark row (perf
-        cells, workload leaderboard) reports, computed one way."""
-        stats = [node.merge.stats for node in self.nodes]
-        costs = [node.merge.cost_stats for node in self.nodes]
+        over every replica — the deterministic core every benchmark row
+        (perf cells, workload leaderboard) reports, computed one way.
+        ``final_cost`` sums each object's cost at its first holder."""
+        views = [replica.engine for _, replica in self._replicas()]
+        stats = [view.stats for view in views]
+        costs = [view.cost_stats for view in views]
+        first = dict(reversed(self._replicas()))  # each group's first holder
         inserts = sum(s.inserts for s in stats)
         fastpath = sum(s.fastpath_hits for s in stats)
         hits = sum(c.hits for c in costs)
@@ -246,37 +296,44 @@ class ShardCluster:
                 round(hits / (hits + evaluations), 4)
                 if hits + evaluations else 0.0
             ),
-            "final_cost": self.nodes[0].merge.state_cost,
+            "final_cost": sum(r.engine.state_cost for r in first.values()),
         }
 
     # -- invariants -----------------------------------------------------------------
 
     def mutually_consistent(self) -> bool:
-        """Do all nodes with equal logs hold equal states?  After
-        :meth:`quiesce`, all logs are equal, so all states must be.
-
-        Nodes are grouped by log content and compared pairwise within
-        each group — comparing only against node 0 would let two
-        divergent nodes slip through whenever node 0's log differs from
-        both of theirs."""
-        groups: Dict[frozenset, State] = {}
-        for node in self.nodes:
-            reference = groups.setdefault(node.known_txids, node.state)
-            if node.state != reference:
+        """Do all replicas of an object with equal logs hold equal
+        states?  After :meth:`quiesce`, all logs are equal, so all states
+        must be.  Replicas are grouped by object and log content, so two
+        divergent replicas cannot hide behind a third with another log."""
+        logs: Dict[Tuple[object, frozenset], State] = {}
+        for group, replica in self._replicas():
+            reference = logs.setdefault((group, replica.txids), replica.state)
+            if replica.state != reference:
                 return False
         return True
 
     def converged(self) -> bool:
         return self.broadcast.converged()
 
+    def _replicas(self) -> List[Tuple[object, Replica]]:
+        """``(group, replica)`` for every replica, node by node."""
+        return [item for node in self.nodes for item in node.replicas.items()]
+
     @property
     def states(self) -> Tuple[State, ...]:
-        return tuple(node.state for node in self.nodes)
+        """Every replica's state, node by node."""
+        return tuple(replica.state for _, replica in self._replicas())
 
     # -- history ------------------------------------------------------------------------
 
-    def extract_execution(self, verify: bool = True) -> TimedExecution:
-        """The formal execution of this run (see :mod:`repro.shard.history`)."""
+    def extract_execution(
+        self, group: object = None, verify: bool = True
+    ) -> TimedExecution:
+        """The formal execution of ``group``'s transactions — the whole
+        run's under full replication (see :mod:`repro.shard.history`)."""
         return extract_execution(
-            self.initial_state, self.records.values(), verify=verify
+            self.initial_states[group],
+            [r for r in self.records.values() if r.group == group],
+            verify=verify,
         )

@@ -6,10 +6,10 @@ broadcast and merges what arrives by undo/redo (Sections 1.2, 3.3).  A
 :class:`NodeHost` is that node's wiring, written once and knowing its
 environment only as the :mod:`repro.ports` adapters its gossip service
 was given: the simulator's
-:class:`~repro.shard.cluster.ShardCluster` (and, holding only its
-placement's objects, :class:`~repro.shard.partial.PartialCluster`) is N
-hosts sharing one gossip service on the simulated clock and network,
-and the live :class:`~repro.runtime.node.NodeServer` is one host on the
+:class:`~repro.shard.cluster.ShardCluster` is N hosts, each holding a
+full replica or, under a placement, the replicas of its objects,
+sharing one gossip service on the simulated clock and network, and the
+live :class:`~repro.runtime.node.NodeServer` is one host on the
 asyncio clock and the TCP transport.  Everything the environments must
 agree on lives here and nowhere else: how a node is built, what each
 merge outcome is called in the trace, what a delivery is, which

@@ -148,7 +148,7 @@ class TestGroups:
         assert delivered == {0: ["ka", "kb"], 1: ["ka"], 2: ["kb"]}
 
     @pytest.mark.parametrize("extras", [False, True])
-    def test_anti_entropy_picks_only_sharing_peers_unless_extras(
+    def test_anti_entropy_skips_disjoint_peers_unless_extras(
         self, extras
     ):
         sim, service, _ = make_service(

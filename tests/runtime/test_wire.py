@@ -19,7 +19,6 @@ from repro.runtime.config import ClusterSpec, NodeSpec
 from repro.runtime.history import dump_records, load_records
 from repro.runtime.transport import MSG
 from repro.shard.cluster import ClusterConfig, ShardCluster
-from repro.shard.partial import PartialCluster, PartialConfig
 from repro.workloads import WorkloadSpec, generate_stream
 from tests.runtime.test_faults_runtime import assert_rejected_then_served
 
@@ -243,9 +242,9 @@ class TestSetEncoding:
             assert wire.encode(view) == wire.encode(frozenset(view))
 
     def test_partial_replication_views_encode_as_their_frozenset(self):
-        cluster = PartialCluster(
+        cluster = ShardCluster(
             {"f1": AirlineState(), "f2": AirlineState()},
-            PartialConfig(placement={
+            ClusterConfig(n_nodes=3, placement={
                 0: frozenset({"f1"}), 1: frozenset({"f1", "f2"}),
                 2: frozenset({"f2"}),
             }),

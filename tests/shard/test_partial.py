@@ -14,8 +14,8 @@ from repro.apps.airline import (
 )
 from repro.gossip import GossipConfig
 from repro.network import PartitionSchedule
+from repro.replica import EveryPositionPolicy, policy_engine_factory
 from repro.shard import ClusterConfig, ShardCluster
-from repro.shard.partial import PartialCluster, PartialConfig
 
 
 def two_flight_cluster(**kwargs):
@@ -25,30 +25,51 @@ def two_flight_cluster(**kwargs):
         1: frozenset({"f1", "f2"}),
         2: frozenset({"f2"}),
     }
-    return PartialCluster(
+    return ShardCluster(
         {"f1": AirlineState(), "f2": AirlineState()},
-        PartialConfig(placement=placement, **kwargs),
+        ClusterConfig(n_nodes=3, placement=placement, **kwargs),
     )
 
 
 class TestPlacement:
-    def test_holders_and_sharing_peers(self):
+    def test_holders(self):
         cluster = two_flight_cluster()
         assert cluster.holders("f1") == (0, 1)
         assert cluster.holders("f2") == (1, 2)
-        assert cluster.sharing_peers(0) == (1,)
-        assert cluster.sharing_peers(1) == (0, 2)
 
     def test_submit_requires_holding(self):
         cluster = two_flight_cluster()
         with pytest.raises(KeyError):
-            cluster.submit(0, "f2", Request("P1"))
+            cluster.submit(0, Request("P1"), group="f2")
 
     def test_unknown_object_rejected(self):
-        with pytest.raises(ValueError):
-            PartialCluster(
+        with pytest.raises(ValueError, match="unknown objects"):
+            ShardCluster(
                 {"f1": AirlineState()},
-                PartialConfig(placement={0: frozenset({"f1", "zzz"})}),
+                ClusterConfig(
+                    n_nodes=1, placement={0: frozenset({"f1", "zzz"})}
+                ),
+            )
+
+    @pytest.mark.parametrize("n_nodes", [1, 2, 4])
+    def test_placement_must_place_exactly_n_nodes(self, n_nodes):
+        """``n_nodes`` and a placement never silently disagree: the
+        placement must place nodes 0 .. n_nodes - 1, no more, no less."""
+        placement = {0: frozenset({"f1"}), 1: frozenset({"f1"}),
+                     2: frozenset({"f1"})}
+        with pytest.raises(ValueError, match="n_nodes"):
+            ShardCluster(
+                {"f1": AirlineState()},
+                ClusterConfig(n_nodes=n_nodes, placement=placement),
+            )
+        with pytest.raises(ValueError, match="n_nodes"):
+            ShardCluster(
+                {"f1": AirlineState()},
+                ClusterConfig(
+                    n_nodes=3,
+                    placement={0: frozenset({"f1"}), 1: frozenset({"f1"}),
+                               3: frozenset({"f1"})},
+                ),
             )
 
     def test_route_submit_chooses_holder(self):
@@ -59,11 +80,110 @@ class TestPlacement:
             assert node in (0, 1)
 
 
+class TestGroupedClusterApi:
+    def test_unheld_group_burns_no_txid(self):
+        """Both entry points refuse a group the node does not hold
+        before a txid is drawn, so txids stay gapless."""
+        cluster = two_flight_cluster()
+        cluster.initiate_now(0, Request("A"), group="f1")
+        before = dict(cluster.records)
+        with pytest.raises(KeyError):
+            cluster.initiate_now(0, Request("B"), group="f2")
+        with pytest.raises(KeyError):
+            cluster.submit(2, Request("C"), group="f1")
+        cluster.run(until=5.0)
+        assert cluster.records == before
+        cluster.initiate_now(2, Request("D"), group="f2")
+        assert sorted(cluster.records) == [0, 1]
+
+    def test_merge_counters_sum_every_replica(self):
+        cost = make_airline_application(capacity=2).cost
+        cluster = two_flight_cluster(
+            merge_factory=policy_engine_factory(
+                EveryPositionPolicy, cost_fn=cost
+            ),
+            partitions=PartitionSchedule.split(2, 12, [0], [1, 2]),
+        )
+        rng = random.Random(4)
+        for i in range(16):
+            key = "f1" if i % 2 == 0 else "f2"
+            cluster.route_submit(key, Request(f"P{i}"), rng, at=float(i))
+            cluster.route_submit(key, MoveUp(2), rng, at=i + 0.5)
+        cluster.run(until=30.0)
+        cluster.quiesce()
+        counters = cluster.merge_counters()
+        replicas = [
+            (node_id, key, replica)
+            for node_id, node in enumerate(cluster.nodes)
+            for key, replica in node.replicas.items()
+        ]
+        assert len(replicas) == 4
+        for name in ("inserts", "updates_applied", "fastpath_hits",
+                     "undo_redo_merges", "batch_merges", "batched_inserts"):
+            assert counters[name] == sum(
+                getattr(replica.stats, name) for _, _, replica in replicas
+            )
+        assert counters["inserts"] == 2 * 32  # each record at both holders
+        assert counters["cost_evaluations"] == sum(
+            replica.engine.cost_stats.evaluations
+            for _, _, replica in replicas
+        )
+        assert counters["log_length"] == 32
+        assert counters["final_cost"] == sum(
+            cost(cluster.nodes[holder].replicas[key].state)
+            for holder, key in ((0, "f1"), (1, "f2"))
+        )
+        assert cluster.states == tuple(
+            replica.state for _, _, replica in replicas
+        )
+
+
+class TestCrashUnderPlacement:
+    def test_two_object_holder_crashes_and_recovers(self):
+        """Node 1, the only node holding both flights, is down over
+        [10, 25) while a partition [15, 35) cuts node 0 off: submissions
+        to it are rejected, and after the heal it catches up on both
+        objects."""
+        cluster = two_flight_cluster(
+            partitions=PartitionSchedule.split(15, 35, [0], [1, 2]),
+        )
+        cluster.schedule_crash(1, 10.0, 25.0)
+        rng = random.Random(8)
+        down = 0
+        for i in range(40):
+            at = float(i)
+            key = "f1" if i % 2 == 0 else "f2"
+            cluster.submit(1, Request(f"one-{i}"), at=at, group=key)
+            other = 0 if key == "f1" else 2
+            cluster.submit(other, Request(f"P{i}"), at=at + 0.3, group=key)
+            mover = cluster.route_submit(key, MoveUp(3), rng, at=at + 0.6)
+            down += (10.0 <= at < 25.0) * (1 + (mover == 1))
+        cluster.run(until=20.0)
+        assert not cluster.nodes[1].online
+        cluster.run(until=50.0)
+        cluster.quiesce()
+        assert down > 15
+        assert cluster.rejected_submissions == down
+        assert len(cluster.records) == 3 * 40 - down
+        assert cluster.converged()
+        assert cluster.mutually_consistent()
+        for key in ("f1", "f2"):
+            execution = cluster.extract_execution(key)
+            execution.validate()
+            holders = cluster.holders(key)
+            assert execution.final_state == (
+                cluster.nodes[holders[0]].replicas[key].state
+            )
+            assert len(execution) + sum(
+                1 for r in cluster.records.values() if r.group != key
+            ) == len(cluster.records)
+
+
 class TestDissemination:
     def test_holders_converge_per_object(self):
         cluster = two_flight_cluster()
-        cluster.submit(0, "f1", Request("A"), at=0.0)
-        cluster.submit(1, "f2", Request("B"), at=0.0)
+        cluster.submit(0, Request("A"), at=0.0, group="f1")
+        cluster.submit(1, Request("B"), at=0.0, group="f2")
         cluster.quiesce()
         assert cluster.converged()
         assert cluster.mutually_consistent()
@@ -73,7 +193,7 @@ class TestDissemination:
 
     def test_non_holders_never_store_foreign_objects(self):
         cluster = two_flight_cluster()
-        cluster.submit(0, "f1", Request("A"), at=0.0)
+        cluster.submit(0, Request("A"), at=0.0, group="f1")
         cluster.quiesce()
         assert "f2" not in cluster.nodes[0].replicas
         assert "f1" not in cluster.nodes[2].replicas
@@ -81,7 +201,7 @@ class TestDissemination:
     def test_partitioned_holder_catches_up(self):
         partitions = PartitionSchedule.split(0, 30, [0], [1, 2])
         cluster = two_flight_cluster(partitions=partitions)
-        cluster.submit(1, "f1", Request("A"), at=5.0)
+        cluster.submit(1, Request("A"), at=5.0, group="f1")
         cluster.run(until=20.0)
         assert not cluster.nodes[0].replicas["f1"].state.is_known("A")
         cluster.run(until=60.0)
@@ -95,17 +215,18 @@ class TestDeliveryTimeObservation:
         buffer, and its timestamp does not bound what the receiver issues
         meanwhile: nodes observe a record when it is delivered, as under
         full replication, so the clock tracks the delivered causal past."""
-        cluster = PartialCluster(
+        cluster = ShardCluster(
             {"f1": AirlineState()},
-            PartialConfig(
+            ClusterConfig(
+                n_nodes=2,
                 placement={0: frozenset({"f1"}), 1: frozenset({"f1"})},
                 partitions=PartitionSchedule.split(0, 5, [0], [1]),
-                anti_entropy_interval=1000.0,
+                broadcast=GossipConfig(anti_entropy_interval=1000.0),
             ),
         )
-        cluster.submit(0, "f1", Request("A"), at=1.0)  # flood lost
-        cluster.submit(0, "f1", Request("B"), at=6.0)  # B has seen A
-        cluster.submit(1, "f1", Request("C"), at=7.2)
+        cluster.submit(0, Request("A"), at=1.0, group="f1")  # flood lost
+        cluster.submit(0, Request("B"), at=6.0, group="f1")  # B has seen A
+        cluster.submit(1, Request("C"), at=7.2, group="f1")
         cluster.run(until=7.5)
         rumored = cluster.records[1]
         assert rumored.seen_txids == {0}
@@ -113,7 +234,7 @@ class TestDeliveryTimeObservation:
         assert cluster.broadcast.has(1, rumored.txid)  # buffered
         assert cluster.records[2].ts < rumored.ts
         cluster.quiesce()
-        cluster.submit(1, "f1", Request("D"))
+        cluster.submit(1, Request("D"), group="f1")
         cluster.run()
         assert cluster.records[3].ts > rumored.ts
         cluster.extract_execution("f1").validate()
@@ -163,9 +284,9 @@ class TestPerObjectExecutions:
         """Partial placement carries fewer items than full replication
         for the same workload."""
         def run(placement):
-            cluster = PartialCluster(
+            cluster = ShardCluster(
                 {"f1": AirlineState(), "f2": AirlineState()},
-                PartialConfig(placement=placement, seed=3),
+                ClusterConfig(n_nodes=3, placement=placement, seed=3),
             )
             rng = random.Random(3)
             for i in range(20):
@@ -173,7 +294,7 @@ class TestPerObjectExecutions:
                 cluster.route_submit(key, Request(f"P{i}"), rng, at=float(i))
             cluster.run(until=40.0)
             cluster.quiesce()
-            return cluster.stats.items_carried
+            return cluster.broadcast.stats.items_carried
 
         full = {i: frozenset({"f1", "f2"}) for i in range(3)}
         partial = {
@@ -221,10 +342,10 @@ def observables(clocks, replicas, stats):
 
 
 class TestOneNodeTwoTopologies:
-    """A one-object partial cluster placed on every node is a
-    ``ShardCluster``: the same node assembly, the same delivery-time
-    clock observation and one merge per delivery batch, so nothing a
-    run produces can tell the two apart."""
+    """A one-object placement on every node runs exactly like placement
+    ``None``: the same node assembly, the same delivery-time clock
+    observation and one merge per delivery batch, so nothing a run
+    produces can tell the two apart."""
 
     @pytest.mark.parametrize("partition", [False, True])
     @pytest.mark.parametrize("flood", [False, True])
@@ -241,14 +362,14 @@ class TestOneNodeTwoTopologies:
             n_nodes=4, seed=seed, partitions=partitions(),
             broadcast=GossipConfig(flood=flood, anti_entropy_interval=3.0),
         ))
-        part = PartialCluster({"f1": AirlineState()}, PartialConfig(
+        part = ShardCluster({"f1": AirlineState()}, ClusterConfig(
+            n_nodes=4, seed=seed, partitions=partitions(),
+            broadcast=GossipConfig(flood=flood, anti_entropy_interval=3.0),
             placement={n: frozenset({"f1"}) for n in range(4)},
-            seed=seed, partitions=partitions(),
-            anti_entropy_interval=3.0, flood=flood,
         ))
         for node, transaction, at in submissions(seed):
             full.submit(node, transaction, at=at)
-            part.submit(node, "f1", transaction, at=at)
+            part.submit(node, transaction, at=at, group="f1")
         for cluster in (full, part):
             cluster.run(until=40.0)
             cluster.quiesce()
@@ -257,7 +378,7 @@ class TestOneNodeTwoTopologies:
             [node.replica for node in full.nodes],
             full.broadcast.stats,
         ) == observables(
-            [node.clock for node in part.nodes.values()],
-            [node.replicas["f1"] for node in part.nodes.values()],
+            [node.clock for node in part.nodes],
+            [node.replicas["f1"] for node in part.nodes],
             part.broadcast.stats,
         )

@@ -23,7 +23,8 @@ import random
 
 from repro.apps.airline import AirlineState, Cancel, MoveUp, Request
 from repro.network import PartitionSchedule
-from repro.shard.partial import PartialCluster, PartialConfig
+from repro.gossip import GossipConfig
+from repro.shard import ClusterConfig, ShardCluster, Summaries
 
 OBJECTS = ("f1", "f2", "f3")
 CAPACITY = 3
@@ -54,20 +55,22 @@ def drive(placement, seed, summaries, partition, flood):
     causal gaps), a mid-run snapshot of the summary caches, then run and
     quiesce."""
     nodes = sorted(placement)
-    cluster = PartialCluster(
+    cluster = ShardCluster(
         {key: AirlineState() for key in OBJECTS},
-        PartialConfig(
+        ClusterConfig(
+            n_nodes=len(placement),
             placement={n: frozenset(keys) for n, keys in placement.items()},
             seed=seed,
             partitions=(
                 PartitionSchedule.split(6, 20, nodes[:2], nodes[2:])
                 if partition else None
             ),
-            anti_entropy_interval=3.0,
-            flood=flood,
-            summarize=summarize if summaries else None,
+            broadcast=GossipConfig(flood=flood, anti_entropy_interval=3.0),
         ),
     )
+    caches = Summaries(cluster, summarize).caches if summaries else {
+        n: {} for n in nodes
+    }
     rng = random.Random(seed)
     people = {key: [] for key in OBJECTS}
     for i in range(60):
@@ -83,16 +86,16 @@ def drive(placement, seed, summaries, partition, flood):
             transaction = Request(person)
         cluster.route_submit(key, transaction, rng, at=0.5 * i)
     cluster.run(until=12.0)
-    mid = summary_caches(cluster)
+    mid = summary_caches(caches)
     cluster.run(until=60.0)
     cluster.quiesce()
-    return cluster, mid
+    return cluster, mid, summary_caches(caches)
 
 
-def summary_caches(cluster):
+def summary_caches(caches):
     return tuple(
         (n, tuple(sorted(cache.items())))
-        for n, cache in sorted(cluster.summaries.items())
+        for n, cache in sorted(caches.items())
     )
 
 
@@ -102,15 +105,15 @@ def fields(obj):
     )
 
 
-def observables(cluster, mid):
-    stats = cluster.stats
+def observables(cluster, mid, end):
+    stats = cluster.broadcast.stats
     out = [
         ("counters", stats.flood_messages, stats.anti_entropy_messages,
          stats.items_carried),
         ("delta", fields(stats.delta)),
         ("wire", fields(stats.wire)),
     ]
-    for n, node in sorted(cluster.nodes.items()):
+    for n, node in enumerate(cluster.nodes):
         for key, replica in sorted(node.replicas.items()):
             out.append((
                 "log", n, key,
@@ -127,7 +130,7 @@ def observables(cluster, mid):
             tuple(e.deficit(i) for i in e.indices),
             repr(e.final_state),
         ))
-    out.append(("summaries", mid, summary_caches(cluster)))
+    out.append(("summaries", mid, end))
     return out
 
 
@@ -137,12 +140,12 @@ def grid_digest():
         sorted(PLACEMENTS), (0, 1), (False, True), (False, True),
         (False, True),
     ):
-        cluster, mid = drive(
+        cluster, mid, end = drive(
             PLACEMENTS[label], seed, summaries, partition, flood
         )
         assert cluster.converged() and cluster.mutually_consistent()
         run = (label, seed, summaries, partition, flood)
-        digest.update(repr((run, observables(cluster, mid))).encode())
+        digest.update(repr((run, observables(cluster, mid, end))).encode())
     return digest.hexdigest()
 
 
