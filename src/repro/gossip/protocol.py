@@ -75,15 +75,25 @@ class CausalBuffer:
     exactly the transitivity invariant the paper's broadcast provides.
 
     ``delivered`` is the owning node's *live* key -> item mapping (the
-    one ``deliver`` fills and a crash scrubs), never a copy.  Deps that
-    name a prefix of an append-only sequence — they carry ``seq`` and
-    ``n``, as a :class:`~repro.replica.log.SeenView` does — are checked
-    against one cursor per sequence: how far ``seq`` is known delivered
-    here.  Readiness advances the cursor, so each sequence is walked
-    once per buffer, not once per item.  Any other iterable is one set
-    inclusion against the mapping's keys.  A cursor stays true only
-    while ``delivered`` grows: whoever removes keys from it must call
-    :meth:`clear` (``GossipService.forget`` does).
+    one ``deliver`` fills and a crash scrubs), never a copy.  Two
+    layouts of deps are read without touching their members one by
+    one:
+
+    * deps that name a prefix of an append-only sequence — they carry
+      ``seq`` and ``n``, as a :class:`~repro.replica.log.SeenView` does —
+      are checked against one cursor per sequence: how far ``seq`` is
+      known delivered here;
+    * deps that are runs of consecutive ints — they carry ``bounds``, as
+      a decoded :class:`~repro.replica.log.RunSet` does — are checked
+      against one cursor per run start: the first int past it not known
+      delivered here.  Under causal delivery every seen-set from one
+      (node, incarnation) starts its run at the same txid.
+
+    Readiness advances the cursors, so each sequence and each run is
+    walked once per buffer, not once per item.  Any other iterable is
+    one set inclusion against the mapping's keys.  A cursor stays true
+    only while ``delivered`` grows: whoever removes keys from it must
+    call :meth:`clear` (``GossipService.forget`` does).
     """
 
     def __init__(
@@ -93,11 +103,14 @@ class CausalBuffer:
     ):
         self._delivered = delivered
         self._deliver = deliver
-        #: key -> (item, deps, None) for a set of deps, or
-        #: (item, n, cursor) for the prefix ``seq[:n]`` of a sequence.
+        #: key -> (item, deps, None) for a set of deps, (item, n, cursor)
+        #: for the prefix ``seq[:n]`` of a sequence, or (item, bounds,
+        #: the run cursors) for runs.
         self._pending: Dict[object, Tuple[object, object, object]] = {}
         #: id(seq) -> [seq, length of its prefix known delivered].
         self._cursors: Dict[int, List] = {}
+        #: run start -> the first int from it not known delivered.
+        self._runs: Dict[int, int] = {}
         #: items that did not deliver at once and were buffered.
         self.buffered_total = 0
         #: buffered items delivered later (never those :meth:`clear`
@@ -121,7 +134,11 @@ class CausalBuffer:
             return
         seq = getattr(deps, "seq", None)
         if seq is None:
-            self._pending[key] = (item, frozenset(deps), None)
+            bounds = getattr(deps, "bounds", None)
+            if bounds is None:
+                self._pending[key] = (item, frozenset(deps), None)
+            else:
+                self._pending[key] = (item, bounds, self._runs)
         else:
             cursor = self._cursors.get(id(seq))
             if cursor is None:
@@ -138,6 +155,7 @@ class CausalBuffer:
         n = len(self._pending)
         self._pending.clear()
         self._cursors.clear()
+        self._runs.clear()
         return n
 
     def _flush(self, offered: object) -> None:
@@ -152,6 +170,9 @@ class CausalBuffer:
                 if cursor is None:
                     if not deps <= keys:
                         continue
+                elif cursor is self._runs:
+                    if not self._runs_delivered(deps):
+                        continue
                 else:
                     seq, done = cursor
                     while done < deps and seq[done] in delivered:
@@ -164,3 +185,17 @@ class CausalBuffer:
                 if key != offered:
                     self.deferred_total += 1
                 progress = True
+
+    def _runs_delivered(self, bounds: Tuple[int, ...]) -> bool:
+        """Whether every run ``lo..hi`` of ``bounds`` is delivered,
+        advancing each run start's cursor as far as it now reaches."""
+        delivered, runs = self._delivered, self._runs
+        for i in range(0, len(bounds), 2):
+            lo, hi = bounds[i], bounds[i + 1]
+            upto = runs.get(lo, lo)
+            while upto <= hi and upto in delivered:
+                upto += 1
+            runs[lo] = upto
+            if upto <= hi:
+                return False
+        return True

@@ -18,7 +18,7 @@ from .engine import (
     MergeView,
     UpdateSource,
 )
-from .log import SeenView, SystemLog, UpdateRecord
+from .log import RunSet, SeenView, SystemLog, UpdateRecord
 from .policy import (
     AdaptiveWindowPolicy,
     CheckpointPolicy,
@@ -55,6 +55,7 @@ __all__ = [
     "MergeStats",
     "MergeView",
     "Replica",
+    "RunSet",
     "SeenView",
     "SystemLog",
     "TailWindowPolicy",

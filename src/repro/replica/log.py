@@ -13,6 +13,9 @@ txids, append-only between truncations.  A decision's seen-set (the
 paper's prefix subsequence, Section 3.3) is then a :class:`SeenView`
 of the first ``n`` arrivals: O(1) to take, with no copy, where a
 ``frozenset`` of the log's txids costs O(log length) per transaction.
+A seen-set decoded off the wire is a :class:`RunSet`: the same txids as
+a few runs of consecutive ints, which is what a prefix of each origin's
+txids is.
 
 This is the *single* copy of the sequence: merge engines are views over
 it (see :class:`repro.replica.engine.LogUpdateSource`) and never shadow
@@ -24,7 +27,8 @@ from __future__ import annotations
 import bisect
 from collections.abc import Set as AbcSet
 from dataclasses import dataclass
-from itertools import islice
+from itertools import chain, islice
+from numbers import Real
 from typing import AbstractSet, Dict, Iterator, List, Optional, Tuple
 
 from ..core.transaction import Transaction
@@ -83,6 +87,68 @@ class SeenView(AbcSet):
         return f"SeenView({sorted(self)!r})"
 
 
+class RunSet(AbcSet):
+    """The ints of the inclusive runs ``bounds = (lo1, hi1, lo2, hi2,
+    ...)``, as an immutable set.
+
+    The bounds are ascending and the runs are non-empty and not
+    adjacent, as :func:`repro.runtime.wire.decode` checks before it
+    builds one; so a set costs O(runs) however many ints it holds.
+    ``len`` is O(1), ``in`` a bisection, and iteration ascends.  It
+    equals, hashes, pickles and wire-encodes as the ``frozenset`` of
+    the same ints; set operators return ``frozenset``.  Readers that
+    know the layout (the causal gate, the codec) use ``bounds``
+    directly.
+    """
+
+    __slots__ = ("bounds", "_len", "_hash")
+
+    def __init__(self, bounds: Tuple[int, ...]):
+        self.bounds = bounds
+        self._len = sum(bounds[1::2]) - sum(bounds[::2]) + len(bounds) // 2
+        self._hash: Optional[int] = None
+
+    @classmethod
+    def _from_iterable(cls, iterable) -> frozenset:
+        return frozenset(iterable)
+
+    def __len__(self) -> int:
+        return self._len
+
+    def __contains__(self, member: object) -> bool:
+        # only an integral value can equal a member (1.0 and True do).
+        if type(member) is not int and not (
+            isinstance(member, Real) and member % 1 == 0
+        ):
+            return False
+        bounds = self.bounds
+        i = bisect.bisect_left(bounds, member)
+        # odd: strictly inside a run, or its hi; even: a lo, or a gap.
+        return i % 2 == 1 or (i < len(bounds) and bounds[i] == member)
+
+    def __iter__(self) -> Iterator[int]:
+        bounds = self.bounds
+        return chain.from_iterable(
+            map(range, bounds[::2], map((1).__add__, bounds[1::2]))
+        )
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, RunSet):
+            return other.bounds == self.bounds
+        return AbcSet.__eq__(self, other)
+
+    def __hash__(self) -> int:
+        if self._hash is None:
+            self._hash = hash(frozenset(self))
+        return self._hash
+
+    def __reduce__(self):
+        return (frozenset, (tuple(self),))
+
+    def __repr__(self) -> str:
+        return f"RunSet({self.bounds!r})"
+
+
 @dataclass(frozen=True)
 class UpdateRecord:
     """One broadcast unit: an update tagged with its global timestamp."""
@@ -94,7 +160,8 @@ class UpdateRecord:
     origin: int
     real_time: float
     #: the txids the decision saw: a :class:`SeenView` when initiated
-    #: here, a ``frozenset`` when decoded off the wire; equal either way.
+    #: here, a :class:`RunSet` when decoded off the wire; equal either
+    #: way, and to the ``frozenset`` of the same txids.
     seen_txids: AbstractSet[int]
     #: the object (gossip group) this record updates; ``None``: all.
     group: object = None

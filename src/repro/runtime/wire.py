@@ -18,23 +18,30 @@ digest grouping already use.  That registry is derived at import from
 ``updates``), so any registered application's records decode; two
 classes claiming one family name fail the import.
 
-**Sets.**  A set of ints (a record's seen-set: a ``frozenset``, or the
-:class:`~repro.replica.log.SeenView` a node hands its own records) goes
+**Sets.**  A set of ints (a record's seen-set: the
+:class:`~repro.replica.log.SeenView` a node hands its own records, the
+:class:`~repro.replica.log.RunSet` it decoded, or a ``frozenset``) goes
 on the wire as its maximal runs of consecutive ints, one flat sorted
 list ``{"%rs": [lo1, hi1, lo2, hi2, ...]}`` with inclusive bounds, and
-decodes to the ``frozenset`` of the same ints.  The encoding is
+decodes to the :class:`~repro.replica.log.RunSet` of those bounds,
+which equals the ``frozenset`` of the same ints.  The encoding is
 lossless and canonical for any set; it is also small for the sets that
 occur.  A seen-set is, under causal delivery, a prefix of each origin's
 txids, and one (node, incarnation) issues consecutive txids
 (:meth:`repro.runtime.config.NodeSpec.txid`; the simulator numbers all
 txids 0, 1, 2, ...), so a record costs one pair of ints per (node,
-incarnation) rather than one int per transaction it saw.  The decoder
-checks every set body of a payload before it builds any: bounds must be
-ints in sorted, non-empty, non-adjacent runs, and all the sets of one
-payload together hold at most :data:`MAX_SET` members.  The cap is per
-payload, not per set, because a run costs a few bytes on the wire
-however many members it holds: a frame of many at-cap sets would
-otherwise decode to many times :data:`MAX_FRAME` of memory.
+incarnation) rather than one int per transaction it saw — on the wire
+and, decoded, in memory.  A ``RunSet`` is written straight from its
+bounds, so ``encode(decode(text)) == text``.
+
+**The set budget.**  The decoder checks each set body before it builds
+the set: bounds must be ints in sorted, non-empty, non-adjacent runs.
+A decoded set costs O(runs), a few bytes of frame each, so the memory
+one payload decodes to is bounded by :data:`MAX_FRAME` however many
+members its sets stand for, and no payload-wide member count is kept.
+Each set on its own holds at most :data:`MAX_SET` members: that bounds
+whatever reads a set member by member (``hash``, the offline
+verifier).
 
 Framing is 4-byte big-endian length + UTF-8 JSON, the classic
 self-delimiting stream format; :class:`FrameSplitter` incrementally
@@ -59,7 +66,7 @@ from __future__ import annotations
 
 import json
 import struct
-from itertools import chain
+from operator import le, lt
 from typing import (
     AbstractSet, Callable, Dict, Iterator, List, Sequence, Tuple,
 )
@@ -68,7 +75,7 @@ from ..apps.registry import APP_NAMES, app_entry
 from ..core.transaction import Transaction
 from ..core.update import IDENTITY, Update
 from ..gossip.digest import RangeDigest
-from ..replica.log import SeenView, UpdateRecord
+from ..replica.log import RunSet, SeenView, UpdateRecord
 from ..replica.timestamps import Timestamp
 
 
@@ -141,39 +148,24 @@ def _runs(members: AbstractSet[int]) -> List[int]:
     return runs
 
 
-def _run_set_size(body: object, limit: int) -> int:
-    """How many members the run-list ``body`` stands for.  Raises
-    ``ValueError`` if it is malformed, non-canonical or holds more than
-    ``limit`` members; costs O(runs), however many members they hold."""
+def _set_from_runs(body: object) -> RunSet:
+    """Inverse of :func:`_runs`.  Raises ``ValueError`` if ``body`` is
+    malformed, non-canonical or stands for more than :data:`MAX_SET`
+    members; costs O(runs), however many members they hold."""
     if not isinstance(body, list) or len(body) % 2:
         raise ValueError("a wire set is an even-length list of run bounds")
-    size, previous = 0, None
-    for lo, hi in _pairs(body):
-        if type(lo) is not int or type(hi) is not int:
-            raise ValueError(f"run bounds must be ints: {lo!r}, {hi!r}")
-        if lo > hi:
-            raise ValueError(f"empty run {lo}..{hi}")
-        if previous is not None and lo <= previous + 1:
-            raise ValueError("runs must be sorted, apart and not adjacent")
-        size += hi - lo + 1
-        if size > limit:
-            raise ValueError(
-                f"wire sets of one payload larger than MAX_SET={MAX_SET}"
-            )
-        previous = hi
-    return size
-
-
-def _set_from_runs(body: List[int]) -> frozenset:
-    """Inverse of :func:`_runs`, for a body :func:`decode` has checked."""
-    return frozenset(chain.from_iterable(
-        range(lo, hi + 1) for lo, hi in _pairs(body)
-    ))
-
-
-def _pairs(flat: List[int]) -> Iterator[Tuple[int, int]]:
-    items = iter(flat)
-    return zip(items, items)
+    if not set(map(type, body)) <= {int}:
+        raise ValueError("run bounds must be ints")
+    bounds = tuple(body)
+    los, his = bounds[::2], bounds[1::2]
+    if not all(map(le, los, his)):
+        raise ValueError("a wire set has an empty run")
+    if not all(map(lt, map((1).__add__, his), los[1:])):
+        raise ValueError("runs must be sorted, apart and not adjacent")
+    members = RunSet(bounds)
+    if len(members) > MAX_SET:
+        raise ValueError(f"a wire set larger than MAX_SET={MAX_SET}")
+    return members
 
 
 def _enc(value: object) -> object:
@@ -185,6 +177,8 @@ def _enc(value: object) -> object:
         return {"%t": [_enc(v) for v in value]}
     if isinstance(value, list):
         return {"%l": [_enc(v) for v in value]}
+    if isinstance(value, RunSet):
+        return {"%rs": value.bounds}
     if isinstance(value, (frozenset, SeenView)):
         return {"%rs": _runs(value)}
     if isinstance(value, dict):
@@ -272,21 +266,8 @@ def encode(payload: object) -> str:
 
 
 def decode(text: str) -> object:
-    """JSON text -> the payload, with object equality to the original.
-
-    Every wire set in ``text`` is checked as the JSON is parsed, and its
-    members are charged to one budget of :data:`MAX_SET` for the whole
-    payload; only then is anything built, so a payload over budget is
-    rejected having allocated no more than its parsed JSON."""
-    left = MAX_SET
-
-    def charge(obj: dict) -> dict:
-        nonlocal left
-        if "%rs" in obj:
-            left -= _run_set_size(obj["%rs"], left)
-        return obj
-
-    return _dec(json.loads(text, object_hook=charge))
+    """JSON text -> the payload, with object equality to the original."""
+    return _dec(json.loads(text))
 
 
 # -- framing --------------------------------------------------------------
@@ -294,10 +275,9 @@ def decode(text: str) -> object:
 _HEADER = struct.Struct(">I")
 #: sanity cap: no single protocol payload is anywhere near this large.
 MAX_FRAME = 64 * 1024 * 1024
-#: members all the wire sets of one payload (one frame) may decode to
-#: together.  A decoded member costs about 64 bytes (an int and its
-#: table slot), so no frame, however short, decodes to more set memory
-#: than one full frame's bytes.
+#: members one wire set may stand for: it bounds the work of anything
+#: that reads a set member by member (a ``frozenset`` of them is about
+#: one full frame's bytes).  Decoded, a set costs O(runs), not this.
 MAX_SET = MAX_FRAME // 64
 
 

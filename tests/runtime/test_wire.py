@@ -11,8 +11,9 @@ from repro.apps.airline.state import AirlineState
 from repro.apps.airline.transactions import Cancel, MoveDown, MoveUp, Request
 from repro.apps.registry import APP_NAMES, app_entry
 from repro.core.update import IDENTITY
+from repro.gossip import GOSSIP_DELTA
 from repro.gossip.digest import RangeDigest
-from repro.replica import SeenView, SystemLog, UpdateRecord
+from repro.replica import RunSet, SeenView, SystemLog, UpdateRecord
 from repro.replica.timestamps import Timestamp
 from repro.runtime import wire
 from repro.runtime.config import ClusterSpec, NodeSpec
@@ -20,6 +21,7 @@ from repro.runtime.history import dump_records, load_records
 from repro.runtime.transport import MSG
 from repro.shard.cluster import ClusterConfig, ShardCluster
 from repro.workloads import WorkloadSpec, generate_stream
+from tests.core.test_verify_yardstick import steady_airline_history
 from tests.runtime.test_faults_runtime import assert_rejected_then_served
 
 persons = st.text(
@@ -210,7 +212,8 @@ class TestSetEncoding:
     @given(int_sets)
     def test_decode_inverts_encode(self, members):
         decoded = wire.decode(wire.encode(members))
-        assert decoded == members and type(decoded) is frozenset
+        assert type(decoded) is RunSet
+        assert decoded == members and members == decoded
 
     @given(canonical_bodies())
     def test_encode_inverts_decode(self, body):
@@ -358,24 +361,45 @@ def at_cap_records():
 
 
 HALF = wire.MAX_SET // 2 + 1
-OVER_BUDGET = {
+AT_CAP = {
     "tuple-of-at-cap-sets": '{"%t":[' + ",".join(at_cap_sets(40)) + "]}",
     "batch-of-at-cap-sets": '{"%b":[' + ",".join(at_cap_sets(40)) + "]}",
     "records-in-one-batch": at_cap_records(),
     "two-halves": '{"%t":[{"%rs":[0,' + str(HALF - 1) + ']},{"%rs":['
                   + f"{2 * HALF},{3 * HALF - 1}" + "]}]}",
 }
+#: one set just over the cap, last behind many sets at the cap.
+OVER_THE_CAP = '{"%rs":[0,' + str(wire.MAX_SET) + "]}"
+OVER_CAP = {
+    "tuple-ending-over-the-cap":
+        '{"%t":[' + ",".join(at_cap_sets(39) + [OVER_THE_CAP]) + "]}",
+    "batch-ending-over-the-cap":
+        '{"%b":[' + ",".join(at_cap_sets(39) + [OVER_THE_CAP]) + "]}",
+}
 
 
 class TestSetBudget:
-    """``MAX_SET`` caps the members of all the sets of one payload
-    together: a short frame of many at-cap sets is rejected before any
-    of them is built."""
+    """``MAX_SET`` caps the members of each wire set.  A decoded set
+    costs O(runs), not O(members), so a short frame of many at-cap sets
+    decodes in memory the size of its bytes, and a set over the cap is
+    rejected before it is built."""
+
+    @pytest.mark.parametrize("text", list(AT_CAP.values()), ids=list(AT_CAP))
+    def test_decoded_in_frame_sized_memory(self, text):
+        assert len(text) < 2048
+        tracemalloc.start()
+        try:
+            payload = wire.decode(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 256 * 1024
+        assert wire.encode(payload) == text
 
     @pytest.mark.parametrize(
-        "text", list(OVER_BUDGET.values()), ids=list(OVER_BUDGET)
+        "text", list(OVER_CAP.values()), ids=list(OVER_CAP)
     )
-    def test_rejected_before_any_set_is_built(self, text):
+    def test_rejected_before_the_set_over_the_cap_is_built(self, text):
         assert len(text) < 2048
         tracemalloc.start()
         try:
@@ -387,15 +411,63 @@ class TestSetBudget:
         assert peak < 256 * 1024
 
     def test_each_payload_gets_its_own_budget(self):
-        """Many payloads on one stream, each under the cap, all decode."""
+        """Many payloads on one stream, their sets under the cap, all
+        decode."""
         size = wire.MAX_SET // 4
         payload = (frozenset(range(size)), frozenset(range(1, size)))
         frames = wire.encode_frame(payload) * 3
         assert wire.split_frames(frames) == [payload] * 3
 
     def test_counted_as_a_rejected_frame_by_the_transport(self):
-        text = OVER_BUDGET["batch-of-at-cap-sets"]
+        text = OVER_CAP["batch-ending-over-the-cap"]
         assert_rejected_then_served(wire.frame_from_text(text))
+
+
+@pytest.fixture(scope="module")
+def long_history():
+    """The records of a steady 2,000-transaction airline run."""
+    records = steady_airline_history(2000)[1]
+    assert len(records) == 2000
+    return records
+
+
+def live_log(length):
+    """``length`` records of a 3-node live log, each having seen every
+    record before it: its seen-set is a prefix of each node's txids."""
+    records = []
+    for i in range(length):
+        bounds = []
+        for node_id in range(3):
+            issued = (i - node_id + 2) // 3  # records of node_id before i
+            if issued:
+                bounds += (live_txid(node_id, 0, 0),
+                           live_txid(node_id, 0, issued - 1))
+        records.append(dataclasses.replace(
+            SEEN_PROBE, txid=live_txid(i % 3, 0, i // 3),
+            ts=Timestamp(i + 1, i % 3), origin=i % 3,
+            seen_txids=RunSet(tuple(bounds)),
+        ))
+    return tuple(records)
+
+
+class TestCatchUpPayloads:
+    """Payloads of whole-log length decode: their seen-sets stand for
+    millions of txids together, but each costs its runs."""
+
+    def test_a_delta_of_most_of_a_long_log(self, long_history):
+        items = tuple((r.txid, r) for r in long_history[-1900:])
+        payload = (GOSSIP_DELTA, 7, items, ())
+        text = wire.encode(payload)
+        decoded = wire.decode(text)
+        assert decoded == payload and wire.encode(decoded) == text
+        assert all(type(r.seen_txids) is RunSet for _, r in decoded[2])
+
+    def test_a_whole_log_of_10000_records(self):
+        log = live_log(10000)
+        assert sum(len(r.seen_txids) for r in log) > 10 * wire.MAX_SET
+        text = wire.encode(log)
+        decoded = wire.decode(text)
+        assert decoded == log and wire.encode(decoded) == text
 
 
 def run_log(category, seed):
