@@ -21,13 +21,14 @@ back to the publisher.
 Records travel as ``(key, item)`` pairs; a receiver reads an item's
 group from the item itself.  :class:`CausalBuffer` is the gate the
 service puts in front of delivery; it reads its node's delivered mapping
-directly.
+directly, walks seen-sets as runs, and remembers what each item awaits.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Mapping, Tuple
+from itertools import filterfalse
+from typing import Callable, Dict, Iterable, Mapping, Tuple
 
 GOSSIP_SYN = "gossip_syn"
 GOSSIP_ACK = "gossip_ack"
@@ -43,6 +44,9 @@ WireItem = Tuple[object, object]
 
 #: minimum clock seconds between rumor-triggered repair pulls of one pair.
 REPAIR_COOLDOWN = 2.0
+
+#: a pending item's blocker while no dep is known missing.
+_NONE_MISSING = object()
 
 
 @dataclass
@@ -75,25 +79,23 @@ class CausalBuffer:
     exactly the transitivity invariant the paper's broadcast provides.
 
     ``delivered`` is the owning node's *live* key -> item mapping (the
-    one ``deliver`` fills and a crash scrubs), never a copy.  Two
-    layouts of deps are read without touching their members one by
-    one:
+    one ``deliver`` fills and a crash scrubs), never a copy.  Deps come
+    in two layouts:
 
-    * deps that name a prefix of an append-only sequence — they carry
-      ``seq`` and ``n``, as a :class:`~repro.replica.log.SeenView` does —
-      are checked against one cursor per sequence: how far ``seq`` is
-      known delivered here;
-    * deps that are runs of consecutive ints — they carry ``bounds``, as
-      a decoded :class:`~repro.replica.log.RunSet` does — are checked
+    * runs of consecutive ints — they carry ``bounds``, as every
+      seen-set (a :class:`~repro.replica.log.RunSet`) does — are checked
       against one cursor per run start: the first int past it not known
-      delivered here.  Under causal delivery every seen-set from one
-      (node, incarnation) starts its run at the same txid.
+      delivered here.  Under causal delivery the seen-sets from one
+      issuer start their runs at a few shared txids, so each run is
+      walked once per buffer, not once per item.  A cursor stays true
+      only while ``delivered`` grows: whoever removes keys from it must
+      call :meth:`clear` (``GossipService.forget`` does);
+    * any other iterable is a set inclusion against the mapping's keys.
 
-    Readiness advances the cursors, so each sequence and each run is
-    walked once per buffer, not once per item.  Any other iterable is
-    one set inclusion against the mapping's keys.  A cursor stays true
-    only while ``delivered`` grows: whoever removes keys from it must
-    call :meth:`clear` (``GossipService.forget`` does).
+    Each pending item remembers its *blocker*, the dep a check last
+    found missing, and a rescan skips it with one lookup until that key
+    is delivered; run deps also drop the runs found delivered.  The
+    verdicts, hence the release order, are a full check's.
     """
 
     def __init__(
@@ -103,12 +105,9 @@ class CausalBuffer:
     ):
         self._delivered = delivered
         self._deliver = deliver
-        #: key -> (item, deps, None) for a set of deps, (item, n, cursor)
-        #: for the prefix ``seq[:n]`` of a sequence, or (item, bounds,
-        #: the run cursors) for runs.
+        #: key -> (item, deps, blocker): deps, the bounds of the runs not
+        #: known delivered or a frozenset; blocker, the dep last missing.
         self._pending: Dict[object, Tuple[object, object, object]] = {}
-        #: id(seq) -> [seq, length of its prefix known delivered].
-        self._cursors: Dict[int, List] = {}
         #: run start -> the first int from it not known delivered.
         self._runs: Dict[int, int] = {}
         #: items that did not deliver at once and were buffered.
@@ -132,18 +131,8 @@ class CausalBuffer:
         buffer; then flush chains."""
         if key in self._delivered or key in self._pending:
             return
-        seq = getattr(deps, "seq", None)
-        if seq is None:
-            bounds = getattr(deps, "bounds", None)
-            if bounds is None:
-                self._pending[key] = (item, frozenset(deps), None)
-            else:
-                self._pending[key] = (item, bounds, self._runs)
-        else:
-            cursor = self._cursors.get(id(seq))
-            if cursor is None:
-                cursor = self._cursors[id(seq)] = [seq, 0]
-            self._pending[key] = (item, deps.n, cursor)
+        deps = getattr(deps, "bounds", None) or frozenset(deps)
+        self._pending[key] = (item, deps, _NONE_MISSING)
         self._flush(key)
         if key in self._pending:
             self.buffered_total += 1
@@ -154,48 +143,47 @@ class CausalBuffer:
         discarded."""
         n = len(self._pending)
         self._pending.clear()
-        self._cursors.clear()
         self._runs.clear()
         return n
 
     def _flush(self, offered: object) -> None:
-        delivered = self._delivered
-        keys = delivered.keys()
+        delivered, pending = self._delivered, self._pending
         progress = True
         while progress:
             progress = False
-            for key, (item, deps, cursor) in list(self._pending.items()):
-                if key not in self._pending:
+            for key, (item, deps, blocker) in list(pending.items()):
+                if key not in pending or (
+                    blocker is not _NONE_MISSING and blocker not in delivered
+                ):
                     continue
-                if cursor is None:
-                    if not deps <= keys:
-                        continue
-                elif cursor is self._runs:
-                    if not self._runs_delivered(deps):
-                        continue
+                if type(deps) is tuple:
+                    deps = self._runs_left(deps)
+                    blocker = self._runs[deps[-2]] if deps else _NONE_MISSING
                 else:
-                    seq, done = cursor
-                    while done < deps and seq[done] in delivered:
-                        done += 1
-                    cursor[1] = done
-                    if done < deps:
-                        continue
-                del self._pending[key]
+                    missing = filterfalse(delivered.__contains__, deps)
+                    blocker = next(missing, _NONE_MISSING)
+                if blocker is not _NONE_MISSING:
+                    pending[key] = (item, deps, blocker)
+                    continue
+                del pending[key]
                 self._deliver(key, item)
                 if key != offered:
                     self.deferred_total += 1
                 progress = True
 
-    def _runs_delivered(self, bounds: Tuple[int, ...]) -> bool:
-        """Whether every run ``lo..hi`` of ``bounds`` is delivered,
-        advancing each run start's cursor as far as it now reaches."""
+    def _runs_left(self, bounds: Tuple[int, ...]) -> Tuple[int, ...]:
+        """``bounds`` up to its last run not all delivered (``()`` if
+        none), advancing each run start's cursor as far as it reaches.
+        The newest runs go first: they are the likeliest to miss."""
         delivered, runs = self._delivered, self._runs
-        for i in range(0, len(bounds), 2):
-            lo, hi = bounds[i], bounds[i + 1]
+        backwards = reversed(bounds)
+        for hi, lo in zip(backwards, backwards):
             upto = runs.get(lo, lo)
+            if upto > hi:
+                continue
             while upto <= hi and upto in delivered:
                 upto += 1
             runs[lo] = upto
             if upto <= hi:
-                return False
-        return True
+                return bounds[:bounds.index(lo) + 2]
+        return ()

@@ -18,7 +18,7 @@ from .engine import (
     MergeView,
     UpdateSource,
 )
-from .log import RunSet, SeenView, SystemLog, UpdateRecord
+from .log import RunSet, SystemLog, UpdateRecord
 from .policy import (
     AdaptiveWindowPolicy,
     CheckpointPolicy,
@@ -56,7 +56,6 @@ __all__ = [
     "MergeView",
     "Replica",
     "RunSet",
-    "SeenView",
     "SystemLog",
     "TailWindowPolicy",
     "Timestamp",

@@ -8,14 +8,13 @@ saw, and its group (the object it updates under partial replication,
 order, insertion may land anywhere — triggering the undo/redo
 machinery in :mod:`repro.replica.engine`.
 
-Beside the timestamp order the log keeps the *arrival sequence* of its
-txids, append-only between truncations.  A decision's seen-set (the
-paper's prefix subsequence, Section 3.3) is then a :class:`SeenView`
-of the first ``n`` arrivals: O(1) to take, with no copy, where a
-``frozenset`` of the log's txids costs O(log length) per transaction.
-A seen-set decoded off the wire is a :class:`RunSet`: the same txids as
-a few runs of consecutive ints, which is what a prefix of each origin's
-txids is.
+Beside the timestamp order the log keeps its txids as sorted runs of
+consecutive ints.  A decision's seen-set (the paper's prefix
+subsequence, Section 3.3) is then a :class:`RunSet` of those runs,
+whether taken here or decoded off the wire: under causal delivery it
+is a prefix of each issuer's consecutive txids, so it costs O(runs),
+where a ``frozenset`` of the log's txids costs O(log length) per
+transaction.
 
 This is the *single* copy of the sequence: merge engines are views over
 it (see :class:`repro.replica.engine.LogUpdateSource`) and never shadow
@@ -27,64 +26,20 @@ from __future__ import annotations
 import bisect
 from collections.abc import Set as AbcSet
 from dataclasses import dataclass
-from itertools import chain, islice
+from itertools import chain
 from numbers import Real
-from typing import AbstractSet, Dict, Iterator, List, Optional, Tuple
+from typing import AbstractSet, Iterator, List, Optional, Tuple
 
 from ..core.transaction import Transaction
 from ..core.update import Update
 from .timestamps import Timestamp
 
 
-class SeenView(AbcSet):
-    """The txids of the first ``n`` arrivals of a log's arrival
-    sequence ``seq`` (``index``: txid -> arrival position), as an
-    immutable set.
-
-    A log only appends to a sequence, and starts a fresh one when it
-    truncates, so ``seq[:n]`` never changes.  It equals, hashes, pickles
-    and wire-encodes as the ``frozenset`` of the same txids; set
-    operators return ``frozenset``.  Readers that know the layout (the
-    causal gate) use ``seq`` and ``n`` directly.
-    """
-
-    __slots__ = ("seq", "index", "n", "_hash")
-
-    def __init__(self, seq: List[int], index: Dict[int, int], n: int):
-        self.seq = seq
-        self.index = index
-        self.n = n
-        self._hash: Optional[int] = None
-
-    @classmethod
-    def _from_iterable(cls, iterable) -> frozenset:
-        return frozenset(iterable)
-
-    def __len__(self) -> int:
-        return self.n
-
-    def __contains__(self, txid: object) -> bool:
-        position = self.index.get(txid)
-        return position is not None and position < self.n
-
-    def __iter__(self) -> Iterator[int]:
-        return islice(self.seq, self.n)
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, SeenView) and other.seq is self.seq:
-            return other.n == self.n
-        return AbcSet.__eq__(self, other)
-
-    def __hash__(self) -> int:
-        if self._hash is None:
-            self._hash = hash(frozenset(self))
-        return self._hash
-
-    def __reduce__(self):
-        return (frozenset, (tuple(self),))
-
-    def __repr__(self) -> str:
-        return f"SeenView({sorted(self)!r})"
+def _in_runs(bounds, member) -> bool:
+    """Whether the int ``member`` lies in a run of sorted ``bounds``."""
+    i = bisect.bisect_left(bounds, member)
+    # odd: strictly inside a run, or its hi; even: a lo, or a gap.
+    return i % 2 == 1 or (i < len(bounds) and bounds[i] == member)
 
 
 class RunSet(AbcSet):
@@ -92,8 +47,9 @@ class RunSet(AbcSet):
     ...)``, as an immutable set.
 
     The bounds are ascending and the runs are non-empty and not
-    adjacent, as :func:`repro.runtime.wire.decode` checks before it
-    builds one; so a set costs O(runs) however many ints it holds.
+    adjacent, as :class:`SystemLog` keeps them and
+    :func:`repro.runtime.wire.decode` checks; so a set costs O(runs)
+    however many ints it holds.
     ``len`` is O(1), ``in`` a bisection, and iteration ascends.  It
     equals, hashes, pickles and wire-encodes as the ``frozenset`` of
     the same ints; set operators return ``frozenset``.  Readers that
@@ -121,10 +77,7 @@ class RunSet(AbcSet):
             isinstance(member, Real) and member % 1 == 0
         ):
             return False
-        bounds = self.bounds
-        i = bisect.bisect_left(bounds, member)
-        # odd: strictly inside a run, or its hi; even: a lo, or a gap.
-        return i % 2 == 1 or (i < len(bounds) and bounds[i] == member)
+        return _in_runs(self.bounds, member)
 
     def __iter__(self) -> Iterator[int]:
         bounds = self.bounds
@@ -159,9 +112,8 @@ class UpdateRecord:
     update: Update
     origin: int
     real_time: float
-    #: the txids the decision saw: a :class:`SeenView` when initiated
-    #: here, a :class:`RunSet` when decoded off the wire; equal either
-    #: way, and to the ``frozenset`` of the same txids.
+    #: the txids the decision saw: a :class:`RunSet` (initiated here or
+    #: decoded), equal to the ``frozenset`` of the same txids.
     seen_txids: AbstractSet[int]
     #: the object (gossip group) this record updates; ``None``: all.
     group: object = None
@@ -171,15 +123,13 @@ class UpdateRecord:
 
 
 class SystemLog:
-    """A list of update records kept sorted by timestamp, plus the
-    arrival sequence of their txids."""
+    """A list of update records kept sorted by timestamp, plus their
+    txids as sorted runs."""
 
     def __init__(self) -> None:
         self._records: List[UpdateRecord] = []
-        #: txids in arrival order; appended to, never edited in place.
-        self._arrivals: List[int] = []
-        #: txid -> its position in ``_arrivals``.
-        self._arrival_of: Dict[int, int] = {}
+        #: the txids held, as inclusive run bounds ``[lo1, hi1, ...]``.
+        self._bounds: List[int] = []
 
     def __len__(self) -> int:
         return len(self._records)
@@ -191,23 +141,39 @@ class SystemLog:
         return self._records[index]
 
     def __contains__(self, txid: int) -> bool:
-        return txid in self._arrival_of
+        return _in_runs(self._bounds, txid)
 
     @property
-    def txids(self) -> SeenView:
-        """The txids in the log now, as an O(1) view (no copy)."""
-        return SeenView(self._arrivals, self._arrival_of, len(self._arrivals))
+    def txids(self) -> RunSet:
+        """The txids in the log now: O(runs) to take, and unmoved by
+        later inserts and truncations."""
+        return RunSet(tuple(self._bounds))
 
     def insert(self, record: UpdateRecord) -> Optional[int]:
         """Insert in timestamp order; returns the position, or None if the
         record was already present (duplicate delivery)."""
-        if record.txid in self._arrival_of:
+        if not self._add(record.txid):
             return None
         position = bisect.bisect_left(self._records, record)
         self._records.insert(position, record)
-        self._arrival_of[record.txid] = len(self._arrivals)
-        self._arrivals.append(record.txid)
         return position
+
+    def _add(self, txid: int) -> bool:
+        """Add ``txid`` to the runs; False if it is there already."""
+        bounds = self._bounds
+        i = bisect.bisect_left(bounds, txid)
+        if i % 2 == 1 or (i < len(bounds) and bounds[i] == txid):
+            return False
+        # i is even: txid falls in the gap between runs i/2 - 1 and i/2.
+        left = i > 0 and bounds[i - 1] == txid - 1
+        right = i < len(bounds) and bounds[i] == txid + 1
+        if left and right:  # it closes the gap: join the two runs
+            del bounds[i - 1:i + 1]
+        elif left or right:  # it extends the run it touches
+            bounds[i - 1 if left else i] = txid
+        else:
+            bounds[i:i] = (txid, txid)
+        return True
 
     def records(self) -> Tuple[UpdateRecord, ...]:
         return tuple(self._records)
@@ -218,10 +184,8 @@ class SystemLog:
 
         Models a crash losing volatile state: the prefix up to the last
         stable checkpoint survives, the rest is gone and must be
-        re-fetched via anti-entropy.
-
-        The survivors start a fresh arrival sequence (in their arrival
-        order): views taken earlier keep the old one, unedited.
+        re-fetched via anti-entropy.  The runs are rebuilt from the
+        survivors; seen-sets taken earlier keep their own.
         """
         if not 0 <= length <= len(self._records):
             raise ValueError(
@@ -230,9 +194,9 @@ class SystemLog:
         lost = tuple(self._records[length:])
         del self._records[length:]
         if lost:
-            gone = {r.txid for r in lost}
-            self._arrivals = [t for t in self._arrivals if t not in gone]
-            self._arrival_of = {t: i for i, t in enumerate(self._arrivals)}
+            self._bounds = []
+            for record in self._records:
+                self._add(record.txid)
         return lost
 
     def max_timestamp(self) -> Optional[Timestamp]:

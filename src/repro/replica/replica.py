@@ -21,7 +21,7 @@ from typing import Callable, Optional, Tuple
 from ..core.state import State
 from ..core.update import Update
 from .engine import LogUpdateSource, MergeOutcome, MergeStats, MergeView
-from .log import SeenView, SystemLog, UpdateRecord
+from .log import RunSet, SystemLog, UpdateRecord
 from .policy import CheckpointPolicy, EveryPositionPolicy, InitialOnlyPolicy
 
 #: anything that builds a merge view (or a seed-compat engine, which is
@@ -90,7 +90,7 @@ class Replica:
         return self.engine.stats
 
     @property
-    def txids(self) -> SeenView:
+    def txids(self) -> RunSet:
         return self.log.txids
 
     def ingest(self, record: UpdateRecord) -> Optional[MergeOutcome]:

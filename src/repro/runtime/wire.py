@@ -18,21 +18,21 @@ digest grouping already use.  That registry is derived at import from
 ``updates``), so any registered application's records decode; two
 classes claiming one family name fail the import.
 
-**Sets.**  A set of ints (a record's seen-set: the
-:class:`~repro.replica.log.SeenView` a node hands its own records, the
-:class:`~repro.replica.log.RunSet` it decoded, or a ``frozenset``) goes
-on the wire as its maximal runs of consecutive ints, one flat sorted
-list ``{"%rs": [lo1, hi1, lo2, hi2, ...]}`` with inclusive bounds, and
+**Sets.**  A set of ints (a record's seen-set: a
+:class:`~repro.replica.log.RunSet`, or any ``frozenset``) goes on the
+wire as its maximal runs of consecutive ints, one flat sorted list
+``{"%rs": [lo1, hi1, lo2, hi2, ...]}`` with inclusive bounds, and
 decodes to the :class:`~repro.replica.log.RunSet` of those bounds,
 which equals the ``frozenset`` of the same ints.  The encoding is
 lossless and canonical for any set; it is also small for the sets that
-occur.  A seen-set is, under causal delivery, a prefix of each origin's
-txids, and one (node, incarnation) issues consecutive txids
-(:meth:`repro.runtime.config.NodeSpec.txid`; the simulator numbers all
-txids 0, 1, 2, ...), so a record costs one pair of ints per (node,
-incarnation) rather than one int per transaction it saw — on the wire
-and, decoded, in memory.  A ``RunSet`` is written straight from its
-bounds, so ``encode(decode(text)) == text``.
+occur.  An issuer numbers its txids consecutively: one (node,
+incarnation) in :meth:`repro.runtime.config.NodeSpec.txid`, one group
+in the simulator (:class:`~repro.shard.cluster.ShardCluster`).  Under
+causal delivery a seen-set is a prefix of each node's txids, less the
+few still in flight where nodes share a counter, so a record costs a
+pair of ints per issuer or hole rather than one int per transaction it
+saw — on the wire and, decoded, in memory.  A ``RunSet`` is written
+straight from its bounds, so ``encode(decode(text)) == text``.
 
 **The set budget.**  The decoder checks each set body before it builds
 the set: bounds must be ints in sorted, non-empty, non-adjacent runs.
@@ -68,14 +68,14 @@ import json
 import struct
 from operator import le, lt
 from typing import (
-    AbstractSet, Callable, Dict, Iterator, List, Sequence, Tuple,
+    Callable, Dict, FrozenSet, Iterator, List, Sequence, Tuple,
 )
 
 from ..apps.registry import APP_NAMES, app_entry
 from ..core.transaction import Transaction
 from ..core.update import IDENTITY, Update
 from ..gossip.digest import RangeDigest
-from ..replica.log import RunSet, SeenView, UpdateRecord
+from ..replica.log import RunSet, UpdateRecord
 from ..replica.timestamps import Timestamp
 
 
@@ -118,12 +118,11 @@ class Batch(tuple):
 # -- value codec ----------------------------------------------------------
 
 
-def _runs(members: AbstractSet[int]) -> List[int]:
+def _runs(members: FrozenSet[int]) -> List[int]:
     """A set of ints -> ``[lo1, hi1, lo2, hi2, ...]``, its maximal runs
     of consecutive ints in ascending order (inclusive bounds)."""
-    # a frozenset of consecutive ints iterates nearly in order, so this
-    # sort is cheaper than sorting a seen-set view's arrival order.
-    ordered = sorted(frozenset(members))
+    # cheap: a frozenset of consecutive ints iterates nearly in order.
+    ordered = sorted(members)
     if not set(map(type, ordered)) <= {int}:
         raise TypeError("wire sets must hold ints only")
     runs: List[int] = []
@@ -179,7 +178,7 @@ def _enc(value: object) -> object:
         return {"%l": [_enc(v) for v in value]}
     if isinstance(value, RunSet):
         return {"%rs": value.bounds}
-    if isinstance(value, (frozenset, SeenView)):
+    if isinstance(value, frozenset):
         return {"%rs": _runs(value)}
     if isinstance(value, dict):
         # str-keyed mappings (profile counters); wrapped so the decoder

@@ -59,6 +59,10 @@ class ClusterConfig:
     placement: Optional[Mapping[int, FrozenSet[object]]] = None
 
 
+#: txids per group: the i-th of ``initial_states`` draws from i * this.
+GROUP_TXIDS = 10**9
+
+
 class NodeDownError(RuntimeError):
     """Raised when a transaction is initiated at a crashed node."""
 
@@ -134,7 +138,12 @@ class ShardCluster:
         ]
         self.nodes: List[ShardNode] = [host.node for host in self.hosts]
         self.broadcast.start_anti_entropy()
-        self._next_txid = 0
+        #: group -> its next txid: consecutive per group, so a seen-set
+        #: stays a few runs under any placement (group ``None``: 0, 1, ...).
+        self._next_txid: Dict[object, int] = {
+            group: i * GROUP_TXIDS
+            for i, group in enumerate(self.initial_states)
+        }
         self.records: Dict[int, UpdateRecord] = {}
         self.rejected_submissions = 0
         self.broadcast.active_filter = lambda n: self.nodes[n].online
@@ -167,8 +176,8 @@ class ShardCluster:
         host = self._require_holder(node_id, group)
         if not host.node.online:
             raise NodeDownError(node_id)
-        txid = self._next_txid
-        self._next_txid += 1
+        txid = self._next_txid[group]
+        self._next_txid[group] += 1
         self.records[txid] = host.initiate(txid, transaction, group)
 
     def submit(
@@ -304,11 +313,12 @@ class ShardCluster:
     def mutually_consistent(self) -> bool:
         """Do all replicas of an object with equal logs hold equal
         states?  After :meth:`quiesce`, all logs are equal, so all states
-        must be.  Replicas are grouped by object and log content, so two
-        divergent replicas cannot hide behind a third with another log."""
-        logs: Dict[Tuple[object, frozenset], State] = {}
+        must be.  Replicas are grouped by object and log content (txid
+        runs), so two divergent replicas cannot hide behind a third."""
+        logs: Dict[Tuple[object, Tuple[int, ...]], State] = {}
         for group, replica in self._replicas():
-            reference = logs.setdefault((group, replica.txids), replica.state)
+            key = (group, replica.txids.bounds)
+            reference = logs.setdefault(key, replica.state)
             if replica.state != reference:
                 return False
         return True

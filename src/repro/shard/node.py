@@ -23,7 +23,7 @@ from ..replica import (
     EngineFactory,
     LamportClock,
     Replica,
-    SeenView,
+    RunSet,
     UpdateRecord,
 )
 from .external import ExternalLedger
@@ -72,7 +72,7 @@ class ShardNode:
         return self.replica.state
 
     @property
-    def known_txids(self) -> SeenView:
+    def known_txids(self) -> RunSet:
         return self.replica.txids
 
     def initiate(
@@ -90,7 +90,7 @@ class ShardNode:
         for the broadcast layer to disseminate.
         """
         replica = self.replicas[group]
-        # an O(1) view of the replica's arrivals so far, not a copy.
+        # the replica's txids as runs: O(runs), not a copy of the log.
         seen = replica.txids
         decision = transaction.decide(replica.state)
         self.ledger.record(now, self.node_id, txid, tuple(decision.external_actions))

@@ -17,21 +17,24 @@ from tests.helpers import count_python_calls
 TXNS = 2000
 
 
-def steady_airline_history(txns=TXNS):
-    """``(initial state, records)`` of a steady 3-node airline run of
-    ``txns`` transactions (6 per simulated second, 0.1-0.5 s links).
+def steady_airline_history(txns=TXNS, n_nodes=3):
+    """``(initial state, records)`` of a steady ``n_nodes``-node airline
+    run of ``txns`` transactions (6 per simulated second, 0.1-0.5 s
+    links).
     The 50 people keep the state, and so the cost of one update, the
     same size from head to tail: what grows with the log is then only
     what the verifier does."""
     spec = WorkloadSpec(
         name="verify-yardstick", category="airline", seed=1,
-        duration=1.1 * txns / 6.0, n_nodes=3, rate=6.0, universe=50,
+        duration=1.1 * txns / 6.0, n_nodes=n_nodes, rate=6.0, universe=50,
     )
     events = generate_stream(spec)[:txns]
     assert len(events) == txns
     cluster = ShardCluster(
         app_entry("airline").initial_state,
-        ClusterConfig(n_nodes=3, seed=1, delay=UniformDelay(*spec.delay)),
+        ClusterConfig(
+            n_nodes=n_nodes, seed=1, delay=UniformDelay(*spec.delay)
+        ),
     )
     for event in events:
         cluster.submit(event.node, event.transaction, at=event.time)

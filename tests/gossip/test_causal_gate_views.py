@@ -1,10 +1,11 @@
-"""The causal gate's per-sequence cursors are a drop-in for the set
-inclusion they replace: for seen-set views of origin logs — one
-arrival sequence per (node, group) replica, restarted by truncation —
-random offers, duplicates, out-of-band deliveries and forgets release
-exactly the keys, in exactly the order, that ``frozenset(deps) <=
-delivered`` does.  Also: ``GossipStats.causally_deferred`` counts each
-delivery that waited in a buffer, once."""
+"""The causal gate's run cursors and blocker memo are a drop-in for the
+set inclusion they replace: for seen-sets of origin logs — one log per
+(node, group) replica, its txids drawn from one counter shared by every
+group, so each seen-set has holes, and truncated now and then — random
+offers, duplicates, out-of-band deliveries and forgets release exactly
+the keys, in exactly the order, that ``frozenset(deps) <= delivered``
+does.  Also: ``GossipStats.causally_deferred`` counts each delivery that
+waited in a buffer, once."""
 
 from hypothesis import given, settings, strategies as st
 
@@ -13,6 +14,7 @@ from repro.gossip import GOSSIP_RUMOR, CausalBuffer, GossipConfig
 from repro.replica import SystemLog, UpdateRecord
 from repro.replica.timestamps import Timestamp
 from tests.gossip.test_service import make_service
+from tests.helpers import ReferenceBuffer
 
 NODES = st.integers(0, 2)
 GROUPS = st.sampled_from(("a", "b"))
@@ -31,36 +33,6 @@ STEPS = st.lists(
 )
 
 
-class ReferenceBuffer:
-    """The gate the cursors replace: one set inclusion per readiness
-    check."""
-
-    def __init__(self, delivered, deliver):
-        self.delivered, self.deliver, self.pending = delivered, deliver, {}
-        self.buffered_total = self.deferred_total = 0
-
-    def offer(self, key, item, deps):
-        if key in self.delivered or key in self.pending:
-            return
-        self.pending[key] = (item, frozenset(deps))
-        progress = True
-        while progress:
-            progress = False
-            for k, (it, ds) in list(self.pending.items()):
-                if k in self.pending and ds <= self.delivered.keys():
-                    del self.pending[k]
-                    self.deliver(k, it)
-                    self.deferred_total += k != key
-                    progress = True
-        if key in self.pending:
-            self.buffered_total += 1
-
-    def clear(self):
-        n = len(self.pending)
-        self.pending.clear()
-        return n
-
-
 def record(txid, group, node, seen):
     return UpdateRecord(
         ts=Timestamp(txid + 1, node),
@@ -75,9 +47,9 @@ def record(txid, group, node, seen):
 
 
 def play(steps, make):
-    """Origins 0-2 hold a replica, each with its own arrival sequence,
-    per group they hold ("a" and "b"; node 1 only "a"); the receiver
-    holds both, so its gate keeps a cursor on every sequence."""
+    """Origins 0-2 hold a replica per group they hold ("a" and "b";
+    node 1 only "a"), each seen-set a ``RunSet`` of its log's txids; the
+    receiver holds both groups, so its gate sees every origin's runs."""
     logs = {
         (0, "a"): SystemLog(), (0, "b"): SystemLog(),
         (1, "a"): SystemLog(),
@@ -127,54 +99,6 @@ def play(steps, make):
 @given(steps=STEPS)
 def test_cursor_gate_releases_what_set_inclusion_does(steps):
     assert play(steps, CausalBuffer) == play(steps, ReferenceBuffer)
-
-
-def test_a_sequence_is_walked_once_for_many_views():
-    """Each offer resumes the cursor where the previous one stopped."""
-    reads = []
-
-    class Probe(dict):
-        def __contains__(self, key):
-            reads.append(key)
-            return dict.__contains__(self, key)
-
-    log, delivered, order = SystemLog(), Probe(), []
-
-    def deliver(key, item):
-        delivered[key] = item
-        order.append(key)
-
-    buffer = CausalBuffer(delivered, deliver)
-    for txid in range(50):
-        view = log.txids
-        log.insert(record(txid, None, 0, view))
-        buffer.offer(txid, txid, view)
-    assert order == list(range(50))
-    # one duplicate check per offer, one cursor step per arrival.
-    assert len(reads) <= 2 * 50
-
-
-def test_a_forget_rewinds_the_cursors():
-    """After a crash scrub, a view over a forgotten key waits again even
-    though the sequence was walked past it before."""
-    log, delivered, order = SystemLog(), {}, []
-
-    def deliver(key, item):
-        delivered[key] = item
-        order.append(key)
-
-    buffer = CausalBuffer(delivered, deliver)
-    views = []
-    for txid in range(3):
-        views.append(log.txids)
-        log.insert(record(txid, None, 0, views[-1]))
-        buffer.offer(txid, txid, views[-1])
-    del delivered[0]  # as GossipService.forget: scrub, then clear
-    buffer.clear()
-    buffer.offer(9, 9, views[2])
-    assert order == [0, 1, 2] and 9 in buffer
-    buffer.offer(0, 0, views[0])
-    assert order == [0, 1, 2, 0, 9]
 
 
 def test_a_rumor_ahead_of_its_dependency_is_deferred_once():

@@ -1,10 +1,11 @@
 """Shared test helpers: attaching a bare :class:`GossipService` (no
-``NodeHost`` owning the transport slot), counting Python calls, and the
-from-scratch fold that the execution's incremental one is checked
-against."""
+``NodeHost`` owning the transport slot), counting Python calls and
+mapping probes, and the from-scratch references that the execution's
+incremental fold and the causal gate are checked against."""
 
 import gc
 import sys
+from collections.abc import KeysView
 
 from repro.core.update import apply_sequence
 
@@ -67,3 +68,47 @@ def count_python_calls(fn):
         if was_enabled:
             gc.enable()
     return calls
+
+
+class Probed(dict):
+    """A delivered mapping that counts its membership probes, including
+    those a set inclusion against its keys makes."""
+
+    probes = 0
+
+    def __contains__(self, key):
+        self.probes += 1
+        return dict.__contains__(self, key)
+
+    def keys(self):
+        return KeysView(self)
+
+
+class ReferenceBuffer:
+    """The causal gate with no cursors and no memo: one set inclusion
+    per readiness check, with ``CausalBuffer``'s counters."""
+
+    def __init__(self, delivered, deliver):
+        self.delivered, self.deliver, self.pending = delivered, deliver, {}
+        self.buffered_total = self.deferred_total = 0
+
+    def offer(self, key, item, deps):
+        if key in self.delivered or key in self.pending:
+            return
+        self.pending[key] = (item, frozenset(deps))
+        progress = True
+        while progress:
+            progress = False
+            for k, (it, ds) in list(self.pending.items()):
+                if k in self.pending and ds <= self.delivered.keys():
+                    del self.pending[k]
+                    self.deliver(k, it)
+                    self.deferred_total += k != key
+                    progress = True
+        if key in self.pending:
+            self.buffered_total += 1
+
+    def clear(self):
+        n = len(self.pending)
+        self.pending.clear()
+        return n

@@ -11,13 +11,13 @@ clock."""
 
 import gc
 import tracemalloc
-from collections.abc import KeysView
 
 import pytest
 
 from repro.gossip import CausalBuffer
 from repro.runtime import wire
 from tests.core.test_verify_yardstick import steady_airline_history
+from tests.helpers import Probed
 
 
 def encoded_records(txns):
@@ -42,20 +42,6 @@ def retained_bytes_per_txn(texts):
             gc.enable()
     assert len(decoded) == len(texts)
     return retained / len(texts)
-
-
-class Probed(dict):
-    """A delivered mapping that counts its membership probes, including
-    those a set inclusion against its keys makes."""
-
-    probes = 0
-
-    def __contains__(self, key):
-        self.probes += 1
-        return dict.__contains__(self, key)
-
-    def keys(self):
-        return KeysView(self)
 
 
 def probes_per_offer(texts):

@@ -1,8 +1,9 @@
 """A decoded seen-set is a ``RunSet``: the runs of consecutive txids the
 wire carries, kept as runs.  It must be indistinguishable from the
 ``frozenset`` it replaces — in every set operation, under hash and
-pickle, and on the wire — and the causal gate's run cursors must release
-exactly what a set inclusion against the delivered keys releases."""
+pickle, and on the wire — and the causal gate, on run deps or on plain
+ones, must release exactly what a set inclusion against the delivered
+keys releases."""
 
 import pickle
 
@@ -11,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 from repro.gossip import CausalBuffer
 from repro.replica import RunSet
 from repro.runtime import wire
-from tests.gossip.test_causal_gate_views import ReferenceBuffer
+from tests.helpers import ReferenceBuffer
 
 
 @st.composite
@@ -137,6 +138,16 @@ def test_run_cursors_release_what_set_inclusion_does(steps):
     """Out-of-order arrivals, duplicates and a clear mid-stream: the
     same keys are released in the same order, with the same counts."""
     assert play(steps, CausalBuffer, run_set) == play(
+        steps, ReferenceBuffer, frozenset
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(steps=GATE_STEPS)
+def test_plain_deps_release_what_set_inclusion_does(steps):
+    """The gate's other layout (deps with no ``bounds``, as the
+    ``depends_on`` hooks of tests give) under the same steps."""
+    assert play(steps, CausalBuffer, tuple) == play(
         steps, ReferenceBuffer, frozenset
     )
 

@@ -1,14 +1,14 @@
-"""``SystemLog.txids`` is an O(1) view of the log's arrival sequence;
-it must be indistinguishable from the ``frozenset`` snapshot it
-replaces: after later inserts and truncations, in every set operation,
-under pickle and on the wire."""
+"""``SystemLog.txids`` is a :class:`RunSet` of the runs the log keeps
+its txids in; each snapshot must be indistinguishable from the
+``frozenset`` it replaces: after later inserts and truncations, in every
+set operation, under hash and pickle, and on the wire."""
 
 import pickle
 
 from hypothesis import given, settings, strategies as st
 
 from repro.apps.airline import Request, RequestUpdate
-from repro.replica import SeenView, SystemLog, UpdateRecord
+from repro.replica import RunSet, SystemLog, UpdateRecord
 from repro.replica.timestamps import Timestamp
 from repro.runtime import wire
 
@@ -35,7 +35,7 @@ def record(txid, counter=1, seen=frozenset()):
 
 
 def run(program):
-    """Run ``program`` on a log; returns every ``(view, reference)``
+    """Run ``program`` on a log; returns every ``(snapshot, reference)``
     pair it took, one before and one after each step."""
     log, reference = SystemLog(), set()
     snapshots = [(log.txids, frozenset(reference))]
@@ -55,9 +55,10 @@ def run(program):
 @settings(max_examples=200, deadline=None)
 @given(program=PROGRAMS)
 def test_every_view_stays_its_snapshot(program):
-    """Checked at the end: no later insert or truncate moved a view."""
+    """Checked at the end: no later insert or truncate moved a
+    snapshot."""
     for view, ref in run(program):
-        assert isinstance(view, SeenView)
+        assert type(view) is RunSet
         assert view == ref and ref == view
         assert not view != ref and not ref != view
         assert hash(view) == hash(ref)
@@ -84,7 +85,7 @@ def test_views_encode_as_their_frozenset(program):
         assert wire.decode(text) == record(7, seen=view)
 
 
-def test_views_of_one_log_compare_by_length():
+def test_snapshots_of_one_log_compare_by_bounds():
     log = SystemLog()
     empty = log.txids
     log.insert(record(1))
@@ -92,17 +93,19 @@ def test_views_of_one_log_compare_by_length():
     assert empty != one and empty == frozenset() and one == {1}
     assert log.txids == one and hash(log.txids) == hash(one)
     assert {one: "state"}[frozenset({1})] == "state"
+    for txid in (3, 2, 7):
+        log.insert(record(txid))
+    assert log.txids.bounds == (1, 3, 7, 7) and 2 in log and 4 not in log
 
 
-def test_truncate_starts_a_fresh_sequence():
+def test_truncate_rebuilds_the_runs():
     log = SystemLog()
     for txid, counter in ((5, 3), (6, 1), (7, 2)):
         log.insert(record(txid, counter))
     before = log.txids
-    assert list(before) == [5, 6, 7]  # arrival order, not timestamps
+    assert before.bounds == (5, 7)
     assert [r.txid for r in log.truncate(1)] == [7, 5]
-    after = log.txids
-    assert after.seq is not before.seq
-    assert list(before) == [5, 6, 7] and list(after) == [6]
+    assert log.txids.bounds == (6, 6) and 5 not in log
+    assert before.bounds == (5, 7) and before == {5, 6, 7}
     log.insert(record(5, 9))
-    assert list(log.txids) == [6, 5] and before == {5, 6, 7}
+    assert log.txids.bounds == (5, 6)

@@ -13,7 +13,7 @@ from repro.apps.registry import APP_NAMES, app_entry
 from repro.core.update import IDENTITY
 from repro.gossip import GOSSIP_DELTA
 from repro.gossip.digest import RangeDigest
-from repro.replica import RunSet, SeenView, SystemLog, UpdateRecord
+from repro.replica import RunSet, SystemLog, UpdateRecord
 from repro.replica.timestamps import Timestamp
 from repro.runtime import wire
 from repro.runtime.config import ClusterSpec, NodeSpec
@@ -188,9 +188,9 @@ SEEN_PROBE = UpdateRecord(
 
 
 def arrival_views(program):
-    """Every view a log over live txids hands out while it runs
+    """Every seen-set a log over live txids hands out while it runs
     ``program``: inserts in arrival order, and truncations, which leave
-    the later views with holes in their origins' sequences."""
+    the later ones with holes in their origins' sequences."""
     log, views = SystemLog(), []
     for step in program:
         if step[0] == "insert":
@@ -241,7 +241,7 @@ class TestSetEncoding:
     ))
     def test_views_with_holes_encode_as_their_frozenset(self, program):
         for view in arrival_views(program):
-            assert isinstance(view, SeenView)
+            assert type(view) is RunSet
             assert wire.encode(view) == wire.encode(frozenset(view))
 
     def test_partial_replication_views_encode_as_their_frozenset(self):
@@ -260,10 +260,12 @@ class TestSetEncoding:
         cluster.run(until=10.0)
         cluster.quiesce()
         views = [r.seen_txids for r in cluster.records.values()]
-        assert all(isinstance(view, SeenView) for view in views)
-        # node 0 holds only f1: its views skip every f2 txid.
-        assert any(len(view) and max(view) - min(view) + 1 > len(view)
-                   for view in views)
+        assert all(type(view) is RunSet for view in views)
+        # each group numbers its own txids: a view names its group's only.
+        for record in cluster.records.values():
+            assert {
+                cluster.records[t].group for t in record.seen_txids
+            } <= {record.group}
         for view in views:
             assert wire.encode(view) == wire.encode(frozenset(view))
 

@@ -16,6 +16,7 @@ from repro.gossip import GossipConfig
 from repro.network import PartitionSchedule
 from repro.replica import EveryPositionPolicy, policy_engine_factory
 from repro.shard import ClusterConfig, ShardCluster
+from repro.shard.cluster import GROUP_TXIDS
 
 
 def two_flight_cluster(**kwargs):
@@ -83,7 +84,8 @@ class TestPlacement:
 class TestGroupedClusterApi:
     def test_unheld_group_burns_no_txid(self):
         """Both entry points refuse a group the node does not hold
-        before a txid is drawn, so txids stay gapless."""
+        before a txid is drawn, so each group's txids stay gapless from
+        the group's own base."""
         cluster = two_flight_cluster()
         cluster.initiate_now(0, Request("A"), group="f1")
         before = dict(cluster.records)
@@ -94,7 +96,11 @@ class TestGroupedClusterApi:
         cluster.run(until=5.0)
         assert cluster.records == before
         cluster.initiate_now(2, Request("D"), group="f2")
-        assert sorted(cluster.records) == [0, 1]
+        cluster.initiate_now(1, Request("E"), group="f1")
+        by_group = {}
+        for txid, record in cluster.records.items():
+            by_group.setdefault(record.group, []).append(txid)
+        assert by_group == {"f1": [0, 1], "f2": [GROUP_TXIDS]}
 
     def test_merge_counters_sum_every_replica(self):
         cost = make_airline_application(capacity=2).cost
