@@ -12,8 +12,8 @@ and it lives beside them because nothing else runs it::
 
 For the length of the block, every gossip service publishes and runs
 anti-entropy the whole-set way; the service's own methods are restored
-on exit.  The payloads are ordinary rumors without a digest or extras,
-``(GOSSIP_RUMOR, items, None, None)``, so receivers merge them through
+on exit.  The payloads are ordinary rumors without extras,
+``(GOSSIP_RUMOR, items, None)``, so receivers merge them through
 their causal gate — and since a whole known set is causally closed and
 listed in the sender's delivery order, the gate delivers every item as
 it is offered.
@@ -30,15 +30,14 @@ from repro.gossip.service import group_of
 def _ship(service, node_id, dst, items):
     service.stats.items_carried += len(items)
     service.stats.wire.message(records=len(items))
-    service.transport.send(node_id, dst, (GOSSIP_RUMOR, items, None, None))
+    service.transport.send(node_id, dst, (GOSSIP_RUMOR, items, None))
 
 
 def _publish(self, node_id, key, item):
     """Deliver locally, then flood the whole known set (just the new
     item with ``piggyback=False``) to every other holder of its group."""
     self.stats.published += 1
-    if key not in self._published_at:
-        self._published_at[key] = self.clock.now
+    self._note_published(key)
     self._merge(node_id, [(key, item)])
     if not self.config.flood:
         return

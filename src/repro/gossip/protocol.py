@@ -10,13 +10,19 @@ One anti-entropy exchange between A and B (run by
    fast path);
 3. ``gossip_delta`` — A pushes the records B's key lists show it lacks
    and pulls (via a ``want`` list of keys) the ones B has that A lacks;
-   B answers a non-empty ``want`` with one final payload-only DELTA.
+   B answers a non-empty ``want`` with one final payload-only DELTA of
+   the wanted records it holds (and nothing if it holds none).
 
 ``gossip_rumor`` is the flood-path companion: a freshly published record
-plus the publisher's digest — "rumor mongering" that piggybacks a
-summary instead of the full known set.  A receiver whose index disagrees
-with the rumored digest schedules a repair pull (rate-limited per peer)
-back to the publisher.
+and nothing else, sent once to every holder of its group — the paper's
+broadcast, which relies on transitivity rather than on a summary of the
+sender's set.  A receiver whose causal gate buffers the record sends the
+publisher one ``gossip_delta`` whose ``want`` names the record's missing
+dependencies (at most :data:`MAX_GAP_WANT` of them), and the publisher
+answers it as it answers any want: two messages, rate-limited per
+peer.  A gap that no later rumor exposes (a lost rumor with no
+successor, a partition) waits for the periodic anti-entropy exchange,
+which alone heals it.
 
 Records travel as ``(key, item)`` pairs; a receiver reads an item's
 group from the item itself.  :class:`CausalBuffer` is the gate the
@@ -27,8 +33,8 @@ directly, walks seen-sets as runs, and remembers what each item awaits.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import filterfalse
-from typing import Callable, Dict, Iterable, Mapping, Tuple
+from itertools import chain, filterfalse, islice
+from typing import Callable, Dict, Iterable, List, Mapping, Tuple
 
 GOSSIP_SYN = "gossip_syn"
 GOSSIP_ACK = "gossip_ack"
@@ -42,8 +48,14 @@ GOSSIP_KINDS = frozenset(
 #: A record on the wire: (key, item).
 WireItem = Tuple[object, object]
 
-#: minimum clock seconds between rumor-triggered repair pulls of one pair.
+#: minimum clock seconds between gap wants of one directed pair, and
+#: before a node wants one key again.
 REPAIR_COOLDOWN = 2.0
+
+#: most dependencies one gap want reads, and so names: a record's deps
+#: may stand for a million keys in a few bounds, so the walk stops here
+#: and anti-entropy heals whatever lies beyond.
+MAX_GAP_WANT = 128
 
 #: a pending item's blocker while no dep is known missing.
 _NONE_MISSING = object()
@@ -60,7 +72,8 @@ class DeltaStats:
     skips: int = 0
     #: SYNs whose ACK never arrived before the timeout.
     timeouts: int = 0
-    #: digest-mismatch pulls triggered by rumor floods.
+    #: gap wants: DELTAs asking a rumor's sender for the missing
+    #: dependencies of the record it brought.
     repair_pulls: int = 0
     #: records shipped in DELTA payloads (push + pull directions).
     delta_records: int = 0
@@ -71,12 +84,13 @@ class CausalBuffer:
 
     The full-set piggyback of Section 3.3 made prefix subsequences
     transitive by brute force: every message carried everything its
-    sender knew.  With digest rumors carrying a single record, the same
+    sender knew.  With rumors carrying a single record, the same
     guarantee is restored at the *receiver*: an item is buffered until
     every key it depends on (``seen_txids`` for update records) has been
-    delivered, and the digest repair pull fetches the gap.  Each node's
-    delivered set is therefore causally closed at all times, which is
-    exactly the transitivity invariant the paper's broadcast provides.
+    delivered, and the service wants the keys :meth:`missing` names
+    from the rumor's sender.  Each node's delivered set is therefore
+    causally closed at all times, which is exactly the transitivity
+    invariant the paper's broadcast provides.
 
     ``delivered`` is the owning node's *live* key -> item mapping (the
     one ``deliver`` fills and a crash scrubs), never a copy.  Deps come
@@ -136,6 +150,28 @@ class CausalBuffer:
         self._flush(key)
         if key in self._pending:
             self.buffered_total += 1
+
+    def missing(self, keys: Iterable[object], limit: int) -> List[object]:
+        """The deps of the buffered items ``keys`` that are neither
+        delivered nor buffered here — what their gap is made of — among
+        the first ``limit`` deps read.  Runs are read from their cursors
+        up, so the delivered prefix of each run is skipped unread."""
+        delivered, pending, runs = self._delivered, self._pending, self._runs
+
+        def deps_of(key):
+            deps = pending[key][1]
+            if type(deps) is not tuple:
+                return deps
+            bounds = iter(deps)
+            return chain.from_iterable(
+                range(runs.get(lo, lo), hi + 1)
+                for lo, hi in zip(bounds, bounds)
+            )
+
+        return [
+            d for d in islice(chain.from_iterable(map(deps_of, keys)), limit)
+            if d not in delivered and d not in pending
+        ]
 
     def clear(self) -> int:
         """Drop everything buffered and every cursor (crash losing

@@ -6,10 +6,10 @@ caller-supplied keys.  It keeps the paper-facing contract — every item
 is delivered to every attached node holding its group exactly once,
 flooding gives low latency on the healthy part of the network,
 anti-entropy guarantees eventual delivery — but ships only what a peer
-lacks.  Rumor-mongering floods carry the new record plus a
-:class:`~repro.gossip.digest.RangeDigest`, anti-entropy runs the
-SYN/ACK/DELTA push–pull protocol so only missing records cross the
-wire, and peers are chosen by the partition-aware
+lacks.  Rumor-mongering floods carry the new record and nothing else,
+anti-entropy runs the SYN/ACK/DELTA push–pull protocol over
+:class:`~repro.gossip.digest.RangeDigest` summaries so only missing
+records cross the wire, and peers are chosen by the partition-aware
 :class:`~repro.gossip.scheduler.PeerScheduler`.  The paper's literal
 protocol, where every message carries the sender's whole known set, is
 a measurement baseline only (``benchmarks/fullset.py``).
@@ -20,12 +20,15 @@ shard cluster supplies ``record.seen_txids``), received items are held in
 a :class:`~repro.gossip.protocol.CausalBuffer` until their dependencies
 have been delivered, so every node's delivered set remains causally
 closed — the invariant behind the paper's transitive prefix
-subsequences.  Dependencies may be any iterable of keys; a seen-set
-taken in-process is a view of a prefix of the origin log's arrival
-sequence, which the gate checks with one cursor per sequence instead of
-re-reading the whole set.  With ``piggyback=False`` the digest (and
-hence the repair pull and the gating) is disabled, faithfully
-reproducing the intransitivity the paper warns about.
+subsequences.  Dependencies may be any iterable of keys; a seen-set is a
+:class:`~repro.replica.log.RunSet`, which the gate checks with one
+cursor per run start instead of re-reading the whole set.  When a
+rumor's record is buffered, the receiver sends the rumor's sender one
+DELTA whose ``want`` names exactly the dependencies it misses (the gap
+want, rate-limited per pair); a gap no later rumor exposes is healed by
+periodic anti-entropy alone.  With ``piggyback=False`` the gating (and
+hence the gap want) is disabled, faithfully reproducing the
+intransitivity the paper warns about.
 
 **Groups** let one service serve both topologies (Section 6).  An
 item's group is its ``group`` attribute (``None`` if absent or unset,
@@ -68,6 +71,7 @@ from .protocol import (
     GOSSIP_DELTA,
     GOSSIP_RUMOR,
     GOSSIP_SYN,
+    MAX_GAP_WANT,
     REPAIR_COOLDOWN,
     CausalBuffer,
     DeltaStats,
@@ -174,6 +178,9 @@ class GossipService:
         self._batch_sink: Dict[int, List[Tuple[object, object]]] = {}
         self._index: Dict[int, DigestIndex] = {}
         self._buffers: Dict[int, CausalBuffer] = {}
+        #: publish time per key, kept only while this service hosts more
+        #: than one node: a process hosting one node never delivers its
+        #: own keys remotely, so no delay could be read from it.
         self._published_at: Dict[object, float] = {}
         self._anti_entropy_started = False
         self._anti_entropy_stopped = False
@@ -196,8 +203,11 @@ class GossipService:
         #: open digest exchanges: SYN id -> (node, peer, timeout handle).
         self._sessions: Dict[int, Tuple[int, int, object]] = {}
         self._next_syn = 0
-        #: directed pair -> clock time of its last rumor-triggered pull.
-        self._last_repair: Dict[Tuple[int, int], float] = {}
+        #: per node: peer -> clock time of the last gap want sent to it,
+        #: and wanted key -> clock time it was wanted (only keys wanted
+        #: within the cooldown are kept).
+        self._last_want: Dict[int, Dict[int, float]] = {}
+        self._wanted: Dict[int, Dict[object, float]] = {}
         self._handlers = {
             GOSSIP_SYN: self._on_syn,
             GOSSIP_ACK: self._on_ack,
@@ -269,6 +279,8 @@ class GossipService:
         self._holdings[node_id] = None if groups is None else frozenset(groups)
         self._deliver_batch[node_id] = on_deliver_batch
         self._index[node_id] = DigestIndex()
+        self._last_want[node_id] = {}
+        self._wanted[node_id] = {}
         self._buffers[node_id] = CausalBuffer(
             known, partial(self._deliver_one, node_id)
         )
@@ -367,34 +379,34 @@ class GossipService:
 
         The publishing node "delivers" to itself immediately (its own
         database reflects its own transactions at once).  The flood is a
-        rumor: the new record plus (with piggyback) a digest of the
-        sender's set, instead of the set itself.
+        rumor: the new record alone (plus any extras), instead of the
+        sender's set — a receiver that cannot deliver it yet wants the
+        gap back from this node (see :meth:`_on_rumor`).
         """
         self.stats.published += 1
-        if key not in self._published_at:
-            self._published_at[key] = self.clock.now
+        self._note_published(key)
         self._merge(node_id, [(key, item)])
         if not self.config.flood:
             return
         group = group_of(item)
-        piggyback = self.config.piggyback
         stats = self.stats
         items = ((key, item),)
         for dst in self._targets():
             if dst == node_id or not self._holds(dst, group):
                 continue
             stats.flood_messages += 1
-            digest = self.digest_for(node_id, dst) if piggyback else None
             extra = self._extras_for(node_id, dst)
             stats.items_carried += 1
             stats.wire.message(
-                records=1,
-                cells=digest.n_cells if digest is not None else 0,
-                summaries=len(extra) if extra else 0,
+                records=1, summaries=len(extra) if extra else 0
             )
-            self.transport.send(
-                node_id, dst, (GOSSIP_RUMOR, items, digest, extra)
-            )
+            self.transport.send(node_id, dst, (GOSSIP_RUMOR, items, extra))
+
+    def _note_published(self, key: object) -> None:
+        """Remember when ``key`` was first published, where a remote
+        delivery of it can be observed (see ``_published_at``)."""
+        if len(self._known) > 1 and key not in self._published_at:
+            self._published_at[key] = self.clock.now
 
     # -- anti-entropy -------------------------------------------------------
 
@@ -449,8 +461,9 @@ class GossipService:
 
     def forget(self, node_id: int, keys) -> int:
         """Scrub ``keys`` from ``node_id``'s delivered set and digest,
-        and drop anything sitting in its causal buffer (crash losing
-        volatile state).  Returns how many keys were actually removed.
+        and drop anything sitting in its causal buffer and its gap-want
+        state (crash losing volatile state).  Returns how many keys were
+        actually removed.
 
         The scrubbed keys look exactly like never-received items to the
         delta protocol afterwards, so anti-entropy re-fetches them from
@@ -468,6 +481,8 @@ class GossipService:
             )
             removed += 1
         self._buffers[node_id].clear()
+        self._last_want[node_id].clear()
+        self._wanted[node_id].clear()
         return removed
 
     def exchange_all(self) -> None:
@@ -498,9 +513,7 @@ class GossipService:
 
     # -- the digest exchange ------------------------------------------------
 
-    def _initiate(
-        self, node_id: int, peer: int, reason: str = "anti_entropy"
-    ) -> None:
+    def _initiate(self, node_id: int, peer: int) -> None:
         """Open a digest exchange from ``node_id`` to ``peer``."""
         digest = self.digest_for(node_id, peer)
         extra = self._extras_for(node_id, peer)
@@ -516,21 +529,9 @@ class GossipService:
         )
         self._trace(
             GOSSIP_SYN, node_id,
-            peer=peer, cells=digest.n_cells, reason=reason,
+            peer=peer, cells=digest.n_cells,
         )
         self.transport.send(node_id, peer, (GOSSIP_SYN, syn_id, digest, extra))
-
-    def _repair_pull(self, node_id: int, peer: int) -> None:
-        """A rumor-triggered pull, rate-limited per directed pair."""
-        now = self.clock.now
-        last = self._last_repair.get((node_id, peer))
-        if last is not None and now - last < REPAIR_COOLDOWN:
-            return
-        if not self.scheduler.eligible(node_id, peer, now):
-            return  # peer is backing off: wait for the probe
-        self._last_repair[(node_id, peer)] = now
-        self.stats.delta.repair_pulls += 1
-        self._initiate(node_id, peer, reason="repair")
 
     def _on_timeout(self, syn_id: int) -> None:
         session = self._sessions.pop(syn_id, None)
@@ -592,6 +593,14 @@ class GossipService:
         self._send_delta(node_id, src, syn_id, tuple(push), tuple(want))
 
     def _on_delta(self, node_id: int, src: int, payload: Tuple) -> None:
+        """Merge the pushed records, then answer the ``want`` with one
+        DELTA of the wanted records held here — none at all if this node
+        holds none of them.
+
+        A want is a tuple of keys, never a run-set: answering it costs a
+        lookup per key the frame spells out, so a peer's work is bounded
+        by the frame's bytes, not by the members a few bounds could
+        stand for."""
         _, syn_id, items, want = payload
         if items:
             self._merge(node_id, items)
@@ -604,7 +613,8 @@ class GossipService:
                     reply.append((key, known[key]))
                 elif key in buffer:
                     reply.append((key, buffer.peek(key)))
-            self._send_delta(node_id, src, syn_id, tuple(reply), ())
+            if reply:
+                self._send_delta(node_id, src, syn_id, tuple(reply), ())
 
     def _send_delta(
         self,
@@ -626,13 +636,43 @@ class GossipService:
         self.transport.send(node_id, dst, (GOSSIP_DELTA, syn_id, items, want))
 
     def _on_rumor(self, node_id: int, src: int, payload: Tuple) -> None:
-        _, items, digest, extra = payload
+        """Merge the rumored records; if the gate buffered any, want
+        their missing dependencies from the sender, which delivered them
+        all before it published."""
+        _, items, extra = payload
         self._receive_extras(node_id, src, extra)
         self._merge(node_id, items)
-        if digest is not None and differing_cells(
-            self._index[node_id], digest, self._scope(node_id, src)
-        ):
-            self._repair_pull(node_id, src)
+        buffer = self._buffers[node_id]
+        gapped = [key for key, _ in items if key in buffer]
+        if gapped:
+            self._want_gap(node_id, src, gapped)
+
+    def _want_gap(self, node_id: int, peer: int, keys: List[object]) -> None:
+        """Send ``peer`` one DELTA wanting the missing dependencies of
+        the buffered ``keys`` (at most :data:`MAX_GAP_WANT` of them).
+        At most once per directed pair per :data:`REPAIR_COOLDOWN`, and
+        never a key this node wanted within the cooldown.  The peer's
+        back-off is not consulted: the rumor just came from it."""
+        now = self.clock.now
+        last_want = self._last_want[node_id]
+        last = last_want.get(peer)
+        if last is not None and now - last < REPAIR_COOLDOWN:
+            return
+        wanted = {
+            key: since for key, since in self._wanted[node_id].items()
+            if now - since < REPAIR_COOLDOWN
+        }
+        self._wanted[node_id] = wanted
+        want = tuple(dict.fromkeys(
+            dep for dep in self._buffers[node_id].missing(keys, MAX_GAP_WANT)
+            if dep not in wanted
+        ))
+        if not want:
+            return
+        wanted.update(dict.fromkeys(want, now))
+        last_want[peer] = now
+        self.stats.delta.repair_pulls += 1
+        self._send_delta(node_id, peer, None, (), want)
 
     # -- receipt ----------------------------------------------------------
 

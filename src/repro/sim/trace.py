@@ -54,7 +54,7 @@ EVENT_SCHEMAS: Dict[str, FrozenSet[str]] = {
     "merge_batch": frozenset({"count", "displacement", "replayed"}),
     "merge_certified": frozenset({"displacement", "skipped"}),
     # digest anti-entropy exchanges
-    "gossip_syn": frozenset({"peer", "cells", "reason"}),
+    "gossip_syn": frozenset({"peer", "cells"}),
     "gossip_delta": frozenset({"peer", "pushed", "wanted"}),
     "gossip_skip": frozenset({"peer"}),
     # chaos fault injection (repro.chaos)

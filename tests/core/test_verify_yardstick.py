@@ -17,13 +17,14 @@ from tests.helpers import count_python_calls
 TXNS = 2000
 
 
-def steady_airline_history(txns=TXNS, n_nodes=3):
+def steady_airline_history(txns=TXNS, n_nodes=3, prepare=None):
     """``(initial state, records)`` of a steady ``n_nodes``-node airline
     run of ``txns`` transactions (6 per simulated second, 0.1-0.5 s
     links).
     The 50 people keep the state, and so the cost of one update, the
     same size from head to tail: what grows with the log is then only
-    what the verifier does."""
+    what the verifier does.  ``prepare(cluster)``, if given, runs
+    before the first submit (to wrap the cluster's transport, say)."""
     spec = WorkloadSpec(
         name="verify-yardstick", category="airline", seed=1,
         duration=1.1 * txns / 6.0, n_nodes=n_nodes, rate=6.0, universe=50,
@@ -36,6 +37,8 @@ def steady_airline_history(txns=TXNS, n_nodes=3):
             n_nodes=n_nodes, seed=1, delay=UniformDelay(*spec.delay)
         ),
     )
+    if prepare is not None:
+        prepare(cluster)
     for event in events:
         cluster.submit(event.node, event.transaction, at=event.time)
     cluster.quiesce()

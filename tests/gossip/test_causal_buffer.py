@@ -4,6 +4,7 @@ delivered mapping, with dependencies evaluated once per offer."""
 from hypothesis import given, settings, strategies as st
 
 from repro.gossip import CausalBuffer
+from repro.replica import RunSet
 from tests.helpers import count_python_calls
 
 
@@ -64,6 +65,18 @@ class TestGating:
         assert "b" in buffer and "x" not in buffer
         assert buffer.peek("b") == 2
         assert len(buffer) == 1 and buffer.buffered_total == 1
+
+    def test_missing_names_what_is_neither_delivered_nor_buffered(self):
+        buffer, _, _ = make_buffer()
+        for key in (0, 1, 2, 5):
+            buffer.offer(key, key, ())
+        buffer.offer(7, 7, RunSet((6, 6)))
+        buffer.offer(9, 9, RunSet((0, 7, 10, 11)))
+        assert buffer.missing([9], 100) == [3, 4, 6, 10, 11]
+        assert buffer.missing([7, 9], 100) == [6, 3, 4, 6, 10, 11]
+        assert buffer.missing([9], 6) == [3, 4]  # reads 0 .. 5
+        buffer.offer("s", 0, {"t", 1})
+        assert buffer.missing(["s"], 100) == ["t"]
 
     def test_clear_drops_pending_and_reports_how_many(self):
         buffer, _, order = make_buffer()

@@ -108,7 +108,7 @@ def test_a_rumor_ahead_of_its_dependency_is_deferred_once():
     service.depends_on = lambda key, item: item[1]
 
     def rumor(key, deps):
-        service.receive(1, (GOSSIP_RUMOR, ((key, (key, deps)),), None, None))
+        service.receive(1, (GOSSIP_RUMOR, ((key, (key, deps)),), None), src=0)
 
     rumor("b", ("a",))
     rumor("b", ("a",))  # a duplicate waits as the same item

@@ -6,7 +6,8 @@ from dataclasses import dataclass
 import pytest
 
 from repro.apps.banking import Deposit, INITIAL_BANK_STATE
-from repro.gossip import GossipConfig, GossipService
+from repro.gossip import GOSSIP_DELTA, GossipConfig, GossipService
+from repro.gossip.protocol import REPAIR_COOLDOWN
 from repro.network import FixedDelay, Network, PartitionSchedule
 from repro.shard import ClusterConfig, ShardCluster
 from repro.sim import Simulator
@@ -204,6 +205,152 @@ class TestCausalGating:
         service.depends_on = lambda key, item: item[1]
         service.merge_items(0, [("b", ("vb", ("a",)))])
         assert delivered[0] == ["b"]
+
+
+def record_wants(service):
+    """Spy on ``service``'s sends: returns the list every DELTA with a
+    non-empty want is appended to, as ``(src, dst, want)``."""
+    wants = []
+    send = service.transport.send
+
+    def spy(src, dst, payload):
+        if payload[0] == GOSSIP_DELTA and payload[3]:
+            wants.append((src, dst, payload[3]))
+        return send(src, dst, payload)
+
+    service.transport.send = spy
+    return wants
+
+
+def gap_service(piggyback=True, cut=(1,)):
+    """Three nodes with anti-entropy off and ``cut`` partitioned from
+    the rest for the first half second; items are ``(value, deps)``."""
+    rest = [n for n in range(3) if n not in cut]
+    sim, service, delivered = make_service(
+        config=GossipConfig(piggyback=piggyback, anti_entropy_interval=1e9),
+        partitions=PartitionSchedule.split(0, 0.5, list(cut), rest),
+    )
+    service.depends_on = lambda key, item: item[1]
+    return sim, service, delivered, record_wants(service)
+
+
+class TestGapWant:
+    """A rumor the causal gate buffers makes the receiver want exactly
+    its missing dependencies from the rumor's sender."""
+
+    def test_the_next_rumor_repairs_a_dropped_one(self):
+        sim, service, delivered, wants = gap_service()
+        service.publish(0, "a", ("va", ()))  # lost on the way to node 1
+        sim.run(until=1.0)
+        service.publish(0, "b", ("vb", ("a",)))
+        sim.run(until=10.0)
+        assert wants == [(1, 0, ("a",))]
+        assert delivered[1] == ["a", "b"]
+        assert service.stats.delta.repair_pulls == 1
+
+    def test_one_want_per_pair_within_the_cooldown(self):
+        sim, service, delivered, wants = gap_service()
+        service.publish(0, "a1", ("v", ()))
+        service.publish(0, "a2", ("v", ()))
+        sim.run(until=1.0)
+        service.publish(0, "b1", ("v", ("a1",)))
+        sim.run(until=1.5)
+        service.publish(0, "b2", ("v", ("a2",)))
+        sim.run(until=1.0 + REPAIR_COOLDOWN)
+        assert wants == [(1, 0, ("a1",))]
+        sim.run(until=10.0)
+        assert delivered[1] == ["a1", "b1"]
+        assert "b2" in service._buffers[1]
+
+    def test_a_wanted_key_is_not_wanted_again_from_another_peer(self):
+        sim, service, delivered, wants = gap_service()
+        service.publish(0, "a", ("va", ()))  # reaches node 2 only
+        sim.run(until=0.6)
+        service.publish(0, "b", ("vb", ("a",)))  # node 1 wants "a" of 0
+        sim.run(until=1.2)
+        service.publish(2, "c", ("vc", ("a",)))  # buffered at node 1 too
+        sim.run(until=10.0)
+        assert wants == [(1, 0, ("a",))]
+        assert delivered[1] == ["a", "b", "c"]
+
+    def test_the_want_state_keeps_only_the_cooldown(self):
+        sim, service, delivered, wants = gap_service()
+        service.publish(0, "a1", ("v", ()))  # both lost on the way to 1
+        service.publish(0, "a2", ("v", ()))
+        sim.run(until=1.0)
+        service.publish(0, "b1", ("v", ("a1",)))  # wanted at 2.0
+        sim.run(until=4.5)
+        service.publish(0, "b2", ("v", ("a2",)))  # wanted at 5.5
+        sim.run(until=5.6)
+        assert [want for *_, want in wants] == [("a1",), ("a2",)]
+        assert list(service._wanted[1]) == ["a2"]
+        sim.run(until=10.0)
+        assert delivered[1] == ["a1", "b1", "a2", "b2"]
+
+    def test_a_backed_off_sender_is_still_wanted_from(self):
+        """The rumor just came from the sender, so its back-off (built
+        while a partition hid it) does not hold the want back."""
+        sim, service, delivered, wants = gap_service()
+        service.publish(0, "a", ("va", ()))
+        sim.run(until=1.0)
+        service.scheduler.failure(1, 0, sim.now)
+        assert not service.scheduler.eligible(1, 0, sim.now + 1.0)
+        service.publish(0, "b", ("vb", ("a",)))
+        sim.run(until=10.0)
+        assert wants == [(1, 0, ("a",))]
+        assert delivered[1] == ["a", "b"]
+
+    def test_no_want_without_piggyback(self):
+        sim, service, delivered, wants = gap_service(piggyback=False)
+        service.publish(0, "a", ("va", ()))
+        sim.run(until=1.0)
+        service.publish(0, "b", ("vb", ("a",)))
+        sim.run(until=10.0)
+        assert wants == []
+        assert delivered[1] == ["b"]
+
+    def test_forget_empties_the_want_state(self):
+        sim, service, delivered, wants = gap_service()
+        service.publish(0, "a", ("va", ()))
+        sim.run(until=1.0)
+        service.publish(0, "b", ("vb", ("a",)))
+        sim.run(until=2.5)  # wanted, not yet answered
+        assert wants and service._wanted[1] and service._last_want[1]
+        service.forget(1, ())
+        assert service._wanted[1] == {} and service._last_want[1] == {}
+
+    def test_a_want_of_nothing_held_gets_no_reply(self):
+        sim, service, _ = make_service(
+            config=GossipConfig(anti_entropy_interval=1e9)
+        )
+        service.receive(0, (GOSSIP_DELTA, None, (), ("nowhere",)), src=1)
+        sim.run(until=10.0)
+        assert service.stats.delta.deltas == 0
+
+
+class Outbox:
+    """A transport that only keeps what is sent."""
+
+    def __init__(self):
+        self.sent = []
+
+    def send(self, src, dst, payload):
+        self.sent.append((src, dst, payload))
+        return True
+
+
+class TestPublishTimes:
+    def test_a_one_node_host_keeps_no_publish_times(self):
+        """A live process hosts one node and never delivers its own
+        keys remotely, so it records no publish time at all."""
+        service = GossipService(Simulator(), Outbox())
+        service.membership = (0, 1, 2)
+        service.attach(0, lambda batch: None)
+        for i in range(5):
+            service.publish(0, i, ("v", ()))
+        assert len(service.transport.sent) == 10
+        assert service._published_at == {}
+        assert service.stats.delivery_delays == []
 
 
 class TestDeliveryDelays:

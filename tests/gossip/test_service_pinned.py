@@ -31,7 +31,7 @@ N_NODES = 4
 CAPACITY = 3
 
 PINNED_DIGEST = (
-    "731328baf3c043f833accdc5cf71f03b1280b49c1b987ca9169b94a685fc30c4"
+    "3a8d89a9dc61c74fe4ca238eba4369cca193476e08aa574160eaa0d665c267bb"
 )
 
 

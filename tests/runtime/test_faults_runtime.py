@@ -7,6 +7,7 @@ import struct
 import pytest
 
 from repro.apps.airline import AirlineState
+from repro.apps.airline.transactions import MoveUp
 from repro.chaos.faults import (
     ClockSkew,
     Crash,
@@ -16,8 +17,14 @@ from repro.chaos.faults import (
     Partition,
 )
 from repro.chaos.inject import MessageFaultLayer
-from repro.gossip import GOSSIP_RUMOR, GOSSIP_SYN, GossipConfig, GossipService
+from repro.core.update import IDENTITY
+from repro.gossip import (
+    GOSSIP_DELTA, GOSSIP_RUMOR, GOSSIP_SYN, GossipConfig, GossipService,
+)
+from repro.gossip.protocol import MAX_GAP_WANT
 from repro.network.network import NetworkStats
+from repro.replica import RunSet, UpdateRecord
+from repro.replica.timestamps import Timestamp
 from repro.runtime.client import NodeClient
 from repro.runtime.clock import RuntimeClock, wall_epoch
 from repro.runtime.config import ClusterSpec
@@ -25,7 +32,9 @@ from repro.runtime.faults import RuntimeFaultSeam
 from repro.runtime.node import RES
 from repro.runtime.supervisor import free_ports
 from repro.runtime.transport import MSG, TcpTransport
-from repro.runtime.wire import MAX_FRAME, FrameSplitter, encode, frame_from_text
+from repro.runtime.wire import (
+    MAX_FRAME, MAX_SET, FrameSplitter, encode, frame_from_text,
+)
 from repro.shard.host import NodeHost
 from repro.shard.sync import SYNC_PULL, SYNC_PUSH, SyncManager
 
@@ -288,16 +297,60 @@ class TestRejectedFrames:
         (GOSSIP_SYN, 1, None, None),
         (GOSSIP_SYN, 1, 5, None),
         (GOSSIP_RUMOR, (), 5, None),
+        (GOSSIP_DELTA, 0, (), 5),
     ], ids=[
         "unknown-kind", "short-gossip-syn", "short-sync-pull",
         "retired-items-kind", "sync-pull-without-digest",
         "sync-pull-int-digest", "gossip-syn-without-digest",
-        "gossip-syn-int-digest", "rumor-int-digest",
+        "gossip-syn-int-digest", "rumor-with-a-retired-digest-field",
+        "delta-int-want",
     ])
     def test_malformed_payload_through_a_node_host(self, payload):
         assert_rejected_then_served(
             frame_from_text(encode((MSG, 0, payload))), with_host=True
         )
+
+
+def rumor_of(txid, seen):
+    record = UpdateRecord(
+        Timestamp(1, 0), txid, MoveUp(1), IDENTITY, 0, 0.0, seen
+    )
+    return (GOSSIP_RUMOR, ((txid, record),), None)
+
+
+class TestHostileRumor:
+    """A rumor is about 100 B however many keys its record's seen-set
+    stands for, so the gap want it triggers reads and names at most
+    :data:`MAX_GAP_WANT` of them: the want state stays bounded and the
+    node keeps serving."""
+
+    def test_a_gap_of_max_set_keys_is_wanted_a_bounded_slice(self):
+        async def scenario():
+            async with TransportPair() as pair:
+                host = attach_node_host(pair)
+                broadcast = host.broadcast
+                deltas = []
+                pair.sender.register(
+                    0, lambda src, payload: deltas.append(payload)
+                )
+                hostile = rumor_of(MAX_SET, RunSet((0, MAX_SET - 1)))
+                assert pair.sender.send(0, 1, hostile)
+                assert await wait_for(lambda: deltas)
+                (kind, _, items, want), = deltas
+                assert kind == GOSSIP_DELTA and items == ()
+                assert want == tuple(range(MAX_GAP_WANT))
+                assert len(broadcast._wanted[1]) == MAX_GAP_WANT
+
+                honest = rumor_of(MAX_SET + 1, RunSet(()))
+                assert pair.sender.send(0, 1, honest)
+                assert await wait_for(
+                    lambda: MAX_SET + 1 in broadcast._known[1]
+                )
+                assert MAX_SET in broadcast._buffers[1]
+                assert len(deltas) == 1
+                assert pair.receiver.profile.frames_rejected == 0
+
+        run(scenario())
 
 
 class TestInboundCountersAreLive:

@@ -78,7 +78,7 @@ class Harness:
 
 
 def rumor(*records):
-    return (GOSSIP_RUMOR, tuple((r.txid, r) for r in records), None, None)
+    return (GOSSIP_RUMOR, tuple((r.txid, r) for r in records), None)
 
 
 def scripted_events(adapters):

@@ -42,7 +42,7 @@ PLACEMENTS = {
 }
 
 PINNED_DIGEST = (
-    "72c2a9baf731e7c3463a112d0369c838dc742c8993d810637079e309fa98e75e"
+    "dd2524ac25763c81199342e48df8ce681d82ecc0218d8ffb0fd38e6d824a28bb"
 )
 
 
