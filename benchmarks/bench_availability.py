@@ -156,7 +156,7 @@ def _experiment():
 
 
 def _run_gossip(mode, partition_duration):
-    """One E9b run: ``mode`` "digest" is the production service, "full"
+    """One E9b run: ``mode`` "delta" is the production service, "full"
     the whole-set reference arm (benchmarks/fullset.py)."""
     with full_set_gossip() if mode == "full" else nullcontext():
         run = run_airline_scenario(
@@ -195,30 +195,30 @@ def _run_gossip(mode, partition_duration):
 
 
 def _gossip_experiment():
-    """E9b: the same dissemination workload under full-set vs digest
+    """E9b: the same dissemination workload under full-set vs delta
     anti-entropy — delivered delay versus bytes on the wire."""
     table = Table(
-        "E9b: full-set vs digest gossip — bandwidth and delivery delay",
+        "E9b: full-set vs delta gossip — bandwidth and delivery delay",
         ["partition (s)", "mode", "item copies", "wire bytes",
          "delay p50", "delay p95", "copies ratio"],
     )
-    results = {"full": {}, "digest": {}}
+    results = {"full": {}, "delta": {}}
     for duration in GOSSIP_PARTITIONS:
-        for mode in ("full", "digest"):
+        for mode in ("full", "delta"):
             results[mode][duration] = _run_gossip(mode, duration)
         full = results["full"][duration]
-        digest = results["digest"][duration]
+        delta = results["delta"][duration]
         ratio = (
-            full["items_carried"] / digest["items_carried"]
-            if digest["items_carried"]
+            full["items_carried"] / delta["items_carried"]
+            if delta["items_carried"]
             else float("inf")
         )
-        for mode in ("full", "digest"):
+        for mode in ("full", "delta"):
             r = results[mode][duration]
             table.add(
                 duration, mode, r["items_carried"], r["wire"]["bytes"],
                 r["delivery_delay"]["p50"], r["delivery_delay"]["p95"],
-                round(ratio, 1) if mode == "digest" else "",
+                round(ratio, 1) if mode == "delta" else "",
             )
     return table, results
 
@@ -239,7 +239,7 @@ def test_e9b_gossip_bandwidth(benchmark):
         "items_carried_ratio": {
             str(d): round(
                 results["full"][d]["items_carried"]
-                / results["digest"][d]["items_carried"], 2
+                / results["delta"][d]["items_carried"], 2
             )
             for d in GOSSIP_PARTITIONS
         },
@@ -248,14 +248,14 @@ def test_e9b_gossip_bandwidth(benchmark):
     (RESULTS_DIR / "BENCH_gossip.json").write_text(
         json.dumps(payload, indent=2) + "\n"
     )
-    # the tentpole acceptance criterion: on the default workload, digest
+    # the tentpole acceptance criterion: on the default workload, delta
     # mode ships at least 5x fewer item copies than full-set
     # dissemination while every run converges to mutual consistency
     # (asserted inside _run_gossip for each run above).
     for duration in GOSSIP_PARTITIONS:
         full = results["full"][duration]["items_carried"]
-        digest = results["digest"][duration]["items_carried"]
-        assert full >= 5 * digest, (duration, full, digest)
+        delta = results["delta"][duration]["items_carried"]
+        assert full >= 5 * delta, (duration, full, delta)
 
 
 def test_e9_availability(benchmark):

@@ -13,7 +13,7 @@ serializability's all-or-nothing character.  Two experiments:
   statements of the paper's desired form "with probability p, the cost
   remains at most c";
 * **bandwidth/delay frontier** — the same interval sweep under full-set
-  vs digest anti-entropy: the delivered-delay distribution each regime
+  vs delta anti-entropy: the delivered-delay distribution each regime
   buys and the modeled bytes it costs, quantifying what delta
   reconciliation saves at every point of the continuity curve.
 """
@@ -38,13 +38,13 @@ from repro.sim.metrics import Summary
 CAPACITY = 10
 INTERVALS = (0.5, 2.0, 8.0, 20.0)
 SEEDS = range(8)
-#: seeds for the (more expensive) full-vs-digest frontier sweep.
+#: seeds for the (more expensive) full-vs-delta frontier sweep.
 WIRE_SEEDS = range(3)
 
 
-def _run(seed, interval, mode="digest"):
+def _run(seed, interval, mode="delta"):
     """``mode`` "full" runs the whole-set reference arm
-    (benchmarks/fullset.py) instead of the production digest gossip."""
+    (benchmarks/fullset.py) instead of the production delta gossip."""
     with full_set_gossip() if mode == "full" else nullcontext():
         return run_airline_scenario(
             AirlineScenario(
@@ -139,16 +139,16 @@ def _experiment():
 def _wire_experiment():
     """E10d: every point of the continuity curve, priced in bytes — the
     delivered-delay distribution each gossip interval buys, under
-    full-set versus digest anti-entropy."""
+    full-set versus delta anti-entropy."""
     table = Table(
-        "E10d: bandwidth/delay frontier — full-set vs digest anti-entropy"
+        "E10d: bandwidth/delay frontier — full-set vs delta anti-entropy"
         f" ({len(WIRE_SEEDS)} seeds per cell)",
         ["gossip interval (s)", "mode", "item copies", "wire bytes",
          "delay p50", "delay p95"],
     )
     totals = {}
     for interval in INTERVALS:
-        for mode in ("full", "digest"):
+        for mode in ("full", "delta"):
             copies = 0
             wire_bytes = 0
             delays = []
@@ -173,11 +173,11 @@ def test_e10d_wire_frontier(benchmark):
     save_tables("E10d_wire_frontier", [table])
     for interval in INTERVALS:
         full_copies, full_bytes = totals[(interval, "full")]
-        digest_copies, digest_bytes = totals[(interval, "digest")]
-        # digest reconciliation is cheaper at EVERY information regime:
+        delta_copies, delta_bytes = totals[(interval, "delta")]
+        # delta reconciliation is cheaper at EVERY information regime:
         # the continuity curve keeps its shape, the price tag shrinks.
-        assert digest_copies < full_copies, (interval, totals)
-        assert digest_bytes < full_bytes, (interval, totals)
+        assert delta_copies < full_copies, (interval, totals)
+        assert delta_bytes < full_bytes, (interval, totals)
 
 
 def test_e10_continuity(benchmark):

@@ -1,26 +1,31 @@
 """The gossip protocol's vocabulary and its receiver-side causal gate.
 
 One anti-entropy exchange between A and B (run by
-:class:`~repro.gossip.service.GossipService`):
+:class:`~repro.gossip.service.GossipService`) sends sets of keys as
+:class:`~repro.replica.log.RunSet` values: under causal delivery a
+node's delivered set is a few runs of txids at any log length, and the
+difference of two run-sets names exactly the keys one side lacks.
 
-1. ``gossip_syn`` — A sends its digest (O(cells), not O(history));
-2. ``gossip_ack`` — B diffs the digest against its own index and replies
-   with, for each differing timestamp range, the *keys* it holds there
-   (an empty ACK means the peers are in sync — the ``gossip_skip``
-   fast path);
-3. ``gossip_delta`` — A pushes the records B's key lists show it lacks
-   and pulls (via a ``want`` list of keys) the ones B has that A lacks;
-   B answers a non-empty ``want`` with one final payload-only DELTA of
-   the wanted records it holds (and nothing if it holds none).
+1. ``gossip_syn`` ``(syn_id, held, extra)`` — A sends the keys it holds
+   (delivered or buffered) in the groups B shares;
+2. ``gossip_ack`` ``(syn_id, held, extra)`` — B replies with its own,
+   statelessly, in O(runs);
+3. ``gossip_delta`` ``(syn_id, items, want)`` — A pushes the records of
+   its runs minus B's and wants B's runs minus its own and its buffer,
+   as a ``RunSet`` (no DELTA at all when both are empty — the
+   ``gossip_skip`` fast path); B answers a non-empty ``want`` with one
+   final payload-only DELTA of the wanted records it holds (and nothing
+   if it holds none), found by run intersection, so its work is bounded
+   by what it holds.
 
 ``gossip_rumor`` is the flood-path companion: a freshly published record
 and nothing else, sent once to every holder of its group — the paper's
 broadcast, which relies on transitivity rather than on a summary of the
 sender's set.  A receiver whose causal gate buffers the record sends the
 publisher one ``gossip_delta`` whose ``want`` names the record's missing
-dependencies (at most :data:`MAX_GAP_WANT` of them), and the publisher
-answers it as it answers any want: two messages, rate-limited per
-peer.  A gap that no later rumor exposes (a lost rumor with no
+dependencies (at most :data:`MAX_GAP_WANT` of them, as a ``RunSet``),
+and the publisher answers it as it answers any want: two messages,
+rate-limited per peer.  A gap that no later rumor exposes (a lost rumor with no
 successor, a partition) waits for the periodic anti-entropy exchange,
 which alone heals it.
 
@@ -34,7 +39,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain, filterfalse, islice
-from typing import Callable, Dict, Iterable, List, Mapping, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Mapping, Tuple
 
 GOSSIP_SYN = "gossip_syn"
 GOSSIP_ACK = "gossip_ack"
@@ -135,6 +140,10 @@ class CausalBuffer:
 
     def __contains__(self, key: object) -> bool:
         return key in self._pending
+
+    def __iter__(self) -> Iterator[object]:
+        """The buffered keys, in the order they were buffered."""
+        return iter(self._pending)
 
     def peek(self, key: object) -> object:
         """The buffered (not yet delivered) item for ``key``."""

@@ -7,12 +7,13 @@ is delivered to every attached node holding its group exactly once,
 flooding gives low latency on the healthy part of the network,
 anti-entropy guarantees eventual delivery — but ships only what a peer
 lacks.  Rumor-mongering floods carry the new record and nothing else,
-anti-entropy runs the SYN/ACK/DELTA push–pull protocol over
-:class:`~repro.gossip.digest.RangeDigest` summaries so only missing
-records cross the wire, and peers are chosen by the partition-aware
-:class:`~repro.gossip.scheduler.PeerScheduler`.  The paper's literal
-protocol, where every message carries the sender's whole known set, is
-a measurement baseline only (``benchmarks/fullset.py``).
+anti-entropy runs the SYN/ACK/DELTA push–pull protocol over the peers'
+delivered sets, each sent as a :class:`~repro.replica.log.RunSet` of
+its keys, so only missing records cross the wire, and peers are chosen
+by the partition-aware :class:`~repro.gossip.scheduler.PeerScheduler`.
+The paper's literal protocol, where every message carries the sender's
+whole known set, is a measurement baseline only
+(``benchmarks/fullset.py``).
 
 The piggyback transitivity guarantee holds *causally* instead of by
 brute force: when a ``depends_on`` hook is installed (the
@@ -30,21 +31,29 @@ periodic anti-entropy alone.  With ``piggyback=False`` the gating (and
 hence the gap want) is disabled, faithfully reproducing the
 intransitivity the paper warns about.
 
+**Keys are ints** (txids, in every caller), so a node's delivered keys
+are kept as run bounds beside its known map, updated by the same insert
+the log uses (:func:`~repro.replica.log.add_to_runs`).  Under causal
+delivery that set is a few runs at any log length, and every set the
+exchange sends — a SYN's, an ACK's, a want — is one
+:class:`~repro.replica.log.RunSet`; what to push and what to want are
+run differences, exact where a hashed summary would accept collisions.
+
 **Groups** let one service serve both topologies (Section 6).  An
 item's group is its ``group`` attribute (``None`` if absent or unset,
 as on a full-replication record); a node attaches with the groups
 it holds, ``None`` (the default, and every remote ``membership`` peer)
 meaning all.  Floods reach only the group's holders and anti-entropy
-only peers sharing a group; digests and diffs are restricted to the
-shared groups only when the peer lacks some of the sender's, so full
-replication keeps one cached digest per node.
+only peers sharing a group; delivered runs are kept per group, and the
+sets a node sends are restricted to the shared groups only when the
+peer lacks some of the sender's.
 
 The receive path reads top to bottom — :meth:`GossipService.receive`
 picks the handler for the payload's kind, every record it carries goes
 through ``_merge`` → gate → ``_deliver_one`` → the node's batch
-callback — and the digest exchange (``_initiate`` → ``_on_syn`` →
+callback — and the run-set exchange (``_initiate`` → ``_on_syn`` →
 ``_on_ack`` → ``_on_delta``, see :mod:`repro.gossip.protocol`) reads
-the same per-node known sets, digest indexes and causal buffers.  The
+the same per-node known sets, delivered runs and causal buffers.  The
 owner answers the rest through hooks: ``depends_on(key, item)`` (the
 keys to deliver after; enables gating), ``on_event(kind, node,
 **detail)`` (tracing), ``active_filter(node)`` (False for crashed
@@ -61,11 +70,16 @@ import random
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
+from typing import (
+    Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple,
+)
 
 from ..ports import Clock, Rng, Transport
+from ..replica.log import (
+    RunSet, add_to_runs, runs_difference, runs_intersection, runs_of,
+    runs_union,
+)
 from ..sim.metrics import WireStats
-from .digest import DigestIndex, RangeDigest, differing_cells, fingerprint
 from .protocol import (
     GOSSIP_ACK,
     GOSSIP_DELTA,
@@ -88,24 +102,22 @@ BatchDeliverFn = Callable[[Tuple[Tuple[object, object], ...]], None]
 #: hook: (key, item) -> keys this item must be delivered after.
 DependsFn = Callable[[object, object], Iterable]
 
+#: the want of a DELTA that asks for nothing.
+NO_WANT = RunSet(())
+
 
 def group_of(item: object) -> object:
     return getattr(item, "group", None)
 
 
-def default_timestamp_of(key: object, item: object) -> Tuple[int, int]:
-    """Place an item on the digest axis.
-
-    Update records carry a Lamport timestamp — use it, so digest cells
-    align with the log's natural order and the tail summary tracks the
-    newest timestamp.  Opaque items (plain test payloads) are spread
-    pseudo-randomly but stably over a small counter range instead.
-    """
-    ts = getattr(item, "ts", None)
-    counter = getattr(ts, "counter", None)
-    if counter is not None:
-        return (counter, getattr(ts, "node_id", 0))
-    return (fingerprint(key) & 0x3FF, 0)
+def _check_run_set(value: object, what: str) -> None:
+    """Raise ``TypeError`` unless ``value`` is a run-set: a peer's
+    payload with anything else there (a retired digest, a key tuple) is
+    malformed."""
+    if not isinstance(value, RunSet):
+        raise TypeError(
+            f"{what} must be a RunSet, not {type(value).__name__}"
+        )
 
 
 @dataclass
@@ -176,7 +188,8 @@ class GossipService:
         self._deliver_batch: Dict[int, BatchDeliverFn] = {}
         #: the open delivery batch per node while a ``_merge`` runs.
         self._batch_sink: Dict[int, List[Tuple[object, object]]] = {}
-        self._index: Dict[int, DigestIndex] = {}
+        #: per node: group -> its delivered keys as run bounds.
+        self._runs: Dict[int, Dict[object, List[int]]] = {}
         self._buffers: Dict[int, CausalBuffer] = {}
         #: publish time per key, kept only while this service hosts more
         #: than one node: a process hosting one node never delivers its
@@ -200,8 +213,11 @@ class GossipService:
             base_backoff=self.config.anti_entropy_interval,
             max_backoff_factor=self.config.max_backoff_factor,
         )
-        #: open digest exchanges: SYN id -> (node, peer, timeout handle).
+        #: open exchanges: SYN id -> (node, peer, timeout handle).
         self._sessions: Dict[int, Tuple[int, int, object]] = {}
+        #: per node: peer -> (SYN id, set) of the last SYN sent to it,
+        #: kept past the ACK timeout (a late ACK is still answered).
+        self._last_syn: Dict[int, Dict[int, Tuple[int, RunSet]]] = {}
         self._next_syn = 0
         #: per node: peer -> clock time of the last gap want sent to it,
         #: and wanted key -> clock time it was wanted (only keys wanted
@@ -246,9 +262,9 @@ class GossipService:
         return mine is None or theirs is None or not mine.isdisjoint(theirs)
 
     def _scope(self, node_id: int, peer: int) -> Optional[FrozenSet[object]]:
-        """The groups a digest or diff from ``node_id`` towards ``peer``
-        covers: ``None`` (all of ``node_id``'s, unrestricted and cached)
-        unless the peer lacks some of them, else the shared groups."""
+        """The groups a set or push from ``node_id`` towards ``peer``
+        covers: ``None`` (all of ``node_id``'s) unless the peer lacks
+        some of them, else the shared groups."""
         mine = self._holdings.get(node_id)
         theirs = self._holdings.get(peer)
         if theirs is None or (mine is not None and mine <= theirs):
@@ -278,7 +294,8 @@ class GossipService:
         known = self._known[node_id] = {}
         self._holdings[node_id] = None if groups is None else frozenset(groups)
         self._deliver_batch[node_id] = on_deliver_batch
-        self._index[node_id] = DigestIndex()
+        self._runs[node_id] = {}
+        self._last_syn[node_id] = {}
         self._last_want[node_id] = {}
         self._wanted[node_id] = {}
         self._buffers[node_id] = CausalBuffer(
@@ -342,34 +359,64 @@ class GossipService:
 
     @property
     def open_sessions(self) -> int:
-        """Digest exchanges still waiting for their ACK."""
+        """Anti-entropy exchanges still waiting for their ACK."""
         return len(self._sessions)
-
-    def digest_for(self, node_id: int, peer: int) -> RangeDigest:
-        """``node_id``'s digest as sent to ``peer`` (see ``_scope``)."""
-        return self._index[node_id].digest(self._scope(node_id, peer))
 
     def has(self, node_id: int, key: object) -> bool:
         """Delivered at ``node_id`` or waiting in its causal buffer."""
         return key in self._known[node_id] or key in self._buffers[node_id]
 
-    # -- digest views (used by the synchronized pull path) ----------------
+    # -- run-set views (the exchange and the synchronized pull) -----------
 
-    def digest(self, node_id: int) -> RangeDigest:
-        return self._index[node_id].digest()
+    def _delivered(
+        self, node_id: int, scope: Optional[FrozenSet[object]] = None
+    ) -> Sequence[int]:
+        """The bounds of ``node_id``'s delivered keys in the groups of
+        ``scope`` (``None``: every group), to read only: they may be
+        the live bounds."""
+        runs = self._runs[node_id]
+        if scope is None and len(runs) == 1:
+            return next(iter(runs.values()))
+        return runs_union(*(
+            bounds for group, bounds in runs.items()
+            if scope is None or group in scope
+        ))
 
-    def delta_records(
-        self, node_id: int, remote: RangeDigest
-    ) -> Tuple[Tuple[object, object], ...]:
-        """(key, item) pairs ``node_id`` holds in cells differing from
-        ``remote`` — everything a peer with that digest might lack."""
-        index = self._index[node_id]
+    def held(self, node_id: int, peer: Optional[int] = None) -> RunSet:
+        """``node_id``'s delivered and buffered keys, in the groups it
+        shares with ``peer`` (see ``_scope``; every group without one):
+        the set a SYN, an ACK and a sync pull carry.  O(runs) plus the
+        buffer."""
+        scope = None if peer is None else self._scope(node_id, peer)
+        delivered = self._delivered(node_id, scope)
+        buffer = self._buffers[node_id]
+        if not len(buffer):
+            return RunSet(tuple(delivered))
+        buffered = runs_of(
+            key for key in buffer
+            if scope is None or group_of(buffer.peek(key)) in scope
+        )
+        return RunSet(runs_union(delivered, buffered))
+
+    def records_beyond(
+        self,
+        node_id: int,
+        theirs: RunSet,
+        peer: int,
+        within: Optional[RunSet] = None,
+    ) -> Tuple[WireItem, ...]:
+        """(key, item) for every record delivered at ``node_id``, in a
+        group it shares with ``peer`` (and in ``within``, if given),
+        whose key ``theirs`` lacks: run arithmetic, then one lookup per
+        record returned.  Raises ``TypeError`` unless ``theirs`` is a
+        run-set."""
+        _check_run_set(theirs, "a peer's set")
         known = self._known[node_id]
-        out = []
-        for cell in differing_cells(index, remote):
-            for key in sorted(index.keys_in(cell), key=repr):
-                out.append((key, known[key]))
-        return tuple(out)
+        mine = self._delivered(node_id, self._scope(node_id, peer))
+        if within is not None:
+            mine = runs_intersection(mine, within.bounds)
+        beyond = RunSet(runs_difference(mine, theirs.bounds))
+        return tuple((key, known[key]) for key in beyond)
 
     # -- publishing -------------------------------------------------------
 
@@ -460,27 +507,26 @@ class GossipService:
         self._gossip_once(node_id)
 
     def forget(self, node_id: int, keys) -> int:
-        """Scrub ``keys`` from ``node_id``'s delivered set and digest,
-        and drop anything sitting in its causal buffer and its gap-want
-        state (crash losing volatile state).  Returns how many keys were
-        actually removed.
+        """Scrub ``keys`` from ``node_id``'s delivered set and runs, and
+        drop anything sitting in its causal buffer, its last SYNs and
+        its gap-want state (crash losing volatile state).  Returns how
+        many keys were actually removed.
 
         The scrubbed keys look exactly like never-received items to the
         delta protocol afterwards, so anti-entropy re-fetches them from
         any peer that still holds them.
         """
         known = self._known[node_id]
-        index = self._index[node_id]
-        removed = 0
-        for key in keys:
-            item = known.pop(key, None)
-            if item is None:
-                continue
-            index.discard(
-                key, default_timestamp_of(key, item), group_of(item)
-            )
-            removed += 1
+        removed = sum(known.pop(key, None) is not None for key in keys)
+        if removed:
+            by_group: Dict[object, List[int]] = {}
+            for key, item in known.items():
+                by_group.setdefault(group_of(item), []).append(key)
+            self._runs[node_id] = {
+                group: runs_of(members) for group, members in by_group.items()
+            }
         self._buffers[node_id].clear()
+        self._last_syn[node_id].clear()
         self._last_want[node_id].clear()
         self._wanted[node_id].clear()
         return removed
@@ -511,11 +557,12 @@ class GossipService:
                 f"gossip failed to converge in {QUIESCE_ROUNDS} rounds"
             )
 
-    # -- the digest exchange ------------------------------------------------
+    # -- the run-set exchange ---------------------------------------------
 
     def _initiate(self, node_id: int, peer: int) -> None:
-        """Open a digest exchange from ``node_id`` to ``peer``."""
-        digest = self.digest_for(node_id, peer)
+        """Open an exchange from ``node_id`` to ``peer``: a SYN carrying
+        the keys this node holds."""
+        held = self.held(node_id, peer)
         extra = self._extras_for(node_id, peer)
         syn_id = self._next_syn
         self._next_syn += 1
@@ -523,15 +570,16 @@ class GossipService:
             self.config.ack_timeout, partial(self._on_timeout, syn_id)
         )
         self._sessions[syn_id] = (node_id, peer, handle)
+        self._last_syn[node_id][peer] = (syn_id, held)
         self.stats.delta.syns += 1
         self.stats.wire.message(
-            cells=digest.n_cells, summaries=len(extra) if extra else 0
+            keys=len(held.bounds), summaries=len(extra) if extra else 0
         )
         self._trace(
             GOSSIP_SYN, node_id,
-            peer=peer, cells=digest.n_cells,
+            peer=peer, runs=len(held.bounds) // 2,
         )
-        self.transport.send(node_id, peer, (GOSSIP_SYN, syn_id, digest, extra))
+        self.transport.send(node_id, peer, (GOSSIP_SYN, syn_id, held, extra))
 
     def _on_timeout(self, syn_id: int) -> None:
         session = self._sessions.pop(syn_id, None)
@@ -542,79 +590,88 @@ class GossipService:
         self.scheduler.failure(node_id, peer, self.clock.now)
 
     def _on_syn(self, node_id: int, src: int, payload: Tuple) -> None:
-        """Responder: answer a digest with the keys held in every cell
-        that differs (stateless; an empty ACK means in sync)."""
-        _, syn_id, digest, extra = payload
+        """Responder: answer with the keys this node holds (stateless,
+        O(runs) whatever the SYN's set stands for)."""
+        _, syn_id, theirs, extra = payload
+        _check_run_set(theirs, "a SYN's set")
         self._receive_extras(node_id, src, extra)
-        index = self._index[node_id]
-        cells = differing_cells(index, digest, self._scope(node_id, src))
-        ack_cells = tuple(
-            (group, lo, tuple(sorted(index.keys_in((group, lo)), key=repr)))
-            for group, lo in cells
-        )
+        held = self.held(node_id, src)
         reply_extra = self._extras_for(node_id, src)
         self.stats.delta.acks += 1
         self.stats.wire.message(
-            keys=sum(len(keys) for _, _, keys in ack_cells),
-            cells=len(ack_cells),
+            keys=len(held.bounds),
             summaries=len(reply_extra) if reply_extra else 0,
         )
         self.transport.send(
-            node_id, src, (GOSSIP_ACK, syn_id, ack_cells, reply_extra)
+            node_id, src, (GOSSIP_ACK, syn_id, held, reply_extra)
         )
 
     def _on_ack(self, node_id: int, src: int, payload: Tuple) -> None:
-        """Initiator: close the session, then push what the peer's key
-        lists lack and want what they hold that this node lacks."""
-        _, syn_id, cells, extra = payload
+        """Initiator: close the session, then push the records the
+        peer's set lacks and want the keys it holds that this node
+        neither delivered nor buffered — one DELTA, or none when the
+        two are in sync.
+
+        With flooding on, the push is limited to what the SYN offered,
+        when this ACK answers the last SYN sent to the peer: a record
+        delivered here since then is most likely still on its way to
+        the peer in its own rumor, and the next exchange pushes it if
+        not."""
+        _, syn_id, theirs, extra = payload
+        last = self._last_syn[node_id].get(src)
+        offered = (
+            last[1] if self.config.flood and last is not None
+            and last[0] == syn_id else None
+        )
+        push = self.records_beyond(node_id, theirs, src, offered)
         self._receive_extras(node_id, src, extra)
         session = self._sessions.pop(syn_id, None)
         if session is not None:
             session[2].cancel()
             self.scheduler.success(node_id, src, self.clock.now)
-        index = self._index[node_id]
-        known = self._known[node_id]
+        want = runs_difference(theirs.bounds, self._delivered(node_id))
         buffer = self._buffers[node_id]
-        push: List[WireItem] = []
-        want: List[object] = []
-        for group, lo, their_keys in cells:
-            theirs = set(their_keys)
-            mine = index.keys_in((group, lo))
-            for key in sorted(mine - theirs, key=repr):
-                push.append((key, known[key]))
-            for key in sorted(theirs - mine, key=repr):
-                if key not in known and key not in buffer:
-                    want.append(key)
+        if want and len(buffer):
+            want = runs_difference(want, runs_of(buffer))
         if not push and not want:
-            # in sync, or the differing keys are already known elsewhere.
             self.stats.delta.skips += 1
             self._trace("gossip_skip", node_id, peer=src)
             return
-        self._send_delta(node_id, src, syn_id, tuple(push), tuple(want))
+        self._send_delta(node_id, src, syn_id, push, RunSet(want))
 
     def _on_delta(self, node_id: int, src: int, payload: Tuple) -> None:
         """Merge the pushed records, then answer the ``want`` with one
         DELTA of the wanted records held here — none at all if this node
         holds none of them.
 
-        A want is a tuple of keys, never a run-set: answering it costs a
-        lookup per key the frame spells out, so a peer's work is bounded
-        by the frame's bytes, not by the members a few bounds could
-        stand for."""
+        A want is a :class:`~repro.replica.log.RunSet`, whether it
+        closes an exchange or names a rumor's gap.  Its bounds may
+        stand for up to ``MAX_SET`` keys, so it is never read key by
+        key: it is intersected with the delivered runs, O(runs), and
+        unless that covers it, each buffered key in its span is one
+        probe.  The work and the reply are bounded by what this node
+        holds, never by what the want claims."""
         _, syn_id, items, want = payload
+        _check_run_set(want, "a want")
         if items:
             self._merge(node_id, items)
         if want:
             known = self._known[node_id]
             buffer = self._buffers[node_id]
-            reply = []
-            for key in want:
-                if key in known:
-                    reply.append((key, known[key]))
-                elif key in buffer:
-                    reply.append((key, buffer.peek(key)))
+            both = runs_intersection(want.bounds, self._delivered(node_id))
+            reply = [
+                (key, known[key])
+                for lo, hi in zip(both[::2], both[1::2])
+                for key in range(lo, hi + 1)
+            ]
+            if len(buffer) and both != want.bounds:  # not all delivered
+                lo, hi = want.bounds[0], want.bounds[-1]
+                reply += [
+                    (key, buffer.peek(key)) for key in buffer
+                    if lo <= key <= hi and key in want
+                ]
             if reply:
-                self._send_delta(node_id, src, syn_id, tuple(reply), ())
+                self._send_delta(node_id, src, syn_id, tuple(reply), NO_WANT)
 
     def _send_delta(
         self,
@@ -622,13 +679,13 @@ class GossipService:
         dst: int,
         syn_id: int,
         items: Tuple[WireItem, ...],
-        want: Tuple,
+        want: RunSet,
     ) -> None:
         stats = self.stats
         stats.delta.deltas += 1
         stats.delta.delta_records += len(items)
         stats.items_carried += len(items)
-        stats.wire.message(records=len(items), keys=len(want))
+        stats.wire.message(records=len(items), keys=len(want.bounds))
         self._trace(
             GOSSIP_DELTA, node_id,
             peer=dst, pushed=len(items), wanted=len(want),
@@ -663,16 +720,18 @@ class GossipService:
             if now - since < REPAIR_COOLDOWN
         }
         self._wanted[node_id] = wanted
-        want = tuple(dict.fromkeys(
+        want = dict.fromkeys(
             dep for dep in self._buffers[node_id].missing(keys, MAX_GAP_WANT)
             if dep not in wanted
-        ))
+        )
         if not want:
             return
         wanted.update(dict.fromkeys(want, now))
         last_want[peer] = now
         self.stats.delta.repair_pulls += 1
-        self._send_delta(node_id, peer, None, (), want)
+        self._send_delta(
+            node_id, peer, None, (), RunSet(tuple(runs_of(want)))
+        )
 
     # -- receipt ----------------------------------------------------------
 
@@ -684,6 +743,8 @@ class GossipService:
         deferred = buffer.deferred_total
         with self.delivery_batch(node_id):
             for key, item in items:
+                if type(key) is not int:
+                    raise TypeError(f"gossip keys are ints, not {key!r}")
                 if key in known or (
                     held is not None and group_of(item) not in held
                 ):
@@ -696,13 +757,16 @@ class GossipService:
 
     def _deliver_one(self, node_id: int, key: object, item: object) -> None:
         """The single point where an item becomes *delivered* at a node:
-        known-set, digest index and stats all update here, and the item
+        known-set, delivered runs and stats all update here, and the item
         joins the node's open delivery batch (every caller runs inside a
         :meth:`_merge`)."""
         self._known[node_id][key] = item
-        self._index[node_id].add(
-            key, default_timestamp_of(key, item), group_of(item)
-        )
+        runs = self._runs[node_id]
+        group = group_of(item)
+        bounds = runs.get(group)
+        if bounds is None:
+            bounds = runs[group] = []
+        add_to_runs(bounds, key)
         self.stats.deliveries += 1
         published = self._published_at.get(key)
         if published is not None and self.clock.now > published:

@@ -14,7 +14,9 @@ subsequence, Section 3.3) is then a :class:`RunSet` of those runs,
 whether taken here or decoded off the wire: under causal delivery it
 is a prefix of each issuer's consecutive txids, so it costs O(runs),
 where a ``frozenset`` of the log's txids costs O(log length) per
-transaction.
+transaction.  The run arithmetic here is shared: the gossip service
+keeps each node's delivered keys as runs with the same insert, and
+reconciles two nodes by run difference and intersection.
 
 This is the *single* copy of the sequence: merge engines are views over
 it (see :class:`repro.replica.engine.LogUpdateSource`) and never shadow
@@ -28,7 +30,9 @@ from collections.abc import Set as AbcSet
 from dataclasses import dataclass
 from itertools import chain
 from numbers import Real
-from typing import AbstractSet, Iterator, List, Optional, Tuple
+from typing import (
+    AbstractSet, Iterable, Iterator, List, Optional, Sequence, Tuple,
+)
 
 from ..core.transaction import Transaction
 from ..core.update import Update
@@ -40,6 +44,115 @@ def _in_runs(bounds, member) -> bool:
     i = bisect.bisect_left(bounds, member)
     # odd: strictly inside a run, or its hi; even: a lo, or a gap.
     return i % 2 == 1 or (i < len(bounds) and bounds[i] == member)
+
+
+# -- run arithmetic --------------------------------------------------------
+#
+# A set of ints as the flat inclusive bounds ``(lo1, hi1, lo2, hi2,
+# ...)`` of its maximal runs: ascending, non-empty, not adjacent.  Every
+# operation below reads and returns that layout in O(runs), however many
+# ints the runs stand for.
+
+
+def add_to_runs(bounds: List[int], member: int) -> bool:
+    """Add the int ``member`` to ``bounds`` in place; False if it is
+    there already.  O(log runs) to find, O(runs) to shift."""
+    i = bisect.bisect_left(bounds, member)
+    if i % 2 == 1 or (i < len(bounds) and bounds[i] == member):
+        return False
+    # i is even: member falls in the gap between runs i/2 - 1 and i/2.
+    left = i > 0 and bounds[i - 1] == member - 1
+    right = i < len(bounds) and bounds[i] == member + 1
+    if left and right:  # it closes the gap: join the two runs
+        del bounds[i - 1:i + 1]
+    elif left or right:  # it extends the run it touches
+        bounds[i - 1 if left else i] = member
+    else:
+        bounds[i:i] = (member, member)
+    return True
+
+
+def runs_of(members: Iterable[int]) -> List[int]:
+    """Distinct ints -> the bounds of their maximal runs.  Raises
+    ``TypeError`` unless every member is an int."""
+    ordered = sorted(members)
+    if not set(map(type, ordered)) <= {int}:
+        raise TypeError("run members must be ints")
+    runs: List[int] = []
+    start, n = 0, len(ordered)
+    while start < n:
+        # members are distinct ints, so ordered[i] - i never decreases
+        # and is constant exactly along a run: gallop, then bisect, to
+        # its end, in steps logarithmic in the run's length.
+        base, lo, step = ordered[start] - start, start, 1
+        while lo + step < n and ordered[lo + step] - (lo + step) == base:
+            lo += step
+            step *= 2
+        hi = min(lo + step, n) - 1
+        while lo < hi:
+            mid = (lo + hi + 1) // 2
+            if ordered[mid] - mid == base:
+                lo = mid
+            else:
+                hi = mid - 1
+        runs += (ordered[start], ordered[lo])
+        start = lo + 1
+    return runs
+
+
+def runs_union(*parts: Sequence[int]) -> Tuple[int, ...]:
+    """The bounds of the union of every ``parts`` bounds."""
+    pairs = sorted(
+        pair for bounds in parts for pair in zip(bounds[::2], bounds[1::2])
+    )
+    out: List[int] = []
+    for lo, hi in pairs:
+        if out and lo <= out[-1] + 1:
+            if hi > out[-1]:
+                out[-1] = hi
+        else:
+            out += (lo, hi)
+    return tuple(out)
+
+
+def runs_difference(a: Sequence[int], b: Sequence[int]) -> Tuple[int, ...]:
+    """The bounds of the ints of ``a`` not in ``b``."""
+    out: List[int] = []
+    j, nb = 0, len(b)
+    for i in range(0, len(a), 2):
+        lo, hi = a[i], a[i + 1]
+        while j < nb and b[j + 1] < lo:  # b's runs wholly below this one
+            j += 2
+        k = j
+        while k < nb and b[k] <= hi:
+            if b[k] > lo:
+                out += (lo, b[k] - 1)
+            lo = max(lo, b[k + 1] + 1)
+            k += 2
+        if lo <= hi:
+            out += (lo, hi)
+    return tuple(out)
+
+
+def runs_intersection(
+    a: Sequence[int], b: Sequence[int]
+) -> Tuple[int, ...]:
+    """The bounds of the ints in both ``a`` and ``b``: O(runs of ``a``
+    times log runs of ``b``), plus the runs returned."""
+    out: List[int] = []
+    j, nb = 0, len(b)
+    for i in range(0, len(a), 2):
+        lo, hi = a[i], a[i + 1]
+        # skip b's runs wholly below this one: the first bound at or
+        # above lo is a run's lo (even) or the hi of a run holding lo.
+        j = bisect.bisect_left(b, lo, j)
+        j -= j % 2
+        while j < nb and b[j] <= hi:
+            out += (max(lo, b[j]), min(hi, b[j + 1]))
+            j += 2
+        if j:  # b's last run read may reach into a's next run
+            j -= 2
+    return tuple(out)
 
 
 class RunSet(AbcSet):
@@ -152,28 +265,11 @@ class SystemLog:
     def insert(self, record: UpdateRecord) -> Optional[int]:
         """Insert in timestamp order; returns the position, or None if the
         record was already present (duplicate delivery)."""
-        if not self._add(record.txid):
+        if not add_to_runs(self._bounds, record.txid):
             return None
         position = bisect.bisect_left(self._records, record)
         self._records.insert(position, record)
         return position
-
-    def _add(self, txid: int) -> bool:
-        """Add ``txid`` to the runs; False if it is there already."""
-        bounds = self._bounds
-        i = bisect.bisect_left(bounds, txid)
-        if i % 2 == 1 or (i < len(bounds) and bounds[i] == txid):
-            return False
-        # i is even: txid falls in the gap between runs i/2 - 1 and i/2.
-        left = i > 0 and bounds[i - 1] == txid - 1
-        right = i < len(bounds) and bounds[i] == txid + 1
-        if left and right:  # it closes the gap: join the two runs
-            del bounds[i - 1:i + 1]
-        elif left or right:  # it extends the run it touches
-            bounds[i - 1 if left else i] = txid
-        else:
-            bounds[i:i] = (txid, txid)
-        return True
 
     def records(self) -> Tuple[UpdateRecord, ...]:
         return tuple(self._records)
@@ -194,9 +290,7 @@ class SystemLog:
         lost = tuple(self._records[length:])
         del self._records[length:]
         if lost:
-            self._bounds = []
-            for record in self._records:
-                self._add(record.txid)
+            self._bounds = runs_of(record.txid for record in self._records)
         return lost
 
     def max_timestamp(self) -> Optional[Timestamp]:

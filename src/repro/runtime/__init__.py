@@ -3,7 +3,7 @@
 Everything under :mod:`repro.runtime` is an *adapter* of the port
 interfaces in :mod:`repro.ports`.  The protocol state machines hosted
 here — :class:`~repro.gossip.service.GossipService` (floods and the
-digest exchange), :class:`~repro.shard.sync.SyncManager`,
+run-set exchange), :class:`~repro.shard.sync.SyncManager`,
 :class:`~repro.shard.node.ShardNode` — are byte-for-byte the same
 objects the deterministic simulator drives; this package merely supplies
 them real time (:mod:`.clock`), real sockets (:mod:`.transport`), real

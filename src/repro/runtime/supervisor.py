@@ -143,9 +143,16 @@ class ClusterSupervisor:
         self._trace("crash", node_id)
 
     async def respawn(self, node_id: int) -> None:
-        """Bring a killed node back (fresh state, bumped incarnation)."""
+        """Bring a killed node back (fresh state, bumped incarnation).
+
+        The recovery is stamped with the time the process is started,
+        and written once it is up: the new incarnation may gossip before
+        its readiness line is read, and none of its events may sort
+        before the ``recover`` that ends its crash window."""
+        at = self.clock.now
         await self.spawn(node_id)
-        self._trace("recover", node_id)
+        if self.history is not None:
+            self.history.record(at, "recover", node_id)
 
     async def stop(self) -> None:
         """Graceful shutdown: ask politely, then terminate stragglers."""

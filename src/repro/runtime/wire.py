@@ -3,8 +3,8 @@
 The simulator passes protocol payloads between nodes as live Python
 objects; the runtime has to put the *same* payloads on a socket.  This
 module maps every value the protocols exchange — gossip SYN/ACK/DELTA
-and rumor tuples, sync pulls, update records, range digests — onto JSON
-and back, such that ``decode(encode(x)) == x`` (object equality, not
+and rumor tuples, sync pulls, update records, run-sets — onto JSON and
+back, such that ``decode(encode(x)) == x`` (object equality, not
 just shape: :func:`repro.shard.history.extract_execution` re-derives
 updates and compares them with ``==``, so a lossy codec would fail the
 condition-(3) check, not just look ugly).
@@ -12,8 +12,8 @@ condition-(3) check, not just look ugly).
 Encoding is by type tag: each non-scalar value becomes a single-key
 object ``{"%tag": ...}``.  Transactions and updates serialize as
 ``(family name, params)`` and are rebuilt through a registry keyed by
-the family ``name`` — the same identifier the trace schema and the
-digest grouping already use.  That registry is derived at import from
+the family ``name`` — the same identifier the trace schema already
+uses.  That registry is derived at import from
 :mod:`repro.apps.registry` (every entry's ``transactions`` and
 ``updates``), so any registered application's records decode; two
 classes claiming one family name fail the import.
@@ -32,7 +32,10 @@ causal delivery a seen-set is a prefix of each node's txids, less the
 few still in flight where nodes share a counter, so a record costs a
 pair of ints per issuer or hole rather than one int per transaction it
 saw — on the wire and, decoded, in memory.  A ``RunSet`` is written
-straight from its bounds, so ``encode(decode(text)) == text``.
+straight from its bounds, so ``encode(decode(text)) == text``.  The
+anti-entropy exchange sends the same value: a SYN, an ACK, a want and
+a sync pull each carry one ``%rs`` set, the sender's delivered keys or
+the keys it asks for, so they cost O(runs) too.
 
 **The set budget.**  The decoder checks each set body before it builds
 the set: bounds must be ints in sorted, non-empty, non-adjacent runs.
@@ -67,15 +70,12 @@ from __future__ import annotations
 import json
 import struct
 from operator import le, lt
-from typing import (
-    Callable, Dict, FrozenSet, Iterator, List, Sequence, Tuple,
-)
+from typing import Callable, Dict, Iterator, List, Sequence, Tuple
 
 from ..apps.registry import APP_NAMES, app_entry
 from ..core.transaction import Transaction
 from ..core.update import IDENTITY, Update
-from ..gossip.digest import RangeDigest
-from ..replica.log import RunSet, UpdateRecord
+from ..replica.log import RunSet, UpdateRecord, runs_of
 from ..replica.timestamps import Timestamp
 
 
@@ -118,39 +118,11 @@ class Batch(tuple):
 # -- value codec ----------------------------------------------------------
 
 
-def _runs(members: FrozenSet[int]) -> List[int]:
-    """A set of ints -> ``[lo1, hi1, lo2, hi2, ...]``, its maximal runs
-    of consecutive ints in ascending order (inclusive bounds)."""
-    # cheap: a frozenset of consecutive ints iterates nearly in order.
-    ordered = sorted(members)
-    if not set(map(type, ordered)) <= {int}:
-        raise TypeError("wire sets must hold ints only")
-    runs: List[int] = []
-    start, n = 0, len(ordered)
-    while start < n:
-        # members are distinct ints, so ordered[i] - i never decreases
-        # and is constant exactly along a run: gallop, then bisect, to
-        # its end, in steps logarithmic in the run's length.
-        base, lo, step = ordered[start] - start, start, 1
-        while lo + step < n and ordered[lo + step] - (lo + step) == base:
-            lo += step
-            step *= 2
-        hi = min(lo + step, n) - 1
-        while lo < hi:
-            mid = (lo + hi + 1) // 2
-            if ordered[mid] - mid == base:
-                lo = mid
-            else:
-                hi = mid - 1
-        runs += (ordered[start], ordered[lo])
-        start = lo + 1
-    return runs
-
-
 def _set_from_runs(body: object) -> RunSet:
-    """Inverse of :func:`_runs`.  Raises ``ValueError`` if ``body`` is
-    malformed, non-canonical or stands for more than :data:`MAX_SET`
-    members; costs O(runs), however many members they hold."""
+    """Inverse of :func:`~repro.replica.log.runs_of`.  Raises
+    ``ValueError`` if ``body`` is malformed, non-canonical or stands for
+    more than :data:`MAX_SET` members; costs O(runs), however many
+    members they hold."""
     if not isinstance(body, list) or len(body) % 2:
         raise ValueError("a wire set is an even-length list of run bounds")
     if not set(map(type, body)) <= {int}:
@@ -179,7 +151,7 @@ def _enc(value: object) -> object:
     if isinstance(value, RunSet):
         return {"%rs": value.bounds}
     if isinstance(value, frozenset):
-        return {"%rs": _runs(value)}
+        return {"%rs": runs_of(value)}
     if isinstance(value, dict):
         # str-keyed mappings (profile counters); wrapped so the decoder
         # can tell a payload dict from a codec tag object.
@@ -188,8 +160,6 @@ def _enc(value: object) -> object:
         return {"%d": [[k, _enc(v)] for k, v in sorted(value.items())]}
     if isinstance(value, Timestamp):
         return {"%ts": [value.counter, value.node_id]}
-    if isinstance(value, RangeDigest):
-        return {"%dg": [value.width, _enc(value.cells), _enc(value.tail)]}
     if isinstance(value, UpdateRecord):
         fields = [
             _enc(value.ts),
@@ -229,10 +199,6 @@ def _dec(value: object) -> object:
         return {k: _dec(v) for k, v in body}
     if tag == "%ts":
         return Timestamp(counter=body[0], node_id=body[1])
-    if tag == "%dg":
-        return RangeDigest(
-            width=body[0], cells=_dec(body[1]), tail=_dec(body[2])
-        )
     if tag == "%ur":
         return UpdateRecord(
             ts=_dec(body[0]),

@@ -17,12 +17,11 @@ cluster:
   transaction is **rejected** — exactly the availability price the paper
   predicts for serializable operation.
 
-The pull is delta-shaped: the ``sync_pull`` carries the origin's
-:class:`~repro.gossip.digest.RangeDigest`, and each peer pushes only the
-records it holds in timestamp ranges where the digests disagree, not
-its whole history.  Completeness is preserved because a record the
-origin lacks necessarily makes its cell's (count, fingerprint) differ
-from the origin's.
+The pull is delta-shaped: the ``sync_pull`` carries the keys the origin
+holds as a :class:`~repro.replica.log.RunSet`, and each peer pushes
+exactly the records of its own runs minus the origin's, not its whole
+history.  The difference is exact, so every record the origin lacks is
+pushed, and none it holds.
 
 The guarantee is honest rather than absolute: transactions initiated
 concurrently with the pull can still land before the synchronized one in
@@ -84,7 +83,7 @@ class SyncManager:
     :class:`~repro.shard.cluster.ShardCluster`, the single host of a
     live :class:`~repro.runtime.node.NodeServer`.  The owner registers
     :meth:`handle` for :data:`SYNC_PULL` and :data:`SYNC_PUSH` in each
-    host's ``handlers``.  It is given the gossip service — whose digests
+    host's ``handlers``.  It is given the gossip service — whose run-sets
     shape the deltas, and whose clock and transport carry the timeouts
     and the pull/push messages — and the owner's submission path for
     the finally-complete decision.
@@ -139,11 +138,11 @@ class SyncManager:
                 awaiting=set(others),
                 timeout_handle=handle,
             )
-            digest = broadcast.digest(node_id)
+            held = broadcast.held(node_id)
             for other in others:
-                broadcast.stats.wire.message(cells=digest.n_cells)
+                broadcast.stats.wire.message(keys=len(held.bounds))
                 broadcast.transport.send(
-                    node_id, other, (SYNC_PULL, sync_id, node_id, digest)
+                    node_id, other, (SYNC_PULL, sync_id, node_id, held)
                 )
 
         clock.schedule(0.0, fire)
@@ -154,10 +153,9 @@ class SyncManager:
         kind = payload[0]
         broadcast = self.broadcast
         if kind == SYNC_PULL:
-            _, sync_id, origin, digest = payload
-            # delta push: only records in ranges where the origin's
-            # digest disagrees with ours.
-            items = broadcast.delta_records(node_id, digest)
+            _, sync_id, origin, theirs = payload
+            # delta push: exactly the records the origin's set lacks.
+            items = broadcast.records_beyond(node_id, theirs, origin)
             self.stats.pushed_records += len(items)
             broadcast.stats.wire.message(records=len(items))
             broadcast.transport.send(

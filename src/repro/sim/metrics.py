@@ -9,15 +9,15 @@ from typing import Dict, List, Sequence, Tuple
 #: Abstract per-unit wire costs used by the bytes-on-wire accounting.
 #: The simulation never serializes payloads, so bandwidth is modeled as a
 #: weighted sum of what a message carries: full update records dominate
-#: (a transaction, its update, its seen-set), bare keys and digest cells
-#: are an order of magnitude cheaper, summaries sit in between.  The
-#: *ratios* are what the gossip benchmarks compare; the absolute scale is
-#: nominal "bytes".
+#: (a transaction, its update, its seen-set), bare keys are an order of
+#: magnitude cheaper, summaries sit in between.  A run-set (an
+#: anti-entropy SYN, ACK or want, a sync pull) costs one key per run
+#: bound: its bounds are ints like any other key.  The *ratios* are what
+#: the gossip benchmarks compare; the absolute scale is nominal "bytes".
 WIRE_COSTS: Dict[str, int] = {
     "message": 16,   # fixed header per message
     "record": 128,   # one full update record
-    "key": 8,        # one bare item key (txid)
-    "cell": 12,      # one digest cell (group, range, count, fingerprint)
+    "key": 8,        # one bare item key (txid) or run bound
     "summary": 24,   # one cached-summary triple (partial replication)
 }
 
@@ -33,7 +33,6 @@ class WireStats:
     messages: int = 0
     records: int = 0
     keys: int = 0
-    cells: int = 0
     summaries: int = 0
     #: extra copies materialized by chaos duplication faults.  The
     #: transport seam does not know a copy's payload composition, so a
@@ -57,14 +56,12 @@ class WireStats:
         self,
         records: int = 0,
         keys: int = 0,
-        cells: int = 0,
         summaries: int = 0,
     ) -> None:
         """Account one sent message and its payload units."""
         self.messages += 1
         self.records += records
         self.keys += keys
-        self.cells += cells
         self.summaries += summaries
 
     @property
@@ -74,7 +71,6 @@ class WireStats:
             self.messages * WIRE_COSTS["message"]
             + self.records * WIRE_COSTS["record"]
             + self.keys * WIRE_COSTS["key"]
-            + self.cells * WIRE_COSTS["cell"]
             + self.summaries * WIRE_COSTS["summary"]
             + self.dup_messages * WIRE_COSTS["message"]
         )
@@ -84,7 +80,6 @@ class WireStats:
             "messages": self.messages,
             "records": self.records,
             "keys": self.keys,
-            "cells": self.cells,
             "summaries": self.summaries,
             "dup_messages": self.dup_messages,
             "reorders": self.reorders,

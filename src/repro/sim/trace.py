@@ -25,8 +25,9 @@ checked against it by shardlint rule R5 — it cannot drift):
   was certified commutative (repro.certify): applied in place at the
   given ``displacement``, skipping a replay of ``skipped`` updates;
 * ``gossip_syn`` / ``gossip_delta`` / ``gossip_skip`` — one anti-entropy
-  exchange: a digest SYN left a node, a DELTA shipped missing records,
-  or the exchange found the peers already in sync;
+  exchange: a SYN carrying the node's held keys (``runs`` runs of them)
+  left a node, a DELTA shipped missing records, or the exchange found
+  the peers already in sync;
 * ``fault_inject`` — the chaos layer perturbed the run at this node
   (``fault`` names the fault kind, ``info`` carries its parameters).
 """
@@ -53,8 +54,8 @@ EVENT_SCHEMAS: Dict[str, FrozenSet[str]] = {
     "merge_undo": frozenset({"displacement", "replayed"}),
     "merge_batch": frozenset({"count", "displacement", "replayed"}),
     "merge_certified": frozenset({"displacement", "skipped"}),
-    # digest anti-entropy exchanges
-    "gossip_syn": frozenset({"peer", "cells"}),
+    # run-set anti-entropy exchanges
+    "gossip_syn": frozenset({"peer", "runs"}),
     "gossip_delta": frozenset({"peer", "pushed", "wanted"}),
     "gossip_skip": frozenset({"peer"}),
     # chaos fault injection (repro.chaos)

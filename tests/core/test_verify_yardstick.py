@@ -17,14 +17,18 @@ from tests.helpers import count_python_calls
 TXNS = 2000
 
 
-def steady_airline_history(txns=TXNS, n_nodes=3, prepare=None):
+def steady_airline_history(
+    txns=TXNS, n_nodes=3, prepare=None, anti_entropy=False
+):
     """``(initial state, records)`` of a steady ``n_nodes``-node airline
     run of ``txns`` transactions (6 per simulated second, 0.1-0.5 s
     links).
     The 50 people keep the state, and so the cost of one update, the
     same size from head to tail: what grows with the log is then only
     what the verifier does.  ``prepare(cluster)``, if given, runs
-    before the first submit (to wrap the cluster's transport, say)."""
+    before the first submit (to wrap the cluster's transport, say).
+    With ``anti_entropy`` the stream runs with the periodic exchange on
+    before the cluster quiesces; otherwise only floods carry it."""
     spec = WorkloadSpec(
         name="verify-yardstick", category="airline", seed=1,
         duration=1.1 * txns / 6.0, n_nodes=n_nodes, rate=6.0, universe=50,
@@ -41,6 +45,8 @@ def steady_airline_history(txns=TXNS, n_nodes=3, prepare=None):
         prepare(cluster)
     for event in events:
         cluster.submit(event.node, event.transaction, at=event.time)
+    if anti_entropy:
+        cluster.run(until=events[-1].time)
     cluster.quiesce()
     return cluster.initial_state, list(cluster.records.values())
 

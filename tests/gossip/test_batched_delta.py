@@ -6,7 +6,7 @@ wants them one at a time unpacks the batch (``batch=False`` below).
 These tests pin the contract: batching changes
 *how* deliveries are grouped, never what is delivered, in what order
 items become known, what crosses the wire, or the transitivity the
-piggyback digest preserves.
+causal gate preserves.
 """
 
 import random
@@ -61,7 +61,7 @@ def run_partitioned(batch):
         batch=batch,
     )
     for i in range(8):
-        service.publish(0, f"k{i}", i)
+        service.publish(0, i, i)
     sim.run(until=10.0)
     service.start_anti_entropy()
     sim.run(until=60.0)
@@ -72,9 +72,7 @@ class TestServiceBatching:
     def test_batched_delivery_is_exactly_once(self):
         service, delivered, batches = run_partitioned(batch=True)
         for node in range(3):
-            assert sorted(delivered[node]) == sorted(
-                f"k{i}" for i in range(8)
-            )
+            assert sorted(delivered[node]) == list(range(8))
             # no key ever delivered twice, across batches and singles.
             assert len(delivered[node]) == len(set(delivered[node]))
         # the healed node really got its catch-up as batches, and at
@@ -108,9 +106,9 @@ class TestServiceBatching:
 
     def test_nodes_without_batch_handler_fall_back_per_record(self):
         sim, service, delivered, batches = make_service(batch=False)
-        service.publish(0, "k", "v")
+        service.publish(0, 1, "v")
         sim.run(until=5.0)
-        assert all(delivered[n] == ["k"] for n in range(3))
+        assert all(delivered[n] == [1] for n in range(3))
         assert all(batches[n] == [] for n in range(3))
 
 

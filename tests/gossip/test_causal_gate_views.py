@@ -110,16 +110,16 @@ def test_a_rumor_ahead_of_its_dependency_is_deferred_once():
     def rumor(key, deps):
         service.receive(1, (GOSSIP_RUMOR, ((key, (key, deps)),), None), src=0)
 
-    rumor("b", ("a",))
-    rumor("b", ("a",))  # a duplicate waits as the same item
+    rumor(2, (1,))
+    rumor(2, (1,))  # a duplicate waits as the same item
     assert delivered[1] == [] and service.stats.causally_deferred == 0
-    rumor("a", ())
-    assert delivered[1] == ["a", "b"]
+    rumor(1, ())
+    assert delivered[1] == [1, 2]
     assert service.stats.causally_deferred == 1
-    rumor("c", ("b",))
+    rumor(3, (2,))
     assert service.stats.causally_deferred == 1
-    rumor("e", ("d",))
-    service.forget(1, ())  # a crash drops "e" before it is delivered
-    rumor("d", ())
-    assert delivered[1] == ["a", "b", "c", "d"]
+    rumor(5, (4,))
+    service.forget(1, ())  # a crash drops 5 before it is delivered
+    rumor(4, ())
+    assert delivered[1] == [1, 2, 3, 4]
     assert service.stats.causally_deferred == 1

@@ -31,7 +31,7 @@ N_NODES = 4
 CAPACITY = 3
 
 PINNED_DIGEST = (
-    "3a8d89a9dc61c74fe4ca238eba4369cca193476e08aa574160eaa0d665c267bb"
+    "73b2a505714dd2af45f2876bede31a930296e007e24c4853eec4476529f32e84"
 )
 
 

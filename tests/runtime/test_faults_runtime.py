@@ -19,7 +19,8 @@ from repro.chaos.faults import (
 from repro.chaos.inject import MessageFaultLayer
 from repro.core.update import IDENTITY
 from repro.gossip import (
-    GOSSIP_DELTA, GOSSIP_RUMOR, GOSSIP_SYN, GossipConfig, GossipService,
+    GOSSIP_ACK, GOSSIP_DELTA, GOSSIP_RUMOR, GOSSIP_SYN, GossipConfig,
+    GossipService,
 )
 from repro.gossip.protocol import MAX_GAP_WANT
 from repro.network.network import NetworkStats
@@ -298,17 +299,104 @@ class TestRejectedFrames:
         (GOSSIP_SYN, 1, 5, None),
         (GOSSIP_RUMOR, (), 5, None),
         (GOSSIP_DELTA, 0, (), 5),
+        (GOSSIP_RUMOR, (("k", "v"),), None),
     ], ids=[
         "unknown-kind", "short-gossip-syn", "short-sync-pull",
         "retired-items-kind", "sync-pull-without-digest",
         "sync-pull-int-digest", "gossip-syn-without-digest",
         "gossip-syn-int-digest", "rumor-with-a-retired-digest-field",
-        "delta-int-want",
+        "delta-int-want", "rumor-with-a-str-key",
     ])
     def test_malformed_payload_through_a_node_host(self, payload):
         assert_rejected_then_served(
             frame_from_text(encode((MSG, 0, payload))), with_host=True
         )
+
+
+#: where a retired cell digest (``RangeDigest``) used to go on the wire.
+RETIRED_DIGEST = '{"%dg":[32,{"%t":[{"%t":[null,0,3,12345]}]},null]}'
+
+
+def with_retired_digest(payload):
+    """A frame of ``payload`` whose ``"DIGEST"`` field is written as the
+    retired digest's tag, which the codec no longer knows."""
+    return frame_from_text(
+        encode((MSG, 0, payload)).replace('"DIGEST"', RETIRED_DIGEST)
+    )
+
+
+class TestRetiredDigestShapes:
+    """Anti-entropy sends run-sets: a payload in the retired cell-digest
+    exchange's shape — a digest, an ACK of per-cell key lists, a want
+    spelled as a key tuple — is rejected and counted, and the node keeps
+    serving."""
+
+    @pytest.mark.parametrize("frame", [
+        with_retired_digest((GOSSIP_SYN, 1, "DIGEST", None)),
+        with_retired_digest((SYNC_PULL, 1, 0, "DIGEST")),
+        frame_from_text(encode((
+            MSG, 0, (GOSSIP_ACK, 1, ((None, 0, (1, 2)),), None),
+        ))),
+        frame_from_text(encode((MSG, 0, (GOSSIP_DELTA, None, (), (1, 2))))),
+    ], ids=[
+        "syn-with-a-cell-digest", "sync-pull-with-a-cell-digest",
+        "ack-with-cell-key-lists", "delta-with-a-key-tuple-want",
+    ])
+    def test_rejected_and_counted(self, frame):
+        assert_rejected_then_served(frame, with_host=True)
+
+
+class TestHostileRunSets:
+    """A SYN, an ACK and a want whose set stands for ``MAX_SET`` keys in
+    two bounds: the node answers from what it holds — its own runs, the
+    difference as bounds, the records it has — so every reply is bounded
+    by its log, not by the claim, and nothing is rejected."""
+
+    def test_replies_are_bounded_by_what_the_node_holds(self):
+        everything = RunSet((0, MAX_SET - 1))
+
+        async def scenario():
+            async with TransportPair() as pair:
+                host = attach_node_host(pair)
+                broadcast = host.broadcast
+                replies = []
+                pair.sender.register(
+                    0, lambda src, payload: replies.append(payload)
+                )
+
+                async def reply_to(payload):
+                    replies.clear()
+                    assert pair.sender.send(0, 1, payload)
+                    assert await wait_for(lambda: replies)
+                    (reply,) = replies
+                    return reply
+
+                for txid in (5, 6, 7):
+                    assert pair.sender.send(0, 1, rumor_of(txid, RunSet(())))
+                assert await wait_for(lambda: len(broadcast._known[1]) == 3)
+
+                kind, _, held, _ = await reply_to(
+                    (GOSSIP_SYN, 1, everything, None)
+                )
+                assert kind == GOSSIP_ACK and held.bounds == (5, 7)
+
+                kind, _, items, want = await reply_to(
+                    (GOSSIP_ACK, 1, everything, None)
+                )
+                assert kind == GOSSIP_DELTA and items == ()
+                assert want.bounds == (0, 4, 8, MAX_SET - 1)
+
+                kind, _, items, want = await reply_to(
+                    (GOSSIP_DELTA, None, (), everything)
+                )
+                assert kind == GOSSIP_DELTA and not want
+                assert [key for key, _ in items] == [5, 6, 7]
+
+                assert pair.sender.send(0, 1, rumor_of(8, RunSet(())))
+                assert await wait_for(lambda: 8 in broadcast._known[1])
+                assert pair.receiver.profile.frames_rejected == 0
+
+        run(scenario())
 
 
 def rumor_of(txid, seen):
@@ -338,7 +426,7 @@ class TestHostileRumor:
                 assert await wait_for(lambda: deltas)
                 (kind, _, items, want), = deltas
                 assert kind == GOSSIP_DELTA and items == ()
-                assert want == tuple(range(MAX_GAP_WANT))
+                assert want.bounds == (0, MAX_GAP_WANT - 1)
                 assert len(broadcast._wanted[1]) == MAX_GAP_WANT
 
                 honest = rumor_of(MAX_SET + 1, RunSet(()))

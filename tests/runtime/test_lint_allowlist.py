@@ -110,16 +110,16 @@ def _called_name(call):
 
 def test_one_gossip_service_builds_the_dissemination_machinery():
     """Partial replication runs on the one ``GossipService``, which also
-    runs the digest exchange itself: the partial store adapter, its
+    runs the run-set exchange itself: the partial store adapter, its
     stats, the flat store, the documentation-only store class and the
     separate exchange engine were deleted, not wrapped, and the peer
-    scheduler, digest index and causal buffer are each constructed in
-    exactly one place (the CI grep step holds the same line)."""
+    scheduler and causal buffer are each constructed in exactly one
+    place (the CI grep step holds the same line)."""
     retired = (
         "_PartialStore", "_FlatStore", "GossipStore", "PartialStats",
         "ExchangeEngine",
     )
-    built = ("PeerScheduler", "DigestIndex", "CausalBuffer")
+    built = ("PeerScheduler", "CausalBuffer")
     root = Path(repro.__file__).parent
     offenders = []
     sites = {name: [] for name in built}

@@ -6,7 +6,7 @@ once through the in-memory asyncio adapters (``VirtualClock`` +
 ``LoopbackNet``).  If the port refactor really decoupled the protocol
 from its environment, the two runs must emit *identical* protocol
 transcripts — every SYN, ACK, DELTA and rumor, with identical payloads
-(digests included), at identical virtual times, in identical order.
+(run-sets included), at identical virtual times, in identical order.
 Hypothesis drives the schedule: any divergence over any workload is a
 leak of environment detail into the protocol core.
 """
@@ -79,7 +79,7 @@ publish_schedules = st.lists(
     max_size=6,
 ).map(
     lambda pairs: tuple(
-        (at, node, f"k{i}") for i, (at, node) in enumerate(pairs)
+        (at, node, i) for i, (at, node) in enumerate(pairs)
     )
 )
 
@@ -109,7 +109,7 @@ def test_sim_and_loopback_transcripts_identical(seed, publishes):
 def test_transcripts_diverge_across_seeds():
     """Sanity: the comparison is not vacuous — different seeds change
     peer choices, so transcripts differ."""
-    publishes = ((0.0, 0, "k0"), (1.0, 1, "k1"))
+    publishes = ((0.0, 0, 0), (1.0, 1, 1))
     sim_a = Simulator()
     transcript_a, _ = drive(
         sim_a,

@@ -12,8 +12,8 @@ from repro.apps.airline.transactions import Cancel, MoveDown, MoveUp, Request
 from repro.apps.registry import APP_NAMES, app_entry
 from repro.core.update import IDENTITY
 from repro.gossip import GOSSIP_DELTA
-from repro.gossip.digest import RangeDigest
 from repro.replica import RunSet, SystemLog, UpdateRecord
+from repro.replica.log import runs_of
 from repro.replica.timestamps import Timestamp
 from repro.runtime import wire
 from repro.runtime.config import ClusterSpec, NodeSpec
@@ -89,20 +89,8 @@ def update_records(draw):
     )
 
 
-digests = st.builds(
-    RangeDigest,
-    width=st.just(32),
-    cells=st.lists(
-        st.tuples(
-            st.none(), st.integers(0, 8), st.integers(1, 9),
-            st.integers(0, 2**30),
-        ),
-        max_size=4,
-    ).map(tuple),
-    tail=st.one_of(
-        st.none(), st.tuples(st.integers(0, 99), st.integers(0, 5))
-    ),
-)
+#: a node's digest as anti-entropy sends it: its held keys as runs.
+digests = int_sets.map(lambda members: RunSet(tuple(runs_of(members))))
 
 
 class TestRoundtrip:
@@ -119,12 +107,17 @@ class TestRoundtrip:
         payload = ("gossip_syn", syn_id, digest, None)
         assert wire.decode(wire.encode(payload)) == payload
 
-    @given(st.lists(update_records(), min_size=1, max_size=3))
-    def test_delta_payload(self, records):
+    @given(st.lists(update_records(), min_size=1, max_size=3), digests)
+    def test_delta_payload(self, records, want):
         items = tuple((r.txid, r) for r in records)
-        want = (7, 9)
         payload = ("gossip_delta", 3, items, want)
-        assert wire.decode(wire.encode(payload)) == payload
+        decoded = wire.decode(wire.encode(payload))
+        assert decoded == payload
+        assert decoded[3].bounds == want.bounds
+
+    def test_the_retired_range_digest_tag_is_refused(self):
+        with pytest.raises(ValueError, match="unknown wire tag"):
+            wire.decode('{"%dg":[32,{"%t":[]},null]}')
 
     @given(update_records(), st.sampled_from(["f1", "flight-7"]))
     def test_update_record_with_a_group(self, record, group):

@@ -14,9 +14,9 @@ import pytest
 
 from repro.apps.airline import INITIAL_STATE, Cancel, Request
 from repro.certify import CommutationOracle, airline_spec, build_pair_table
-from repro.gossip import GOSSIP_RUMOR, DigestIndex, GossipConfig, GossipService
+from repro.gossip import GOSSIP_RUMOR, GossipConfig, GossipService
 from repro.network import FixedDelay, Network
-from repro.replica import EveryPositionPolicy, policy_engine_factory
+from repro.replica import EveryPositionPolicy, RunSet, policy_engine_factory
 from repro.runtime.loopback import LoopbackNet, VirtualClock
 from repro.shard import NodeHost, ShardCluster, ShardNode, SyncManager
 from repro.shard.agent import TOKEN_GRANT, TOKEN_REQUEST
@@ -148,8 +148,8 @@ class TestDispatch:
         record = ShardNode(1, {None: INITIAL_STATE}).initiate(
             100, Request("Q1"), now=0.0
         )
-        # the pull carries node 1's (empty) digest.
-        pull = (SYNC_PULL, 7, 1, DigestIndex().digest())
+        # the pull carries node 1's (empty) run-set.
+        pull = (SYNC_PULL, 7, 1, RunSet(()))
         payloads = [rumor(record), pull]
         harness.host.node.online = False
         for payload in payloads:

@@ -42,7 +42,7 @@ PLACEMENTS = {
 }
 
 PINNED_DIGEST = (
-    "dd2524ac25763c81199342e48df8ce681d82ecc0218d8ffb0fd38e6d824a28bb"
+    "f0b7924f0bf33f001bef1092eba8944eda2e3dca1aee36a221a0e8d0de9b0342"
 )
 
 

@@ -143,7 +143,7 @@ class TestSyncProtocol:
 
     def test_digest_pull_pushes_fewer_records_than_full(self):
         """The delta-shaped pull: peers ship only what the origin's
-        digest shows it lacks, yet the audit still sees everything."""
+        run-set lacks, yet the audit still sees everything."""
         cluster = ShardCluster(
             INITIAL_BANK_STATE,
             ClusterConfig(
@@ -171,10 +171,10 @@ class TestSyncProtocol:
             if entry.action.kind == AUDIT_REPORT
         ]
         assert report == [10]
-        # flooding keeps nodes nearly in sync, so the digest pull has
-        # little left to ship next to both peers' whole known sets.
+        # flooding keeps nodes in sync, so the exact pull has nothing
+        # left to ship next to both peers' whole known sets.
         assert whole_sets == [10, 10]
-        assert cluster.sync.stats.pushed_records < sum(whole_sets)
+        assert cluster.sync.stats.pushed_records == 0
 
     def test_mixed_mode_costs(self):
         """A synchronized MOVE_UP never overbooks even when plain movers
