@@ -13,7 +13,7 @@ import argparse
 import json
 import sys
 from dataclasses import replace
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..sim.rng import SeededStreams
 from .harness import ChaosScenario, run_chaos
@@ -89,6 +89,26 @@ def run_index(
     return result
 
 
+def campaign_summary(
+    seed: int,
+    scenario: ChaosScenario,
+    oracles: Optional[Tuple[str, ...]],
+    results: List[Dict[str, object]],
+) -> Dict[str, object]:
+    """The JSON-ready summary of a campaign's :func:`run_index` results,
+    given in index order (the parallel runner extends it)."""
+    failures = [r["failure"] for r in results if r["failure"] is not None]
+    return {
+        "seed": seed,
+        "runs": len(results),
+        "scenario": scenario.as_dict(),
+        "oracles": list(oracles) if oracles is not None else list(ORACLES),
+        "violations": sum(r["violations"] for r in results),
+        "failing_runs": len(failures),
+        "failures": failures,
+    }
+
+
 def run_campaign(
     seed: int,
     runs: int,
@@ -98,25 +118,11 @@ def run_campaign(
 ) -> Dict[str, object]:
     """Run a seeded campaign; returns a JSON-ready summary dict."""
     base = scenario if scenario is not None else ChaosScenario()
-    failures = []
-    total_violations = 0
-    for index in range(runs):
-        result = run_index(
-            seed, index, scenario=base, oracles=oracles, shrink=shrink
-        )
-        if result["failure"] is None:
-            continue
-        total_violations += result["violations"]
-        failures.append(result["failure"])
-    return {
-        "seed": seed,
-        "runs": runs,
-        "scenario": base.as_dict(),
-        "oracles": list(oracles) if oracles is not None else list(ORACLES),
-        "violations": total_violations,
-        "failing_runs": len(failures),
-        "failures": failures,
-    }
+    results = [
+        run_index(seed, index, scenario=base, oracles=oracles, shrink=shrink)
+        for index in range(runs)
+    ]
+    return campaign_summary(seed, base, oracles, results)
 
 
 def _render_text(result: Dict[str, object]) -> str:

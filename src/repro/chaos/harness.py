@@ -5,7 +5,8 @@ example, so the cost-bound and fairness oracles have teeth), installs a
 :class:`~repro.chaos.faults.FaultPlan` through the injector, starts the
 airline app's own workload on it (``start_airline_workload``: a Poisson
 request/cancel mix plus MOVE_UP/MOVE_DOWN sweeps at every node), runs
-past the last fault, heals and quiesces, and evaluates every oracle.
+past the last fault, heals and quiesces, and judges the run with
+:func:`~repro.chaos.oracles.judge` — the judge a recorded run gets too.
 
 Two soundness notes:
 
@@ -33,7 +34,6 @@ from typing import Dict, Optional, Tuple
 
 from ..apps.airline.simulation import start_airline_workload
 from ..apps.airline.state import AirlineState
-from ..core.execution import InvalidExecutionError
 from ..gossip import GossipConfig
 from ..network.link import FixedDelay, UniformDelay
 from ..replica import FixedIntervalPolicy, policy_engine_factory
@@ -41,7 +41,7 @@ from ..shard.cluster import ClusterConfig, ShardCluster
 from ..sim.trace import Tracer
 from .faults import DelaySpike, Duplicate, FaultPlan, Reorder
 from .inject import ChaosInjector
-from .oracles import OracleContext, Violation, run_oracles
+from .oracles import Violation, judge
 
 #: extra settling time appended after the later of (workload end, last
 #: fault) before quiescing, so in-flight gossip drains naturally.
@@ -198,25 +198,16 @@ def run_chaos(
     cluster.run(until=horizon)
     cluster.quiesce()
 
-    execution = None
-    extract_error: Optional[str] = None
-    try:
-        execution = cluster.extract_execution(verify=True)
-    except InvalidExecutionError as exc:
-        extract_error = str(exc)
-
-    ctx = OracleContext(
-        cluster=cluster,
+    violations, execution = judge(
+        cluster, cluster.initial_state, tuple(cluster.records.values()),
+        oracles,
         plan=plan,
         capacity=scenario.capacity,
-        execution=execution,
-        extract_error=extract_error,
         expect_transitive=scenario.piggyback,
         movers_centralized=False,  # sweeps run at every node
         t_bound=compute_t_bound(scenario, plan),
         events=tracer.events,
     )
-    violations = tuple(run_oracles(ctx, oracles))
 
     net = cluster.network.stats
     summary: Dict[str, object] = {
@@ -233,7 +224,7 @@ def run_chaos(
         "summary": summary,
         "prefixes": (
             [list(p) for p in execution.prefixes]
-            if execution is not None else extract_error
+            if execution is not None else None
         ),
         "violations": [v.as_dict() for v in violations],
     })

@@ -1,17 +1,23 @@
 """Invariant oracles: what must still hold after a faulted run.
 
 Each oracle is a function from an :class:`OracleContext` (the finished,
-quiesced run plus its extracted execution and trace stream) to a list of
-:class:`Violation`\\ s — empty means the invariant held.  The registry
-:data:`ORACLES` maps names to oracle functions; a campaign runs all of
-them (or a selected subset) after every run.
+quiesced run plus its records, extracted execution and trace stream) to
+a list of :class:`Violation`\\ s — empty means the invariant held.  The
+registry :data:`ORACLES` maps names to oracle functions.
+
+:func:`judge` is the one way a finished run is judged, simulated
+(:func:`repro.chaos.harness.run_chaos`) or recorded
+(:func:`repro.chaos.offline.check_recorded_run`): it extracts and
+validates the execution, fills the context and runs the oracles.
 
 The oracles are thin adapters over the checkers the repo already has —
-``core/conditions.py``, ``apps/airline/theorems.py``, the cluster's
-consistency predicates — pointed at adversarial schedules:
+``core/conditions.py``, ``apps/airline/theorems.py``, the run's own
+convergence answers — pointed at adversarial schedules:
 
 * ``convergence`` — after healing and quiescing, all nodes hold the same
-  item set and mutually consistent states (the paper's headline claim);
+  item set, and replicas holding the same records agree: equal states
+  in a live cluster, equal copies of every record in a recording (the
+  paper's headline claim);
 * ``conditions`` — the run's history extracts to a valid execution
   satisfying the Section 3.1 conditions (1)-(4);
 * ``transitivity`` — prefixes are transitively closed.  Only in the
@@ -44,14 +50,14 @@ consistency predicates — pointed at adversarial schedules:
 
 Checking a *recorded* run from its files alone is
 :mod:`repro.chaos.offline` (``python -m repro.chaos.offline --history
-DIR``), which feeds the same registry.
+DIR``), which goes through the same :func:`judge`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import combinations
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..apps.airline.theorems import (
     corollary6_overbooking,
@@ -67,6 +73,9 @@ from ..core.conditions import (
     transitivity_violations,
 )
 from ..core.execution import TimedExecution
+from ..core.state import State
+from ..replica import UpdateRecord
+from ..shard.history import extract_execution
 from ..sim.trace import TraceEvent
 from .faults import FaultPlan
 
@@ -101,6 +110,8 @@ class Violation:
 class OracleContext:
     """Everything the oracles may inspect about one finished run."""
 
+    #: a quiesced ShardCluster or a RecordedRun; the oracles ask it only
+    #: converged(), missing_counts() and disagreements().
     cluster: object
     plan: FaultPlan
     capacity: int
@@ -114,21 +125,28 @@ class OracleContext:
     #: the sound delay bound for this plan + gossip configuration.
     t_bound: float
     events: Tuple[TraceEvent, ...] = ()
+    records: Sequence[UpdateRecord] = ()  # one per txid, any order
+    _history: object = field(default=None, init=False, repr=False)
 
 
 Oracle = Callable[[OracleContext], List[Violation]]
 
 
 def oracle_convergence(ctx: OracleContext) -> List[Violation]:
+    run = ctx.cluster
     out: List[Violation] = []
-    if not ctx.cluster.converged():
+    if not run.converged():
         out.append(Violation(
             "convergence", "nodes disagree on the delivered item set",
-            {"missing": ctx.cluster.broadcast.missing_counts()},
+            {"missing": run.missing_counts()},
         ))
-    if not ctx.cluster.mutually_consistent():
+    disagreements = run.disagreements()
+    if disagreements:
         out.append(Violation(
-            "convergence", "nodes with equal logs hold unequal states",
+            "convergence",
+            "replicas holding the same records disagree at "
+            f"{list(disagreements)}",
+            {"at": disagreements},
         ))
     return out
 
@@ -293,26 +311,13 @@ def oracle_trace(ctx: OracleContext) -> List[Violation]:
 
 
 def _consistency_history(ctx: OracleContext):
-    """The run's checker history, built once per context from records.
-
-    Works for both the live cluster (``.records`` dict) and the offline
-    :class:`~repro.chaos.offline.RecordedRun` (``.all_records()``) —
-    either way the input is recorded update records plus crash events,
-    never cluster internals.
-    """
-    cached = getattr(ctx, "_consistency_history", None)
-    if cached is None:
+    """The run's checker history, built once per context from its
+    records plus crash events, never cluster internals."""
+    if ctx._history is None:
         from ..consistency.adapters import history_from_trace
 
-        all_records = getattr(ctx.cluster, "all_records", None)
-        if callable(all_records):
-            records = all_records()
-        else:
-            by_txid = getattr(ctx.cluster, "records", None) or {}
-            records = tuple(by_txid.values())
-        cached = history_from_trace(records, ctx.events)
-        ctx._consistency_history = cached
-    return cached
+        ctx._history = history_from_trace(ctx.records, ctx.events)
+    return ctx._history
 
 
 def _make_consistency_oracle(name: str, model: str) -> Oracle:
@@ -331,9 +336,7 @@ def _make_consistency_oracle(name: str, model: str) -> Oracle:
                 f"{verdict.witness.description if verdict.witness else ''}"
             )
         else:
-            description = (
-                f"history violates {model} consistency"
-            )
+            description = f"history violates {model} consistency"
         details: Dict[str, object] = {
             "status": verdict.status,
             "transactions": len(history),
@@ -389,20 +392,47 @@ def run_oracles(
     demonstrate the violations.
     """
     if names is None:
-        selected = tuple(
+        names = tuple(
             name for name in ORACLES
-            if name not in ("transitivity", "consistency_causal")
-            or ctx.expect_transitive
+            if name != "consistency_prefix" and (
+                ctx.expect_transitive
+                or name not in ("transitivity", "consistency_causal")
+            )
         )
-        selected = tuple(
-            name for name in selected if name != "consistency_prefix"
-        )
-    else:
-        selected = names
     out: List[Violation] = []
-    for name in selected:
+    for name in names:
         oracle = ORACLES.get(name)
         if oracle is None:
             raise ValueError(f"unknown oracle {name!r}")
         out.extend(oracle(ctx))
     return out
+
+
+def judge(
+    run: object,
+    initial_state: State,
+    records: Sequence[UpdateRecord],
+    names: Optional[Tuple[str, ...]] = None,
+    **context,
+) -> Tuple[Tuple[Violation, ...], Optional[TimedExecution]]:
+    """Judge one finished run, simulated or recorded: extract and
+    validate its execution from ``records``, then run the ``names``
+    oracles (default: see :func:`run_oracles`) over it.
+
+    ``context`` holds the other :class:`OracleContext` fields.  Returns
+    (violations, execution); an extraction or validation failure is the
+    ``conditions`` violation ``"{Type}: {message}"``, with no execution.
+    """
+    try:
+        execution: Optional[TimedExecution] = extract_execution(
+            initial_state, records, verify=True
+        )
+        execution.validate()
+        error = None
+    except Exception as exc:
+        execution, error = None, f"{type(exc).__name__}: {exc}"
+    ctx = OracleContext(
+        cluster=run, execution=execution, extract_error=error,
+        records=records, **context,
+    )
+    return tuple(run_oracles(ctx, names)), execution

@@ -143,21 +143,15 @@ def history_from_dir(
     split_sessions_at_crash: bool = True,
     footprints: Optional[FootprintRegistry] = None,
 ) -> History:
-    """History of an on-disk run (``events-*.jsonl`` + ``records-*.jsonl``).
+    """History of an on-disk run (``events-*.jsonl`` + ``records-*.jsonl``):
+    the union of its node logs, as :func:`repro.runtime.history.load_run`
+    merges them by txid."""
+    from ..runtime.history import load_run
 
-    Node logs are merged by txid — every surviving copy of a record is
-    identical, so the union is the record universe.
-    """
-    from ..runtime.history import load_history
-
-    events, logs = load_history(history_dir)
-    merged: Dict[int, UpdateRecord] = {}
-    for _, log in sorted(logs.items()):
-        for record in log:
-            merged.setdefault(record.txid, record)
+    run = load_run(history_dir, None)
     return history_from_trace(
-        merged.values(),
-        events,
+        run.records,
+        run.events,
         split_sessions_at_crash=split_sessions_at_crash,
         footprints=footprints,
     )

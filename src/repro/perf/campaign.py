@@ -31,9 +31,8 @@ import multiprocessing
 import sys
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from ..chaos.cli import run_index
+from ..chaos.cli import campaign_summary, run_index
 from ..chaos.harness import ChaosScenario
-from ..chaos.oracles import ORACLES
 from .cells import DEFAULT_CELLS, CellSpec, run_cell
 
 
@@ -108,16 +107,9 @@ def run_parallel_campaign(
     base = scenario if scenario is not None else ChaosScenario()
     tasks = [(seed, index, base, oracles, shrink) for index in range(runs)]
     results = fan_out(_chaos_task, tasks, workers)
-    failures = [r["failure"] for r in results if r["failure"] is not None]
     fingerprints = [r["fingerprint"] for r in results]
     return {
-        "seed": seed,
-        "runs": runs,
-        "scenario": base.as_dict(),
-        "oracles": list(oracles) if oracles is not None else list(ORACLES),
-        "violations": sum(r["violations"] for r in results),
-        "failing_runs": len(failures),
-        "failures": failures,
+        **campaign_summary(seed, base, oracles, results),
         "fingerprints": fingerprints,
         "aggregate_fingerprint": aggregate_fingerprint(fingerprints),
     }

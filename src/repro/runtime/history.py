@@ -10,8 +10,10 @@ A runtime run leaves the same evidence a simulator run keeps in memory:
 * ``records-<node>.jsonl`` — the node's final log, one wire-encoded
   :class:`~repro.replica.UpdateRecord` per line.
 
-``repro.chaos.offline`` rebuilds an oracle-checkable run from these
-files; nothing in the offline path touches a socket or a simulator.
+:func:`load_run` reads a directory of them into one
+:class:`~repro.shard.history.RecordedRun`, the value every offline
+reader judges (``repro.chaos.offline``, ``repro.consistency``, the
+demo); nothing in the offline path touches a socket or a simulator.
 """
 
 from __future__ import annotations
@@ -21,7 +23,9 @@ import os
 import warnings
 from typing import Callable, Dict, Iterable, List, Optional, TextIO, Tuple
 
+from ..core.state import State
 from ..replica import UpdateRecord
+from ..shard.history import RecordedRun
 from ..sim.trace import EVENT_SCHEMAS, TraceEvent
 from .wire import decode, encode
 
@@ -183,3 +187,9 @@ def load_history(
                 os.path.join(history_dir, name)
             )
     return merged_events(event_files), logs
+
+
+def load_run(history_dir: str, initial_state: Optional[State]) -> RecordedRun:
+    """A recorded run directory as one :class:`RecordedRun`."""
+    events, logs = load_history(history_dir)
+    return RecordedRun(initial_state, logs, events)

@@ -313,18 +313,27 @@ class ShardCluster:
     def mutually_consistent(self) -> bool:
         """Do all replicas of an object with equal logs hold equal
         states?  After :meth:`quiesce`, all logs are equal, so all states
-        must be.  Replicas are grouped by object and log content (txid
-        runs), so two divergent replicas cannot hide behind a third."""
+        must be."""
+        return not self.disagreements()
+
+    def disagreements(self) -> Tuple[object, ...]:
+        """The objects whose replicas with equal logs (txid runs) hold
+        unequal states; two divergent replicas cannot hide behind a
+        third."""
         logs: Dict[Tuple[object, Tuple[int, ...]], State] = {}
+        out: List[object] = []
         for group, replica in self._replicas():
             key = (group, replica.txids.bounds)
             reference = logs.setdefault(key, replica.state)
-            if replica.state != reference:
-                return False
-        return True
+            if replica.state != reference and group not in out:
+                out.append(group)
+        return tuple(out)
 
     def converged(self) -> bool:
         return self.broadcast.converged()
+
+    def missing_counts(self) -> Dict[int, int]:
+        return self.broadcast.missing_counts()
 
     def _replicas(self) -> List[Tuple[object, Replica]]:
         """``(group, replica)`` for every replica, node by node."""

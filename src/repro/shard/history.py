@@ -10,16 +10,19 @@ asserts it rather than assumes it.
 With ``verify=True`` the extracted execution is re-derived through
 :meth:`Execution.run`, and the re-run decisions are checked against the
 updates the simulator actually produced — the formal model and the system
-simulation must agree exactly (condition (3)).
+simulation must agree exactly (condition (3)).  A run known only from
+its recorded node logs is a :class:`RecordedRun`.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List
+from dataclasses import dataclass, field
+from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 from ..core.execution import Execution, InvalidExecutionError, TimedExecution
 from ..core.state import State
 from ..replica import UpdateRecord
+from ..sim.trace import TraceEvent
 
 
 def extract_execution(
@@ -62,3 +65,50 @@ def extract_execution(
 
     times = [r.real_time for r in ordered]
     return TimedExecution(execution, times)
+
+
+@dataclass
+class RecordedRun:
+    """A finished run as its node logs and trace events recorded it.
+
+    The logs are merged once, by txid: ``records`` is their union in
+    timestamp order, ``txids`` each node's txid set, and ``disagreeing``
+    the txids whose copies differ between logs.  Equal copies replay to
+    equal states, so the run is mutually consistent exactly when no
+    copies differ.  The oracles ask it what they ask a live cluster:
+    ``converged()``, ``missing_counts()``, ``disagreements()``.
+    """
+
+    initial_state: Optional[State]  # None when only records are read
+    logs: Dict[int, Tuple[UpdateRecord, ...]]
+    events: Tuple[TraceEvent, ...] = ()
+    records: Tuple[UpdateRecord, ...] = field(init=False)
+    txids: Dict[int, FrozenSet[int]] = field(init=False)
+    disagreeing: Tuple[int, ...] = field(init=False)
+
+    def __post_init__(self) -> None:
+        merged: Dict[int, UpdateRecord] = {}
+        disagreeing: Set[int] = set()
+        for _, log in sorted(self.logs.items()):
+            for record in log:
+                if merged.setdefault(record.txid, record) != record:
+                    disagreeing.add(record.txid)
+        self.records = tuple(sorted(merged.values(), key=lambda r: r.ts))
+        self.txids = {
+            node: frozenset(r.txid for r in log)
+            for node, log in sorted(self.logs.items())
+        }
+        self.disagreeing = tuple(sorted(disagreeing))
+
+    def missing_counts(self) -> Dict[int, int]:
+        """Per node: how many txids of the union its log lacks."""
+        return {n: len(self.records) - len(t) for n, t in self.txids.items()}
+
+    def converged(self) -> bool:
+        return not any(self.missing_counts().values())
+
+    def disagreements(self) -> Tuple[int, ...]:
+        return self.disagreeing
+
+    def mutually_consistent(self) -> bool:
+        return not self.disagreeing

@@ -27,8 +27,8 @@ class _ConvergedCluster:
     def converged(self):
         return True
 
-    def mutually_consistent(self):
-        return True
+    def disagreements(self):
+        return ()
 
 
 def ctx_for(execution, *, expect_transitive=True, t_bound=100.0, events=()):

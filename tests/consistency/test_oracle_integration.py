@@ -45,6 +45,7 @@ def ctx_for(records, expect_transitive=True, events=()):
         movers_centralized=False,
         t_bound=float("inf"),
         events=tuple(events),
+        records=run.records,
     )
 
 

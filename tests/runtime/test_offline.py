@@ -33,6 +33,24 @@ def healthy_logs(seed=0, n_ops=12):
     }
 
 
+def forged_copy_logs(seen_txids, shift):
+    """Healthy logs where node 2's copy of txid 3 is replaced by one
+    with ``seen_txids`` (unless None) and ``real_time`` moved by
+    ``shift``."""
+    logs = healthy_logs()
+    tampered = list(logs[2])
+    (index,) = [i for i, r in enumerate(tampered) if r.txid == 3]
+    victim = tampered[index]
+    assert set(victim.seen_txids) == {0, 1}
+    tampered[index] = dataclasses.replace(
+        victim,
+        seen_txids=victim.seen_txids if seen_txids is None else seen_txids,
+        real_time=victim.real_time + shift,
+    )
+    logs[2] = tuple(tampered)
+    return logs
+
+
 class TestRecordedRun:
     def test_healthy_run_passes_every_offline_oracle(self):
         run = RecordedRun(AirlineState(), healthy_logs())
@@ -48,7 +66,7 @@ class TestRecordedRun:
         run = RecordedRun(AirlineState(), logs)
         violations, _ = check_recorded_run(run, capacity=3)
         assert any(v.oracle == "convergence" for v in violations)
-        assert run.broadcast.missing_counts()[2] == 1
+        assert run.missing_counts()[2] == 1
 
     def test_forged_update_is_a_conditions_violation(self):
         """Rewriting a shipped update so it no longer matches what the
@@ -96,10 +114,33 @@ class TestRecordedRun:
             "transaction 1234, which is not among the records"
         )
 
+    def test_forged_copy_is_a_convergence_violation(self):
+        """A node's copy of a record that differs from the others' --
+        here node 2's txid 3 claims it saw {0} instead of {0, 1} and
+        carries another real time -- is convicted by name, although
+        node 2's log also extracts and validates on its own."""
+        logs = forged_copy_logs(seen_txids=frozenset({0}), shift=5.0)
+        run = RecordedRun(AirlineState(), logs)
+        violations, _ = check_recorded_run(run, capacity=3)
+        (violation,) = [v for v in violations if v.oracle == "convergence"]
+        assert violation.details["at"] == (3,)
+        assert "[3]" in violation.description
+        assert run.disagreeing == (3,)
+        assert not run.mutually_consistent()
+        alone = RecordedRun(AirlineState(), {2: logs[2]})
+        assert check_recorded_run(alone, capacity=3)[0] == ()
+
+    def test_copy_differing_only_in_real_time_is_convicted(self):
+        logs = forged_copy_logs(seen_txids=None, shift=0.5)
+        run = RecordedRun(AirlineState(), logs)
+        violations, _ = check_recorded_run(run, capacity=3)
+        assert [v.oracle for v in violations] == ["convergence"]
+        assert run.disagreeing == (3,)
+
     def test_all_records_dedupes_by_txid(self):
         logs = healthy_logs()
         run = RecordedRun(AirlineState(), logs)
-        union = run.all_records()
+        union = run.records
         assert len(union) == len({r.txid for r in union})
         assert len(union) == len(logs[0])
 
@@ -155,6 +196,18 @@ class TestOracleCli:
         assert report["oracles"] == [
             "consistency_rc", "consistency_prefix"
         ]
+
+    def test_cli_convicts_a_forged_copy(self, tmp_path, capsys):
+        logs = forged_copy_logs(seen_txids=frozenset({0}), shift=5.0)
+        self.write_history(tmp_path, logs)
+        code = oracle_cli.main(
+            ["--history", str(tmp_path), "--capacity", "3",
+             "--format", "json"]
+        )
+        report = json.loads(capsys.readouterr().out)
+        assert code == 1
+        assert [f["oracle"] for f in report["failures"]] == ["convergence"]
+        assert report["failures"][0]["details"] == {"at": "(3,)"}
 
     def test_cli_convicts_a_tampered_history(self, tmp_path, capsys):
         logs = healthy_logs()
