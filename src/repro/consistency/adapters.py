@@ -18,6 +18,14 @@ The mapping, per record:
   updates in timestamp order, so that writer's value is what the
   observed state held), or the initial transaction when no visible
   transaction wrote *k*;
+* **visibility** — the paper's prefix subsequence (§3.1–3.2) is "every
+  record before it in timestamp order except its *k* missing ones", so
+  :func:`missing_positions` computes each record's missing positions in
+  O(runs + k) amortised, without enumerating the seen-set.  A read's
+  source is then found by walking the key's writers back from the
+  record, past the missing ones, and the missing sets ride on the
+  :class:`~repro.consistency.model.History` as its ``visibility``
+  witness for the checkers to verify;
 * **session order** — one session per node *incarnation*:
   ``"<origin>"``, splitting to ``"<origin>.<n>"`` after the n-th crash
   of that node.  A crash may lose volatile state, and the paper's
@@ -32,9 +40,9 @@ dropped; the count is recorded in ``History.meta["dangling_refs"]``.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Mapping, Optional, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
-from ..replica.log import UpdateRecord
+from ..replica.log import RunSet, UpdateRecord, runs_difference, runs_of
 from ..sim.trace import TraceEvent
 from .footprints import FootprintRegistry, airline_footprints
 from .model import History, HTransaction
@@ -64,16 +72,103 @@ def _session(
     return f"{origin}.{incarnation}"
 
 
+def _enumerated_missing(
+    seen: Iterable[object], i: int, index_of: Mapping[int, int]
+) -> Optional[Tuple[int, ...]]:
+    """Record ``i``'s missing positions from its whole seen-set: O(i +
+    |seen|).  ``None`` if it names record ``i`` itself or a later one."""
+    positions = set()
+    for txid in seen:
+        j = index_of.get(txid)
+        if j is not None:
+            if j >= i:
+                return None
+            positions.add(j)
+    return tuple(j for j in range(i) if j not in positions)
+
+
+def missing_positions(
+    ordered: Sequence[UpdateRecord],
+) -> List[Optional[Tuple[int, ...]]]:
+    """Per record of ``ordered`` (timestamp order): the positions below
+    it whose txids its seen-set lacks, ascending.  ``None`` where the
+    seen-set names the record itself or a later one, which no missing
+    set below it can express.  Seen txids that are no record's
+    (dangling) are simply not positions.
+
+    A node's log only grows between two of its decisions, so record
+    ``i`` is derived from ``p``, the previous representable record of
+    the same origin, whatever the txid layout:
+
+    * ``D`` = seen(i) − seen(p), as runs;
+    * ``|seen(i)| = |seen(p)| + |D|`` proves seen(p) ⊆ seen(i) by count;
+    * every record txid in ``D`` lies below ``i``;
+    * then missing(i) = (missing(p) ∪ [p, i)) − positions(D): only
+      p's missing set and the records since p are re-tested.
+
+    That is O(runs + |missing(p)| + (i − p)) per record, so O(runs + k)
+    amortised plus the number of origins.  A record with no such ``p``
+    (its origin's first, the first after a volatile-state crash shrank
+    the log, or a seen-set that is not a set of ints) is enumerated
+    instead.
+    """
+    index_of = {r.txid: i for i, r in enumerate(ordered)}
+    #: origin → (position, seen bounds, seen count, missing) of its
+    #: last representable record.
+    last: Dict[int, Tuple[int, Sequence[int], int, Tuple[int, ...]]] = {}
+    out: List[Optional[Tuple[int, ...]]] = []
+    for i, record in enumerate(ordered):
+        seen = record.seen_txids
+        if isinstance(seen, RunSet):
+            bounds: Optional[Sequence[int]] = seen.bounds
+        else:
+            try:
+                bounds = runs_of(seen)
+            except TypeError:
+                bounds = None
+        base = last.get(record.origin) if bounds is not None else None
+        if base is not None:
+            p, prev_bounds, prev_count, prev_missing = base
+            gain = RunSet(runs_difference(bounds, prev_bounds))
+            if len(seen) != prev_count + len(gain):
+                base = None  # not a superset: the log shrank
+        missing: Optional[Tuple[int, ...]]
+        if base is None:
+            missing = _enumerated_missing(seen, i, index_of)
+        else:
+            gained = {index_of[t] for t in gain if t in index_of}
+            if gained and max(gained) >= i:
+                missing = None
+            else:
+                missing = tuple(
+                    m for m in prev_missing if m not in gained
+                ) + tuple(j for j in range(p, i) if j not in gained)
+        out.append(missing)
+        if missing is None or bounds is None:
+            last.pop(record.origin, None)
+        else:
+            last[record.origin] = (i, bounds, len(seen), missing)
+    return out
+
+
 def history_from_records(
     records: Iterable[UpdateRecord],
     *,
     crash_times: Optional[Mapping[int, Tuple[float, ...]]] = None,
     footprints: Optional[FootprintRegistry] = None,
 ) -> History:
-    """The checker history of a set of surviving update records."""
+    """The checker history of a set of surviving update records.
+
+    Each key keeps its writers' positions in timestamp order, so a
+    read's source is found by walking back past the reader's missing
+    positions: O(k).  A record whose seen-set :func:`missing_positions`
+    cannot express is resolved by walking its visible records instead,
+    and the history then carries no visibility witness.
+    """
     registry = footprints or airline_footprints()
     crash_times = crash_times or {}
     ordered = sorted(records, key=lambda r: r.ts)
+    missing = missing_positions(ordered)
     universe: Dict[int, UpdateRecord] = {r.txid: r for r in ordered}
     writes_of: Dict[int, Tuple[str, ...]] = {}
     reads_of: Dict[int, Tuple[str, ...]] = {}
@@ -83,23 +178,40 @@ def history_from_records(
         writes_of[record.txid] = fp.writes
 
     dangling = 0
+    writers: Dict[str, List[int]] = {}  # key → positions, ascending
     transactions: List[HTransaction] = []
-    for record in ordered:
-        visible: List[UpdateRecord] = []
-        for txid in record.seen_txids:
-            seen = universe.get(txid)
-            if seen is None:
-                dangling += 1
-            elif txid != record.txid:
-                visible.append(seen)
-        visible.sort(key=lambda r: r.ts)
+    for i, record in enumerate(ordered):
         reads: List[Tuple[str, Optional[int]]] = []
-        for key in reads_of[record.txid]:
-            src: Optional[int] = None
-            for candidate in visible:  # last wins: max-ts visible writer
-                if key in writes_of[candidate.txid]:
-                    src = candidate.txid
-            reads.append((key, src))
+        gone = missing[i]
+        if gone is not None:
+            # every seen txid that is a record lies below i.
+            dangling += len(record.seen_txids) - i + len(gone)
+            skip = frozenset(gone)
+            for key in reads_of[record.txid]:
+                below = writers.get(key, ())
+                j = len(below) - 1
+                while j >= 0 and below[j] in skip:
+                    j -= 1
+                reads.append(
+                    (key, ordered[below[j]].txid if j >= 0 else None)
+                )
+        else:
+            visible: List[UpdateRecord] = []
+            for txid in record.seen_txids:
+                seen = universe.get(txid)
+                if seen is None:
+                    dangling += 1
+                elif txid != record.txid:
+                    visible.append(seen)
+            visible.sort(key=lambda r: r.ts)
+            for key in reads_of[record.txid]:
+                src: Optional[int] = None
+                for candidate in visible:  # last wins: max-ts visible writer
+                    if key in writes_of[candidate.txid]:
+                        src = candidate.txid
+                reads.append((key, src))
+        for key in writes_of[record.txid]:
+            writers.setdefault(key, []).append(i)
         transactions.append(HTransaction(
             txid=record.txid,
             session=_session(record.origin, record.real_time, crash_times),
@@ -107,12 +219,13 @@ def history_from_records(
             writes=writes_of[record.txid],
         ))
     sessions = sorted({t.session for t in transactions})
+    witness = None if None in missing else tuple(missing)
     return History(transactions, meta={
         "transactions": len(transactions),
         "dangling_refs": dangling,
         "sessions": sessions,
         "session_splits": sum(1 for s in sessions if "." in s),
-    })
+    }, visibility=witness)
 
 
 def history_from_trace(
@@ -162,4 +275,5 @@ __all__ = [
     "history_from_dir",
     "history_from_records",
     "history_from_trace",
+    "missing_positions",
 ]

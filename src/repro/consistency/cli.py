@@ -11,19 +11,27 @@ Exit codes follow the ``python -m repro.chaos`` convention:
 
 * ``0`` — every requested model is satisfied;
 * ``1`` — at least one model is violated (or a prefix search came back
-  indeterminate — treated conservatively as not-passing);
+  indeterminate — treated conservatively as not-passing), or the node
+  logs of a ``--history`` directory hold differing copies of a record;
 * ``2`` — usage error: unreadable input, no records, unknown model.
 
+A directory's node logs are merged by txid
+(:class:`~repro.shard.history.RecordedRun`) and the models are checked
+on their union; copies that differ between logs are a typed failure of
+their own, ``copies``, since the union keeps only one of them.
+
 ``--format json`` emits one object with a per-model verdict map and a
-``violations`` *count* (matching the campaign report shape);
-``--format text`` prints one line per model plus the witness edges.
+``violations`` *count* (matching the campaign report shape), plus a
+``failures`` list of the typed failures outside the models when there
+is one; ``--format text`` prints one line per model plus the witness
+edges.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-from typing import List, Optional
+from typing import Dict, List, Optional
 
 from .checkers import MODEL_ORDER, Verdict, canonical_model, check
 from .model import History
@@ -39,7 +47,11 @@ def _parse_models(spec: str) -> List[str]:
     return models or list(MODEL_ORDER)
 
 
-def _print_text(history: History, verdicts: List[Verdict]) -> None:
+def _print_text(
+    history: History,
+    verdicts: List[Verdict],
+    failures: List[Dict[str, object]],
+) -> None:
     meta = history.meta
     print(
         f"history: {len(history)} transaction(s), "
@@ -56,8 +68,12 @@ def _print_text(history: History, verdicts: List[Verdict]) -> None:
                 print(f"  {verdict.witness.description}")
             for src, dst, reason in verdict.witness.edges:
                 print(f"  - {reason}")
+    for failure in failures:
+        print(f"{failure['check']}: {failure['description']}")
     failing = sum(1 for v in verdicts if not v.ok)
-    print("ok" if failing == 0 else f"{failing} model(s) not satisfied")
+    problems = [f"{failing} model(s) not satisfied"] if failing else []
+    problems += [f"{failure['check']} failed" for failure in failures]
+    print("; ".join(problems) or "ok")
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -98,18 +114,30 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(f"error: {exc}")
         return 2
 
+    failures: List[Dict[str, object]] = []
     if args.history is not None:
-        from .adapters import history_from_dir
+        from ..runtime.history import load_run
+        from .adapters import history_from_trace
 
         try:
-            history = history_from_dir(
-                args.history,
+            run = load_run(args.history, None)
+            history = history_from_trace(
+                run.records, run.events,
                 split_sessions_at_crash=not args.no_session_split,
             )
         except (OSError, ValueError) as exc:
             print(f"error: cannot load history from {args.history}: {exc}")
             return 2
         source_name = args.history
+        if run.disagreeing:
+            failures.append({
+                "check": "copies",
+                "description": (
+                    "node logs hold differing copies of txid(s) "
+                    f"{list(run.disagreeing)}"
+                ),
+                "txids": list(run.disagreeing),
+            })
     else:
         try:
             with open(args.file, "r", encoding="utf-8") as handle:
@@ -129,9 +157,9 @@ def main(argv: Optional[List[str]] = None) -> int:
             kwargs["budget"] = args.budget
         verdicts.append(check(history, model, **kwargs))
 
-    failing = sum(1 for v in verdicts if not v.ok)
+    failing = sum(1 for v in verdicts if not v.ok) + len(failures)
     if args.format == "json":
-        print(json.dumps({
+        report: Dict[str, object] = {
             "source": source_name,
             "transactions": len(history),
             "sessions": sorted(history.sessions()),
@@ -139,9 +167,12 @@ def main(argv: Optional[List[str]] = None) -> int:
             "models": {v.model: v.as_dict() for v in verdicts},
             "violations": failing,
             "ok": failing == 0,
-        }, indent=2, sort_keys=True))
+        }
+        if failures:
+            report["failures"] = failures
+        print(json.dumps(report, indent=2, sort_keys=True))
     else:
-        _print_text(history, verdicts)
+        _print_text(history, verdicts, failures)
     return 0 if failing == 0 else 1
 
 

@@ -14,7 +14,11 @@ comparison is ever needed — so this IR stores reads directly as
   value), and the set of keys it wrote;
 * :class:`History` — the transactions in a canonical *issue order*
   (adapters use the global timestamp order; generators use construction
-  order), from which session sequences are derived by stable filtering.
+  order), from which session sequences are derived by stable filtering,
+  and optionally a *visibility witness*: per transaction, the positions
+  before it in issue order that it did not see.  The checkers verify a
+  witness before they use it, and a history without one (any JSON
+  history) is judged exactly as well, only by the slower search.
 
 Nothing in this module knows where a history came from: the simulator
 and runtime adapters (:mod:`repro.consistency.adapters`) and the
@@ -72,15 +76,23 @@ class History:
 
     ``meta`` carries adapter bookkeeping (dangling visibility references,
     session splits, …) and never influences a checker verdict.
+    ``visibility``, when given, holds one ascending tuple per transaction:
+    the positions in ``transactions`` before it that it did not see (the
+    paper's missing predecessors).  It never changes a verdict either,
+    only how fast an ``ok`` is found, and it is not serialised.
     """
 
     def __init__(
         self,
         transactions: Sequence[HTransaction],
         meta: Optional[Mapping[str, object]] = None,
+        visibility: Optional[Sequence[Tuple[int, ...]]] = None,
     ):
         self.transactions: Tuple[HTransaction, ...] = tuple(transactions)
         self.meta: Dict[str, object] = dict(meta or {})
+        self.visibility: Optional[Tuple[Tuple[int, ...], ...]] = (
+            None if visibility is None else tuple(visibility)
+        )
         self._by_txid: Dict[int, HTransaction] = {}
         for txn in self.transactions:
             if txn.txid in self._by_txid:

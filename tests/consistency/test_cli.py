@@ -9,6 +9,7 @@ from repro.consistency import History, HTransaction
 from repro.consistency.cli import main
 from repro.runtime.history import HistoryWriter, dump_records
 from repro.shard.cluster import ClusterConfig, ShardCluster
+from tests.runtime import test_offline
 
 
 def write_history_dir(tmp_path, seed=0, n_ops=12):
@@ -65,6 +66,43 @@ class TestHistoryDirMode:
         assert "read_committed: ok" in out
         assert "read_atomic: ok" in out
         assert "ok" in out.splitlines()[-1]
+
+    def test_ok_verdicts_name_the_timestamp_order_witness(
+        self, tmp_path, capsys
+    ):
+        write_history_dir(tmp_path)
+        main(["--history", str(tmp_path), "--format", "json"])
+        report = json.loads(capsys.readouterr().out)
+        for model in ("read_committed", "read_atomic", "causal"):
+            assert report["models"][model]["stats"] == {
+                "witness": "timestamp order"
+            }
+        assert "failures" not in report
+
+    def test_forged_copy_is_a_typed_failure(self, tmp_path, capsys):
+        """Node 2's copy of txid 3 saw ``{0}`` where the others saw
+        ``{0, 1}``: the union passes every model, but the copies
+        disagree, and that alone fails the run."""
+        test_offline.TestOracleCli().write_history(
+            tmp_path,
+            test_offline.forged_copy_logs(
+                seen_txids=frozenset({0}), shift=5.0
+            ),
+        )
+        code = main(["--history", str(tmp_path), "--format", "json"])
+        report = json.loads(capsys.readouterr().out)
+        assert code == 1
+        assert report["ok"] is False
+        assert all(v["ok"] for v in report["models"].values())
+        assert report["violations"] == 1
+        (failure,) = report["failures"]
+        assert failure["check"] == "copies"
+        assert failure["txids"] == [3]
+        code = main(["--history", str(tmp_path), "--models", "rc"])
+        assert code == 1
+        out = capsys.readouterr().out.splitlines()
+        assert out[-2].startswith("copies: ")
+        assert out[-1] == "copies failed"
 
     def test_missing_directory_exits_two(self, tmp_path, capsys):
         code = main(["--history", str(tmp_path / "nope")])

@@ -19,6 +19,14 @@ from repro.consistency import (
     brute_force_all,
     brute_force_check,
     check_all,
+    check_causal,
+    check_read_atomic,
+    check_read_committed,
+)
+from repro.consistency.checkers import (
+    WITNESSED,
+    causal_closure,
+    timestamp_order_certifies,
 )
 
 KEYS = ("x", "y", "z")
@@ -72,6 +80,56 @@ class TestAgreement:
     def test_lattice_is_monotone(self, history):
         oks = [v.ok for v in check_all(history, models=MODEL_ORDER)]
         assert oks == sorted(oks, reverse=True)
+
+
+def causal_past_witness(history):
+    """Each transaction's missing positions when it sees exactly its
+    (SO ∪ WR)⁺ predecessors that come before it in issue order."""
+    closure = causal_closure(history)
+    txids = history.txids
+    return tuple(
+        tuple(
+            j for j in range(i)
+            if txids[i] not in closure.get(txids[j], frozenset())
+        )
+        for i in range(len(txids))
+    )
+
+
+@st.composite
+def witnessed(draw):
+    """A generated history with a visibility witness: its causal past,
+    or arbitrary missing sets."""
+    history = draw(histories())
+    if draw(st.booleans()):
+        visibility = causal_past_witness(history)
+    else:
+        visibility = tuple(
+            tuple(j for j in range(i) if draw(st.booleans()))
+            for i in range(len(history))
+        )
+    return History(history.transactions, visibility=visibility)
+
+
+class TestWitnessAgreement:
+    @settings(max_examples=300, deadline=None)
+    @given(witnessed())
+    def test_witnessed_verdicts_equal_saturating_ones(self, history):
+        """A witness only ever decides how an ``ok`` is found: RC, RA
+        and causal give the verdict, and the cycle, that saturation
+        gives without it; and a certified history is accepted by the
+        brute-force reference for all three."""
+        bare = History(history.transactions)
+        certified = timestamp_order_certifies(history)
+        brute = brute_force_all(bare)
+        for checker in (
+            check_read_committed, check_read_atomic, check_causal
+        ):
+            fast, slow = checker(history), checker(bare)
+            assert (fast.status, fast.witness) == (slow.status, slow.witness)
+            assert (fast.stats == WITNESSED) == certified
+            if certified:
+                assert brute[fast.model]
 
 
 class TestReferenceGuards:
