@@ -89,7 +89,7 @@ def refined_deficits(execution: Execution) -> RefinedDeficits:
         state = execution.actual_before(i)
         assert isinstance(state, AirlineState)
         seq = execution.updates[:i]
-        kept = execution.prefixes[i]
+        kept = execution.prefix(i)
         plain.append(execution.deficit(i))
         over.append(refined_overbooking_deficit(seq, kept, state.assigned))
         under.append(refined_underbooking_deficit(seq, kept, state.assigned))

@@ -265,7 +265,7 @@ def theorem20_overbooking(
     seq = execution.updates[:index]
     state = execution.actual_before(index)
     assert isinstance(state, AirlineState)
-    k = refined_overbooking_deficit(seq, execution.prefixes[index], state.assigned)
+    k = refined_overbooking_deficit(seq, execution.prefix(index), state.assigned)
     before = constraint.cost(state)
     after = constraint.cost(execution.actual_after(index))
     limit = overbooking_bound(over_cost)(k)
@@ -293,7 +293,7 @@ def theorem20_underbooking(
     state = execution.actual_before(index)
     assert isinstance(state, AirlineState)
     k = refined_underbooking_deficit(
-        seq, execution.prefixes[index], state.assigned
+        seq, execution.prefix(index), state.assigned
     )
     before = constraint.cost(state)
     after = constraint.cost(execution.actual_after(index))
@@ -406,8 +406,8 @@ def _first_mover_seeing_both(
     for i in execution.indices:
         if execution.transactions[i].name not in ("MOVE_UP", "MOVE_DOWN"):
             continue
-        seen = set(execution.prefixes[i])
-        if req_index[p] in seen and req_index[q] in seen:
+        gone = execution.missing(i)
+        if all(r < i and r not in gone for r in req_index.values()):
             return i
     return None
 
@@ -470,8 +470,10 @@ def lemma26(
         for i in execution.indices:
             if execution.transactions[i].name not in ("MOVE_UP", "MOVE_DOWN"):
                 continue
-            seen = set(execution.prefixes[i])
-            if req_index[q] in seen and req_index[p] not in seen:
+            gone = execution.missing(i)  # REQUEST(P) is the older one
+            if req_index[q] < i and req_index[q] not in gone and (
+                req_index[p] in gone
+            ):
                 informed_together = False
                 break
     hypothesis = (

@@ -194,12 +194,15 @@ def oracle_k_completeness(ctx: OracleContext) -> List[Violation]:
     if ctx.execution is None:
         return []
     execution = ctx.execution
+    times = execution.times
     out: List[Violation] = []
     for i in execution.indices:
-        allowed = sum(
-            1 for j in range(i)
-            if execution.times[j] > execution.times[i] - ctx.t_bound
-        )
+        # when every missing predecessor is recent, it is among the
+        # allowed ones, so the deficit cannot exceed them.
+        cutoff = times[i] - ctx.t_bound
+        if all(times[j] > cutoff for j in execution.missing(i)):
+            continue
+        allowed = sum(1 for j in range(i) if times[j] > cutoff)
         if not is_k_complete(execution, i, allowed):
             out.append(Violation(
                 "k_completeness",

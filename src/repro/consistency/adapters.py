@@ -40,9 +40,9 @@ dropped; the count is recorded in ``History.meta["dangling_refs"]``.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
-from ..replica.log import RunSet, UpdateRecord, runs_difference, runs_of
+from ..replica.log import UpdateRecord, missing_positions
 from ..sim.trace import TraceEvent
 from .footprints import FootprintRegistry, airline_footprints
 from .model import History, HTransaction
@@ -70,85 +70,6 @@ def _session(
     if incarnation == 0:
         return str(origin)
     return f"{origin}.{incarnation}"
-
-
-def _enumerated_missing(
-    seen: Iterable[object], i: int, index_of: Mapping[int, int]
-) -> Optional[Tuple[int, ...]]:
-    """Record ``i``'s missing positions from its whole seen-set: O(i +
-    |seen|).  ``None`` if it names record ``i`` itself or a later one."""
-    positions = set()
-    for txid in seen:
-        j = index_of.get(txid)
-        if j is not None:
-            if j >= i:
-                return None
-            positions.add(j)
-    return tuple(j for j in range(i) if j not in positions)
-
-
-def missing_positions(
-    ordered: Sequence[UpdateRecord],
-) -> List[Optional[Tuple[int, ...]]]:
-    """Per record of ``ordered`` (timestamp order): the positions below
-    it whose txids its seen-set lacks, ascending.  ``None`` where the
-    seen-set names the record itself or a later one, which no missing
-    set below it can express.  Seen txids that are no record's
-    (dangling) are simply not positions.
-
-    A node's log only grows between two of its decisions, so record
-    ``i`` is derived from ``p``, the previous representable record of
-    the same origin, whatever the txid layout:
-
-    * ``D`` = seen(i) − seen(p), as runs;
-    * ``|seen(i)| = |seen(p)| + |D|`` proves seen(p) ⊆ seen(i) by count;
-    * every record txid in ``D`` lies below ``i``;
-    * then missing(i) = (missing(p) ∪ [p, i)) − positions(D): only
-      p's missing set and the records since p are re-tested.
-
-    That is O(runs + |missing(p)| + (i − p)) per record, so O(runs + k)
-    amortised plus the number of origins.  A record with no such ``p``
-    (its origin's first, the first after a volatile-state crash shrank
-    the log, or a seen-set that is not a set of ints) is enumerated
-    instead.
-    """
-    index_of = {r.txid: i for i, r in enumerate(ordered)}
-    #: origin → (position, seen bounds, seen count, missing) of its
-    #: last representable record.
-    last: Dict[int, Tuple[int, Sequence[int], int, Tuple[int, ...]]] = {}
-    out: List[Optional[Tuple[int, ...]]] = []
-    for i, record in enumerate(ordered):
-        seen = record.seen_txids
-        if isinstance(seen, RunSet):
-            bounds: Optional[Sequence[int]] = seen.bounds
-        else:
-            try:
-                bounds = runs_of(seen)
-            except TypeError:
-                bounds = None
-        base = last.get(record.origin) if bounds is not None else None
-        if base is not None:
-            p, prev_bounds, prev_count, prev_missing = base
-            gain = RunSet(runs_difference(bounds, prev_bounds))
-            if len(seen) != prev_count + len(gain):
-                base = None  # not a superset: the log shrank
-        missing: Optional[Tuple[int, ...]]
-        if base is None:
-            missing = _enumerated_missing(seen, i, index_of)
-        else:
-            gained = {index_of[t] for t in gain if t in index_of}
-            if gained and max(gained) >= i:
-                missing = None
-            else:
-                missing = tuple(
-                    m for m in prev_missing if m not in gained
-                ) + tuple(j for j in range(p, i) if j not in gained)
-        out.append(missing)
-        if missing is None or bounds is None:
-            last.pop(record.origin, None)
-        else:
-            last[record.origin] = (i, bounds, len(seen), missing)
-    return out
 
 
 def history_from_records(

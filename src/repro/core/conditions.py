@@ -19,10 +19,10 @@ at some cost in availability.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, List, Optional, Sequence, Set, Tuple
+from bisect import bisect_left
+from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .execution import Execution, TimedExecution
-from .transaction import Transaction
 
 TransactionPredicate = Callable[[Execution, int], bool]
 
@@ -30,42 +30,44 @@ TransactionPredicate = Callable[[Execution, int], bool]
 # -- transitivity ---------------------------------------------------------
 
 
+def _violations(execution: Execution) -> Iterator[Tuple[int, int, int]]:
+    """The triples of :func:`transitivity_violations`, lazily, from the
+    missing sets: each transaction checks only the newest ones it saw
+    that no other covers, as :mod:`repro.core.execution` argues, and one
+    that check does not prove closed tries every ``j`` it saw."""
+    missing = [frozenset(execution.missing(i)) for i in execution.indices]
+    closed: List[bool] = []
+    for i, unseen in enumerate(missing):
+        gone = execution.missing(i)
+        j = i - 1
+        while j in unseen:  # the newest index i saw
+            j -= 1
+        uncovered = missing[j] if j >= 0 else unseen
+        while j >= 0 and closed[j] and missing[j].issuperset(
+            gone[:bisect_left(gone, j)]
+        ):
+            uncovered &= missing[j]
+            j = max(uncovered - unseen, default=-1)
+        triples = [] if j < 0 else [
+            (i, j, h) for j in execution.prefix(i)
+            for h in gone[:bisect_left(gone, j)] if h not in missing[j]
+        ]
+        closed.append(not triples)
+        yield from triples
+
+
 def transitivity_violations(
     execution: Execution,
 ) -> List[Tuple[int, int, int]]:
     """All triples ``(i, j, h)`` with ``h`` in prefix of ``j``, ``j`` in
-    prefix of ``i``, but ``h`` not in prefix of ``i``."""
-    violations: List[Tuple[int, int, int]] = []
-    prefix_sets = [set(p) for p in execution.prefixes]
-    for i in execution.indices:
-        seen_i = prefix_sets[i]
-        for j in execution.prefixes[i]:
-            if prefix_sets[j] <= seen_i:
-                continue
-            for h in execution.prefixes[j]:
-                if h not in seen_i:
-                    violations.append((i, j, h))
-    return violations
+    prefix of ``i``, but ``h`` not in prefix of ``i``, ascending."""
+    return list(_violations(execution))
 
 
 def is_transitive(execution: Execution) -> bool:
-    """Section 3.2: prefixes are transitively closed.
-
-    Walks each prefix from newest to oldest and skips a ``j`` that lies
-    in the prefix of a ``j'`` already checked: every earlier transaction
-    has passed, so ``j``'s prefix lies inside ``j'``'s and hence inside
-    this one."""
-    prefix_sets = [set(p) for p in execution.prefixes]
-    for i in execution.indices:
-        seen_i = prefix_sets[i]
-        covered: Set[int] = set()
-        for j in reversed(execution.prefixes[i]):
-            if j in covered:
-                continue
-            if not prefix_sets[j] <= seen_i:
-                return False
-            covered |= prefix_sets[j]
-    return True
+    """Section 3.2: prefixes are transitively closed.  Stops at the
+    first violation."""
+    return next(_violations(execution), None) is None
 
 
 def transitive_closure_prefixes(
@@ -79,10 +81,8 @@ def transitive_closure_prefixes(
     """
     closed: List[frozenset] = []
     for i in execution.indices:
-        acc = set(execution.prefixes[i])
-        for j in execution.prefixes[i]:
-            acc |= closed[j]
-        closed.append(frozenset(acc))
+        prefix = execution.prefix(i)
+        closed.append(frozenset(prefix).union(*map(closed.__getitem__, prefix)))
     return tuple(tuple(sorted(s)) for s in closed)
 
 
@@ -105,12 +105,10 @@ def all_k_complete(
 ) -> bool:
     """True iff every transaction (or every one selected by ``which``)
     is k-complete in the execution."""
-    for i in execution.indices:
-        if which is not None and not which(execution, i):
-            continue
-        if execution.deficit(i) > k:
-            return False
-    return True
+    return all(
+        execution.deficit(i) <= k for i in execution.indices
+        if which is None or which(execution, i)
+    )
 
 
 def max_deficit(
@@ -119,12 +117,10 @@ def max_deficit(
 ) -> int:
     """The largest completeness deficit among the selected transactions —
     the smallest k for which they are all k-complete."""
-    worst = 0
-    for i in execution.indices:
-        if which is not None and not which(execution, i):
-            continue
-        worst = max(worst, execution.deficit(i))
-    return worst
+    return max((
+        execution.deficit(i) for i in execution.indices
+        if which is None or which(execution, i)
+    ), default=0)
 
 
 def family_predicate(*names: str) -> TransactionPredicate:
@@ -145,14 +141,11 @@ def centralization_violations(
 ) -> List[Tuple[int, int]]:
     """Pairs ``(i, j)`` of group members with ``j < i`` but ``j`` missing
     from ``i``'s prefix subsequence."""
-    members = sorted(set(group))
-    violations: List[Tuple[int, int]] = []
-    for pos, i in enumerate(members):
-        seen = set(execution.prefixes[i])
-        for j in members[:pos]:
-            if j not in seen:
-                violations.append((i, j))
-    return violations
+    members = set(group)
+    return [
+        (i, j) for i in sorted(members) for j in execution.missing(i)
+        if j in members
+    ]
 
 
 def is_centralized(execution: Execution, group: Iterable[int]) -> bool:
@@ -200,21 +193,11 @@ def is_atomic(execution: Execution, indices: Sequence[int]) -> bool:
     indices = list(indices)
     if not indices:
         return True
-    if indices != list(range(indices[0], indices[-1] + 1)):
-        return False
-    start = indices[0]
-    base: Optional[frozenset] = None
-    for pos, i in enumerate(indices):
-        seen = set(execution.prefixes[i])
-        for j in indices[:pos]:
-            if j not in seen:
-                return False
-        outside = frozenset(j for j in seen if j < start)
-        if base is None:
-            base = outside
-        elif outside != base:
-            return False
-    return True
+    # the first member misses only transactions before the run, so both
+    # hold iff every member misses exactly what it misses.
+    return indices == list(range(indices[0], indices[-1] + 1)) and all(
+        execution.missing(i) == execution.missing(indices[0]) for i in indices
+    )
 
 
 # -- timed conditions --------------------------------------------------------
@@ -225,10 +208,8 @@ def bounded_delay_violations(
 ) -> List[Tuple[int, int]]:
     """Pairs ``(i, j)`` violating t-bounded delay: ``j`` precedes ``i`` by
     at least ``t`` in real time yet is missing from ``i``'s prefix."""
-    violations: List[Tuple[int, int]] = []
-    for i in execution.indices:
-        seen = set(execution.prefixes[i])
-        for j in range(i):
-            if execution.times[j] <= execution.times[i] - t and j not in seen:
-                violations.append((i, j))
-    return violations
+    times = execution.times
+    return [
+        (i, j) for i in execution.indices for j in execution.missing(i)
+        if times[j] <= times[i] - t
+    ]

@@ -24,16 +24,29 @@ subject to the four conditions of Section 3.1:
 :class:`Execution` stores the data and derives everything that conditions
 (2)-(4) determine; :meth:`Execution.validate` re-checks all four conditions
 from scratch.
+
+Each prefix subsequence is stored as its *missing set*, the ascending
+indices below ``i`` that transaction ``i`` did not see
+(:class:`MissingSets`): O(k), the count k-completeness bounds, where the
+indices seen grow with ``i``.  Condition (1) is "ascending, in ``[0,
+i)``"; condition (2)'s fold resumes below the first index whose
+membership differs from the last prefix's, found from the two missing
+sets in O(k).  For transitivity, ``P_j ⊆ P_i`` iff ``missing(i) ∩ [0, j)
+⊆ missing(j)``; with every earlier prefix closed, ``P_i`` is closed iff
+that holds for the ``j`` of a cover: the newest ``j`` it saw, which
+covers all below it but ``missing(j)``, then the newest uncovered one it
+saw, and so on, the uncovered shrinking to their intersection with each
+missing set — about one ``j`` per concurrent issuer, O(k) each.
 """
 
 from __future__ import annotations
 
-from itertools import compress, count
-from operator import lt, ne
+from itertools import filterfalse
+from operator import lt
 from typing import Iterable, Iterator, List, Sequence, Tuple
 
 from .state import State
-from .transaction import Decision, ExternalAction, Transaction
+from .transaction import ExternalAction, Transaction
 from .update import Update, apply_sequence
 
 
@@ -41,20 +54,30 @@ class InvalidExecutionError(ValueError):
     """Raised when the data fails the Section 3.1 conditions."""
 
 
-class _CheckedPrefixes(tuple):
-    """Prefix subsequences that have passed condition (1).  An execution
-    built from another one's prefixes, or by :meth:`Execution.run`, keeps
-    them as they are instead of checking them again."""
+class MissingSets(tuple):
+    """Per transaction ``i``, the ascending indices below ``i`` missing
+    from its prefix subsequence, which is ``range(i)`` minus them.
+    Building one checks condition (1) in this form, O(k) per
+    transaction; an execution given one keeps it as it is."""
+
+    def __new__(cls, missing: Iterable[Sequence[int]]) -> "MissingSets":
+        self = super().__new__(cls, map(tuple, missing))
+        for index, gone in enumerate(self):
+            if not all(map(lt, (-1,) + gone, gone + (index,))):
+                raise InvalidExecutionError(
+                    f"missing indices of transaction {index} are not "
+                    f"strictly increasing in [0, {index}): {gone}"
+                )
+        return self
 
 
-def _check_prefixes(prefixes: Iterable[Sequence[int]]) -> _CheckedPrefixes:
-    """Validate condition (1) for every transaction and normalize the
-    prefixes to tuples."""
-    if isinstance(prefixes, _CheckedPrefixes):
+def _missing_form(prefixes: Iterable[Sequence[int]]) -> MissingSets:
+    """Validate condition (1) for every prefix subsequence, given as its
+    indices or as :class:`MissingSets`, and return the missing form."""
+    if isinstance(prefixes, MissingSets):
         return prefixes
-    checked = []
-    for index, prefix in enumerate(prefixes):
-        prefix = tuple(prefix)
+    missing = []
+    for index, prefix in enumerate(map(tuple, prefixes)):
         if not all(map(lt, prefix, prefix[1:])):
             raise InvalidExecutionError(
                 f"prefix of transaction {index} is not strictly increasing: "
@@ -65,55 +88,64 @@ def _check_prefixes(prefixes: Iterable[Sequence[int]]) -> _CheckedPrefixes:
                 f"prefix of transaction {index} is not a subsequence of its "
                 f"preceding indices: {prefix}"
             )
-        checked.append(prefix)
-    return _CheckedPrefixes(checked)
+        missing.append(filterfalse(set(prefix).__contains__, range(index)))
+    return MissingSets(missing)
 
 
 class _FoldCursor:
     """Condition (2)'s apparent states for a run of prefix subsequences,
-    each folded on from the last one rather than from the initial state.
+    each ``range(end)`` minus its ascending missing indices, folded on
+    from the last one rather than from the initial state.
 
-    It keeps the last prefix and ``(position, state)`` checkpoints:
-    position 0 and the last prefix's end always, and in between only
-    positions spaced geometrically back from the end (1, 2, 4, ... apart)
-    — O(log n) states.  A prefix resumes from the newest checkpoint
-    inside its common part with the last one, so an extension applies
-    only its new indices.  While prefixes grow, one that diverges ``d``
-    positions before the last one's end redoes fewer than ``d`` common
-    positions."""
+    It keeps ``(position, index, state)`` checkpoints, the state after
+    the last prefix's first ``position`` updates, all below ``index``:
+    position 0 and the end always, and in between only positions spaced
+    geometrically back from the end (1, 2, 4, ... apart) — O(log n)
+    states.  A prefix resumes from the newest checkpoint inside its
+    common part with the last one, so an extension applies only its new
+    indices; while prefixes grow, one that diverges ``d`` positions
+    before the last one's end redoes fewer than ``d`` common positions."""
 
     def __init__(self, updates: Sequence[Update], initial_state: State):
         #: read by index as the caller appends to it.
         self._updates = updates
-        self._prefix: Tuple[int, ...] = ()
-        self._marks = [0]
-        self._states = [initial_state]
+        self._end, self._gone = 0, ()  # the last prefix
+        self._checkpoints = [(0, 0, initial_state)]
 
-    def fold(self, prefix: Tuple[int, ...]) -> State:
-        """The result of applying the updates at ``prefix`` in order."""
-        last, marks, states = self._prefix, self._marks, self._states
-        if prefix[:len(last)] != last:
-            common = next(compress(count(), map(ne, last, prefix)), len(prefix))
-            while marks[-1] > common:
-                marks.pop()
-                states.pop()
-        state = states[-1]
-        end = len(prefix)
-        if end > marks[-1]:
+    def fold(self, end: int, gone: Tuple[int, ...]) -> State:
+        """The result of applying the updates at ``range(end)`` minus the
+        ascending ``gone``, in order."""
+        last, checkpoints = self._gone, self._checkpoints
+        # the missing indices both prefixes share, then the first index
+        # in just one of them (or the shorter end): the common part.
+        same, most = 0, min(len(last), len(gone))
+        while same < most and last[same] == gone[same]:
+            same += 1
+        common = min(
+            last[same:same + 1] + gone[same:same + 1] + (end, self._end)
+        ) - same
+        while checkpoints[-1][0] > common:
+            checkpoints.pop()
+        position, index, state = checkpoints[-1]
+        size = end - len(gone)
+        if size > position:
             updates = self._updates
-            for position in range(marks[-1] + 1, end + 1):
-                state = updates[prefix[position - 1]].apply(state)
+            skip = set(gone).__contains__
+            for position, j in enumerate(
+                filterfalse(skip, range(index, end)), position + 1
+            ):
+                state = updates[j].apply(state)
                 # lay checkpoints 0, 1, 2, 4, ... positions before the end
-                distance = end - position
+                distance = size - position
                 if not distance & (distance - 1):
-                    marks.append(position)
-                    states.append(state)
+                    checkpoints.append((position, j + 1, state))
             # drop a checkpoint when the gap it leaves is no larger than
             # its newer neighbour's distance from the end.
-            for i in range(len(marks) - 2, 0, -1):
-                if marks[i + 1] - marks[i - 1] <= end - marks[i + 1]:
-                    del marks[i], states[i]
-        self._prefix = prefix
+            for i in range(len(checkpoints) - 2, 0, -1):
+                newer = checkpoints[i + 1][0]
+                if newer - checkpoints[i - 1][0] <= size - newer:
+                    del checkpoints[i]
+        self._end, self._gone = end, gone
         return state
 
 
@@ -144,7 +176,7 @@ class Execution:
             raise InvalidExecutionError("inconsistent sequence lengths")
         self.initial_state = initial_state
         self.transactions: Tuple[Transaction, ...] = tuple(transactions)
-        self.prefixes: Tuple[Tuple[int, ...], ...] = _check_prefixes(prefixes)
+        self._missing = _missing_form(prefixes)
         self.updates: Tuple[Update, ...] = tuple(updates)
         self.external_actions: Tuple[Tuple[ExternalAction, ...], ...] = tuple(
             tuple(e) for e in external_actions
@@ -169,25 +201,23 @@ class Execution:
         This is the canonical constructor: it runs each decision part
         against the apparent state determined by its prefix subsequence
         (conditions (2)-(3)) and threads the actual states (condition (4)).
+        The prefix subsequences are given as tuples of indices, converted
+        once, or as :class:`MissingSets`.
         """
         initial_state.require_well_formed()
         transactions = tuple(transactions)
-        norm_prefixes = _check_prefixes(prefixes)
-        if len(norm_prefixes) != len(transactions):
+        missing = _missing_form(prefixes)
+        if len(missing) != len(transactions):
             raise InvalidExecutionError(
                 "need exactly one prefix subsequence per transaction"
             )
 
-        steps = list(cls._derive(initial_state, transactions, norm_prefixes))
+        steps = list(cls._derive(initial_state, transactions, missing))
         updates = [step[0] for step in steps]
         apparent_before = [step[2] for step in steps]
         return cls(
-            initial_state,
-            transactions,
-            norm_prefixes,
-            updates,
-            [step[1] for step in steps],
-            apparent_before,
+            initial_state, transactions, missing, updates,
+            [step[1] for step in steps], apparent_before,
             [u.apply(seen) for u, seen in zip(updates, apparent_before)],
             [initial_state] + [step[3] for step in steps],
         )
@@ -196,7 +226,7 @@ class Execution:
     def _derive(
         initial_state: State,
         transactions: Sequence[Transaction],
-        prefixes: Sequence[Tuple[int, ...]],
+        missing: Sequence[Tuple[int, ...]],
     ) -> Iterator[Tuple[Update, Tuple[ExternalAction, ...], State, State]]:
         """What conditions (2)-(4) determine, one transaction at a time:
         ``(update, external actions, apparent state, actual state
@@ -206,8 +236,8 @@ class Execution:
         updates: List[Update] = []
         cursor = _FoldCursor(updates, initial_state)
         actual = initial_state
-        for txn, prefix in zip(transactions, prefixes):
-            seen = cursor.fold(prefix)
+        for i, (txn, gone) in enumerate(zip(transactions, missing)):
+            seen = cursor.fold(i, gone)
             decision = txn.decide(seen)
             updates.append(decision.update)
             actual = decision.update.apply(actual)
@@ -236,27 +266,30 @@ class Execution:
     def final_state(self) -> State:
         return self.actual_states[-1]
 
-    def apparent_state(self, i: int) -> State:
-        """The state transaction ``i`` observed (its decision input)."""
-        return self.apparent_before[i]
+    @property
+    def prefixes(self) -> Tuple[Tuple[int, ...], ...]:
+        """Every prefix subsequence as its indices: O(n²), derived on
+        each read; the execution keeps only the missing form."""
+        return tuple(map(self.prefix, self.indices))
+
+    def prefix(self, i: int) -> Tuple[int, ...]:
+        """Transaction ``i``'s prefix subsequence as its indices: O(i)."""
+        return tuple(filterfalse(set(self._missing[i]).__contains__, range(i)))
 
     def prefix_set(self, i: int) -> frozenset:
-        return frozenset(self.prefixes[i])
+        return frozenset(self.prefix(i))
 
     def missing(self, i: int) -> Tuple[int, ...]:
-        """Indices of preceding transactions *not* seen by transaction ``i``."""
-        seen = set(self.prefixes[i])
-        return tuple(j for j in range(i) if j not in seen)
+        """Indices of preceding transactions *not* seen by transaction
+        ``i``, ascending: O(1), as stored."""
+        return self._missing[i]
 
     def deficit(self, i: int) -> int:
         """Number of preceding transactions not seen by transaction ``i``.
 
         Transaction ``i`` is *k-complete* iff ``deficit(i) <= k``.
         """
-        return i - len(self.prefixes[i])
-
-    def decision_of(self, i: int) -> Decision:
-        return Decision(self.updates[i], self.external_actions[i])
+        return len(self._missing[i])
 
     # -- validation (conditions (1)-(4)) ----------------------------------
 
@@ -268,7 +301,7 @@ class Execution:
         self.initial_state.require_well_formed()
         actual_differs = False
         for i, (update, externals, seen, actual) in enumerate(
-            self._derive(self.initial_state, self.transactions, self.prefixes)
+            self._derive(self.initial_state, self.transactions, self._missing)
         ):
             if update != self.updates[i]:
                 raise InvalidExecutionError(
@@ -298,14 +331,12 @@ class Execution:
         """All external actions, in execution order."""
         return tuple(a for acts in self.external_actions for a in acts)
 
-    def update_subsequence(self, indices: Iterable[int]) -> Tuple[Update, ...]:
-        """The updates of the given (sorted) index subsequence."""
-        return tuple(self.updates[j] for j in sorted(indices))
-
     def result_of(self, indices: Iterable[int]) -> State:
         """State obtained by applying the updates at ``indices`` (sorted)
         to the initial state — the paper's "result of a subsequence"."""
-        return apply_sequence(self.update_subsequence(indices), self.initial_state)
+        return apply_sequence(
+            map(self.updates.__getitem__, sorted(indices)), self.initial_state
+        )
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"<Execution of {len(self)} transactions>"
@@ -318,17 +349,8 @@ class TimedExecution(Execution):
     def __init__(self, execution: Execution, times: Sequence[float]):
         if len(times) != len(execution):
             raise InvalidExecutionError("need one time per transaction")
-        # the execution's prefixes passed condition (1) when it was built.
-        super().__init__(
-            execution.initial_state,
-            execution.transactions,
-            execution.prefixes,
-            execution.updates,
-            execution.external_actions,
-            execution.apparent_before,
-            execution.apparent_after,
-            execution.actual_states,
-        )
+        # the execution's fields passed every check when it was built.
+        vars(self).update(vars(execution))
         if any(t < 0 for t in times):
             raise InvalidExecutionError("real times must be nonnegative")
         self.times: Tuple[float, ...] = tuple(times)
@@ -340,9 +362,6 @@ class TimedExecution(Execution):
     def has_bounded_delay(self, t: float) -> bool:
         """True iff every transaction sees all predecessors whose real time
         is at least ``t`` smaller than its own (t-bounded delay)."""
-        for i in self.indices:
-            seen = set(self.prefixes[i])
-            for j in range(i):
-                if self.times[j] <= self.times[i] - t and j not in seen:
-                    return False
-        return True
+        from .conditions import bounded_delay_violations
+
+        return not bounded_delay_violations(self, t)

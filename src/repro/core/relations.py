@@ -121,5 +121,5 @@ def pairs_from_execution(
     return InformationPair(
         execution.initial_state,
         tuple(execution.updates[:index]),
-        tuple(execution.prefixes[index]),
+        execution.prefix(index),
     )

@@ -16,7 +16,8 @@ is a prefix of each issuer's consecutive txids, so it costs O(runs),
 where a ``frozenset`` of the log's txids costs O(log length) per
 transaction.  The run arithmetic here is shared: the gossip service
 keeps each node's delivered keys as runs with the same insert, and
-reconciles two nodes by run difference and intersection.
+reconciles two nodes by run difference and intersection, and
+:func:`missing_positions` derives each record's missing positions.
 
 This is the *single* copy of the sequence: merge engines are views over
 it (see :class:`repro.replica.engine.LogUpdateSource`) and never shadow
@@ -31,7 +32,7 @@ from dataclasses import dataclass
 from itertools import chain
 from numbers import Real
 from typing import (
-    AbstractSet, Iterable, Iterator, List, Optional, Sequence, Tuple,
+    AbstractSet, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple,
 )
 
 from ..core.transaction import Transaction
@@ -233,6 +234,68 @@ class UpdateRecord:
 
     def __lt__(self, other: "UpdateRecord") -> bool:
         return self.ts < other.ts
+
+
+def missing_positions(
+    ordered: Sequence[UpdateRecord],
+) -> List[Optional[Tuple[int, ...]]]:
+    """Per record of ``ordered`` (timestamp order): the positions below
+    it whose txids its seen-set lacks, ascending — the visibility of
+    both the formal execution and the checker history.  ``None`` where
+    the seen-set names the record itself or a later one, which no
+    missing set below it can express.  Seen txids that are no record's
+    (dangling) are simply not positions.
+
+    A node's log only grows between two of its decisions, so record
+    ``i`` is derived from ``p``, the previous representable record of
+    the same origin, whatever the txid layout:
+
+    * ``D`` = seen(i) − seen(p), as runs;
+    * ``|seen(i)| = |seen(p)| + |D|`` proves seen(p) ⊆ seen(i) by count;
+    * every record txid in ``D`` lies below ``i``;
+    * then missing(i) = (missing(p) ∪ [p, i)) − positions(D): only
+      p's missing set and the records since p are re-tested.
+
+    That is O(runs + |missing(p)| + (i − p)) per record, so O(runs + k)
+    amortised plus the number of origins.  A record with no such ``p``
+    (its origin's first, the first after a volatile-state crash shrank
+    the log, or a seen-set that is not a set of ints) is enumerated
+    instead, as if ``p`` were position 0 and seen(p) empty.
+    """
+    index_of = {r.txid: i for i, r in enumerate(ordered)}
+    #: origin → (position, seen bounds, seen count, missing) of its
+    #: last representable record.
+    last: Dict[int, Tuple[int, Sequence[int], int, Tuple[int, ...]]] = {}
+    out: List[Optional[Tuple[int, ...]]] = []
+    for i, record in enumerate(ordered):
+        seen = record.seen_txids
+        if isinstance(seen, RunSet):
+            bounds: Optional[Sequence[int]] = seen.bounds
+        else:
+            try:
+                bounds = runs_of(seen)
+            except TypeError:
+                bounds = None
+        base = last.get(record.origin) if bounds is not None else None
+        if base is not None:
+            p, prev_bounds, prev_count, prev_missing = base
+            gain = RunSet(runs_difference(bounds, prev_bounds))
+            if len(seen) != prev_count + len(gain):
+                base = None  # not a superset: the log shrank
+        if base is None:
+            p, prev_missing, gain = 0, (), seen
+        gained = {index_of[t] for t in gain if t in index_of}
+        missing: Optional[Tuple[int, ...]] = None
+        if not gained or max(gained) < i:
+            missing = tuple(
+                m for m in prev_missing if m not in gained
+            ) + tuple(j for j in range(p, i) if j not in gained)
+        out.append(missing)
+        if missing is None or bounds is None:
+            last.pop(record.origin, None)
+        else:
+            last[record.origin] = (i, bounds, len(seen), missing)
+    return out
 
 
 class SystemLog:

@@ -17,11 +17,13 @@ its recorded node logs is a :class:`RecordedRun`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, Optional, Set, Tuple
 
-from ..core.execution import Execution, InvalidExecutionError, TimedExecution
+from ..core.execution import (
+    Execution, InvalidExecutionError, MissingSets, TimedExecution,
+)
 from ..core.state import State
-from ..replica import UpdateRecord
+from ..replica.log import UpdateRecord, missing_positions
 from ..sim.trace import TraceEvent
 
 
@@ -30,29 +32,33 @@ def extract_execution(
     records: Iterable[UpdateRecord],
     verify: bool = True,
 ) -> TimedExecution:
-    """Build the paper's execution object from a run's update records."""
+    """Build the paper's execution object from a run's update records,
+    each prefix subsequence as the record's missing positions
+    (:func:`repro.replica.log.missing_positions`): O(runs + k) each."""
     ordered = sorted(records, key=lambda r: r.ts)
-    index_of: Dict[int, int] = {r.txid: i for i, r in enumerate(ordered)}
-
-    transactions = [r.transaction for r in ordered]
-    prefixes: List[tuple] = []
-    for i, record in enumerate(ordered):
-        try:
-            prefix = sorted(map(index_of.__getitem__, record.seen_txids))
-        except KeyError:
-            missing = min(set(record.seen_txids) - index_of.keys())
+    missing = missing_positions(ordered)
+    for i, (record, gone) in enumerate(zip(ordered, missing)):
+        # every seen txid that is a record's lies below i, so a seen-set
+        # larger than what its missing set leaves names one that is not.
+        if gone is not None and len(record.seen_txids) == i - len(gone):
+            continue
+        dangling = set(record.seen_txids) - {r.txid for r in ordered}
+        if dangling:
             raise InvalidExecutionError(
-                f"transaction {record.txid} saw transaction {missing}, "
+                f"transaction {record.txid} saw transaction {min(dangling)}, "
                 "which is not among the records"
-            ) from None
-        if prefix and prefix[-1] >= i:
+            )
+        if gone is None:
             raise InvalidExecutionError(
                 f"transaction {record.txid} saw a transaction with a larger "
                 "timestamp; Lamport clock invariant violated"
             )
-        prefixes.append(tuple(prefix))
 
-    execution = Execution.run(initial_state, transactions, prefixes)
+    execution = Execution.run(
+        initial_state,
+        [r.transaction for r in ordered],
+        MissingSets(missing),
+    )
 
     if verify:
         for i, record in enumerate(ordered):

@@ -24,6 +24,11 @@ from repro.core import (
     transitive_closure_prefixes,
     transitivity_violations,
 )
+from tests.helpers import (
+    reference_bounded_delay_violations,
+    reference_is_transitive,
+    reference_transitivity_violations,
+)
 
 
 def run(prefixes, families=None):
@@ -115,7 +120,53 @@ def test_transitivity_checks_agree_with_brute_force(prefixes):
     e = run(prefixes)
     expected = brute_force_violations(prefixes)
     assert transitivity_violations(e) == expected
+    assert transitivity_violations(e) == (
+        reference_transitivity_violations(prefixes)
+    )
     assert is_transitive(e) == (not expected)
+    assert is_transitive(e) == reference_is_transitive(prefixes)
+
+
+def reference_centralization_violations(prefixes, group):
+    members = sorted(set(group))
+    return [
+        (i, j) for pos, i in enumerate(members) for j in members[:pos]
+        if j not in prefixes[i]
+    ]
+
+
+def reference_is_atomic(prefixes, indices):
+    """Section 3.1's two clauses on the tuple form."""
+    if indices != list(range(indices[0], indices[-1] + 1)):
+        return False
+    start = indices[0]
+    outside = {tuple(j for j in prefixes[i] if j < start) for i in indices}
+    return len(outside) == 1 and all(
+        j in prefixes[i] for pos, i in enumerate(indices)
+        for j in indices[:pos]
+    )
+
+
+@given(prefix_families(), st.integers(0, 2**32 - 1))
+@settings(max_examples=300, deadline=None)
+def test_missing_form_conditions_agree_with_the_tuple_form(prefixes, seed):
+    """Bounded delay, centralization and atomicity read missing sets;
+    each gives what the tuple form gives, pairs in the same order."""
+    rng = random.Random(seed)
+    times = sorted(rng.uniform(0.0, 20.0) for _ in prefixes)
+    e = TimedExecution(run(prefixes), times)
+    for t in (0.0, 1.0, 5.0):
+        assert bounded_delay_violations(e, t) == (
+            reference_bounded_delay_violations(prefixes, times, t)
+        )
+    group = [i for i in e.indices if rng.random() < 0.5]
+    assert centralization_violations(e, group) == (
+        reference_centralization_violations(prefixes, group)
+    )
+    if prefixes:
+        start = rng.randrange(len(prefixes))
+        span = list(range(start, rng.randrange(start, len(prefixes)) + 1))
+        assert is_atomic(e, span) == reference_is_atomic(prefixes, span)
 
 
 class TestCompleteness:

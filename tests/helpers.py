@@ -1,13 +1,106 @@
 """Shared test helpers: attaching a bare :class:`GossipService` (no
 ``NodeHost`` owning the transport slot), counting Python calls and
 mapping probes, and the from-scratch references that the execution's
-incremental fold and the causal gate are checked against."""
+incremental fold, its missing-set conditions and the causal gate are
+checked against."""
 
 import gc
 import sys
 from collections.abc import KeysView
+from operator import lt
 
+from repro.core.execution import InvalidExecutionError
 from repro.core.update import apply_sequence
+
+
+# -- the tuple form of prefix subsequences, kept as the reference ----------
+
+
+def reference_check_prefixes(prefixes):
+    """Condition (1) on prefix subsequences given as their indices:
+    each strictly increasing and inside ``range(i)``."""
+    checked = []
+    for index, prefix in enumerate(prefixes):
+        prefix = tuple(prefix)
+        if not all(map(lt, prefix, prefix[1:])):
+            raise InvalidExecutionError(
+                f"prefix of transaction {index} is not strictly increasing: "
+                f"{prefix}"
+            )
+        if prefix and (prefix[0] < 0 or prefix[-1] >= index):
+            raise InvalidExecutionError(
+                f"prefix of transaction {index} is not a subsequence of its "
+                f"preceding indices: {prefix}"
+            )
+        checked.append(prefix)
+    return tuple(checked)
+
+
+def reference_prefixes(records):
+    """Each record's prefix subsequence by sorting its seen-set's
+    indices in the timestamp order, with extraction's errors."""
+    ordered = sorted(records, key=lambda r: r.ts)
+    index_of = {r.txid: i for i, r in enumerate(ordered)}
+    prefixes = []
+    for i, record in enumerate(ordered):
+        try:
+            prefix = sorted(map(index_of.__getitem__, record.seen_txids))
+        except KeyError:
+            missing = min(set(record.seen_txids) - index_of.keys())
+            raise InvalidExecutionError(
+                f"transaction {record.txid} saw transaction {missing}, "
+                "which is not among the records"
+            ) from None
+        if prefix and prefix[-1] >= i:
+            raise InvalidExecutionError(
+                f"transaction {record.txid} saw a transaction with a larger "
+                "timestamp; Lamport clock invariant violated"
+            )
+        prefixes.append(tuple(prefix))
+    return reference_check_prefixes(prefixes)
+
+
+def reference_transitivity_violations(prefixes):
+    """Every ``(i, j, h)`` with ``h`` in P_j, ``j`` in P_i and ``h`` not
+    in P_i, walking each whole prefix."""
+    violations = []
+    prefix_sets = [set(p) for p in prefixes]
+    for i, prefix in enumerate(prefixes):
+        seen_i = prefix_sets[i]
+        for j in prefix:
+            if prefix_sets[j] <= seen_i:
+                continue
+            for h in prefixes[j]:
+                if h not in seen_i:
+                    violations.append((i, j, h))
+    return violations
+
+
+def reference_is_transitive(prefixes):
+    """Transitivity by each prefix's newest-first walk, skipping an
+    index a checked one already covers."""
+    prefix_sets = [set(p) for p in prefixes]
+    for i, prefix in enumerate(prefixes):
+        covered = set()
+        for j in reversed(prefix):
+            if j in covered:
+                continue
+            if not prefix_sets[j] <= prefix_sets[i]:
+                return False
+            covered |= prefix_sets[j]
+    return True
+
+
+def reference_bounded_delay_violations(prefixes, times, t):
+    """Every ``(i, j)`` with ``j`` at least ``t`` older than ``i`` in
+    real time and not in P_i, trying every ``j < i``."""
+    violations = []
+    for i, prefix in enumerate(prefixes):
+        seen = set(prefix)
+        for j in range(i):
+            if times[j] <= times[i] - t and j not in seen:
+                violations.append((i, j))
+    return violations
 
 
 def reference_derive(initial_state, transactions, prefixes):
