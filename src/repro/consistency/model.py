@@ -59,9 +59,6 @@ class HTransaction:
     reads: Tuple[Tuple[str, Optional[int]], ...] = ()
     writes: Tuple[str, ...] = ()
 
-    def read_keys(self) -> Tuple[str, ...]:
-        return tuple(key for key, _ in self.reads)
-
     def as_dict(self) -> Dict[str, object]:
         return {
             "txid": self.txid,

@@ -119,7 +119,6 @@ class ExecutionBuilder:
         self._updates: List[Update] = []
         self._externals: List[Tuple[ExternalAction, ...]] = []
         self._apparent_before: List[State] = []
-        self._apparent_after: List[State] = []
         self._actual_states: List[State] = [initial_state]
         self._times: List[float] = []
 
@@ -138,7 +137,7 @@ class ExecutionBuilder:
     def apparent_after(self, index: int) -> State:
         """The apparent state after the transaction at ``index`` (its
         decision's view of the world once its update runs)."""
-        return self._apparent_after[index]
+        return self._updates[index].apply(self._apparent_before[index])
 
     def state_seen_by(self, prefix: Sequence[int]) -> State:
         """Apparent state induced by a prefix subsequence."""
@@ -182,7 +181,6 @@ class ExecutionBuilder:
         self._updates.append(decision.update)
         self._externals.append(tuple(decision.external_actions))
         self._apparent_before.append(seen)
-        self._apparent_after.append(decision.update.apply(seen))
         self._actual_states.append(decision.update.apply(self.current_state))
         self._times.append(time if time is not None else float(n))
         return n
@@ -202,7 +200,6 @@ class ExecutionBuilder:
             self._updates,
             self._externals,
             self._apparent_before,
-            self._apparent_after,
             self._actual_states,
         )
 

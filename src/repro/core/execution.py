@@ -164,13 +164,12 @@ class Execution:
         updates: Sequence[Update],
         external_actions: Sequence[Tuple[ExternalAction, ...]],
         apparent_before: Sequence[State],
-        apparent_after: Sequence[State],
         actual_states: Sequence[State],
     ):
         n = len(transactions)
         if not (
             len(prefixes) == len(updates) == len(external_actions) == n
-            and len(apparent_before) == len(apparent_after) == n
+            and len(apparent_before) == n
             and len(actual_states) == n + 1
         ):
             raise InvalidExecutionError("inconsistent sequence lengths")
@@ -182,7 +181,6 @@ class Execution:
             tuple(e) for e in external_actions
         )
         self.apparent_before: Tuple[State, ...] = tuple(apparent_before)
-        self.apparent_after: Tuple[State, ...] = tuple(apparent_after)
         #: actual_states[0] is the initial state; actual_states[i + 1] is the
         #: actual state after transaction i (the paper's s_{i+1}).
         self.actual_states: Tuple[State, ...] = tuple(actual_states)
@@ -213,12 +211,10 @@ class Execution:
             )
 
         steps = list(cls._derive(initial_state, transactions, missing))
-        updates = [step[0] for step in steps]
-        apparent_before = [step[2] for step in steps]
         return cls(
-            initial_state, transactions, missing, updates,
-            [step[1] for step in steps], apparent_before,
-            [u.apply(seen) for u, seen in zip(updates, apparent_before)],
+            initial_state, transactions, missing,
+            [step[0] for step in steps], [step[1] for step in steps],
+            [step[2] for step in steps],
             [initial_state] + [step[3] for step in steps],
         )
 
@@ -254,6 +250,11 @@ class Execution:
     def indices(self) -> range:
         return range(len(self.transactions))
 
+    def apparent_after(self, i: int) -> State:
+        """The apparent state after transaction ``i``: its update applied
+        to the state it saw, derived on each call."""
+        return self.updates[i].apply(self.apparent_before[i])
+
     def actual_before(self, i: int) -> State:
         """The actual state before transaction ``i``."""
         return self.actual_states[i]
@@ -275,9 +276,6 @@ class Execution:
     def prefix(self, i: int) -> Tuple[int, ...]:
         """Transaction ``i``'s prefix subsequence as its indices: O(i)."""
         return tuple(filterfalse(set(self._missing[i]).__contains__, range(i)))
-
-    def prefix_set(self, i: int) -> frozenset:
-        return frozenset(self.prefix(i))
 
     def missing(self, i: int) -> Tuple[int, ...]:
         """Indices of preceding transactions *not* seen by transaction

@@ -92,7 +92,7 @@ class Grouping:
         for group in self.groups:
             if len(group) == 1 and preserves(execution, group[0]):
                 continue
-            apparent_after = execution.apparent_after[group[-1]]
+            apparent_after = execution.apparent_after(group[-1])
             if constraint_cost(apparent_after) <= _EPS:
                 continue
             bad.append(group)
@@ -120,7 +120,7 @@ def find_grouping(
             continue
         if open_since is None:
             open_since = i
-        if constraint_cost(execution.apparent_after[i]) <= _EPS:
+        if constraint_cost(execution.apparent_after(i)) <= _EPS:
             boundaries.append(i + 1)
             open_since = None
     if open_since is not None:

@@ -206,7 +206,7 @@ def lemma12(
         extended = Execution.run(
             execution.initial_state, transactions, prefixes
         )
-        apparent_after = extended.apparent_after[new_index]
+        apparent_after = extended.apparent_after(new_index)
         if cost(apparent_after) <= _EPS:
             break
     else:

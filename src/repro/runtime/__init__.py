@@ -29,9 +29,9 @@ Layout:
 * :mod:`.client` — the client API (get/put/submit/control) with
   history recording;
 * :mod:`.supervisor` — spawn/monitor/SIGKILL/respawn node processes;
-* :mod:`.loadgen` — sustained request streams against a live cluster;
-* :mod:`.demo` — the end-to-end smoke test,
-  ``python -m repro.runtime.demo``.
+* :mod:`.demo` — the end-to-end smoke test: the spec stream of
+  :func:`~repro.workloads.stream.generate_stream` replayed through the
+  client, ``python -m repro.runtime.demo``.
 """
 
 from .clock import RuntimeClock

@@ -156,7 +156,7 @@ class NodeClient:
         """Write ``calls`` as one coalesced frame; return their futures.
 
         The futures resolve out of order as responses arrive — callers
-        own the waiting policy (``request_many`` gathers in call order,
+        own the waiting policy (``request`` awaits its one future,
         ``ClusterClient.submit_many`` drains a sliding window).
         """
         calls = tuple(calls)
@@ -202,32 +202,6 @@ class NodeClient:
             raise NodeUnreachable(
                 f"{self.host}:{self.port}: {exc}"
             ) from exc
-
-    async def request_many(
-        self, calls: Sequence[Tuple[str, tuple]]
-    ) -> List[object]:
-        """Pipeline ``calls`` on one coalesced write; results come back
-        in call order even though completion itself may not be."""
-        futures = await self.post_many(calls)
-        try:
-            results = await asyncio.wait_for(
-                asyncio.gather(*futures, return_exceptions=True),
-                self.timeout,
-            )
-        except asyncio.TimeoutError as exc:
-            self._disconnect("request timed out")
-            raise NodeUnreachable(
-                f"{self.host}:{self.port}: {exc}"
-            ) from exc
-        for value in results:
-            if isinstance(value, RequestError):
-                raise value
-            if isinstance(value, BaseException):
-                self._disconnect(str(value) or type(value).__name__)
-                raise NodeUnreachable(
-                    f"{self.host}:{self.port}: {value}"
-                ) from value
-        return list(results)
 
     def close(self) -> None:
         self._disconnect("client closed")
@@ -410,9 +384,6 @@ class ClusterClient:
     async def snapshot(self, node_id: int) -> tuple:
         """The node's full log as live UpdateRecord objects."""
         return await self._nodes[node_id].request("snapshot")
-
-    async def skew(self, node_id: int, drift: int) -> int:
-        return await self._nodes[node_id].request("skew", drift)
 
     async def dump(self, node_id: int) -> int:
         """Ask the node to write its records-<id>.jsonl snapshot."""

@@ -1,20 +1,20 @@
 """Cluster and node specs: the configuration that crosses process lines.
 
 A :class:`ClusterSpec` describes one deployment — node count, the TCP
-port of every node, the shared epoch and time scale, the seed, gossip
-knobs, where history files go, and (optionally) the ``FaultPlan`` to
-replay.  The supervisor builds one, then hands each spawned process a
-:class:`NodeSpec` (= the cluster spec + that node's id and incarnation
-number) as a JSON argument; the node process reconstructs everything it
-needs from that single value, so there is no other configuration
-channel to drift.
+port of every node, the shared epoch and time scale, the seed, the
+anti-entropy interval, where history files go, and (optionally) the
+``FaultPlan`` to replay.  The supervisor builds one, then hands each
+spawned process a :class:`NodeSpec` (= the cluster spec + that node's
+id and incarnation number) as a JSON argument; the node process
+reconstructs everything it needs from that single value, so there is
+no other configuration channel to drift.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Optional, Tuple
 
 from ..chaos.faults import FaultPlan
 
@@ -39,12 +39,9 @@ class ClusterSpec:
     seed: int = 0
     scale: float = 0.05
     anti_entropy_interval: float = 5.0
-    fanout: int = 1
     capacity: int = 100
     history_dir: Optional[str] = None
     plan_json: Optional[str] = None
-    #: write-side coalescing: at most this many payloads per wire frame.
-    max_batch: int = 64
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "ports", tuple(self.ports))
@@ -54,8 +51,6 @@ class ClusterSpec:
             raise ValueError(f"cluster larger than MAX_NODES={MAX_NODES}")
         if len(self.ports) != self.n_nodes:
             raise ValueError("need exactly one port per node")
-        if self.max_batch < 1:
-            raise ValueError("max_batch must be >= 1")
 
     @property
     def node_ids(self) -> Tuple[int, ...]:
@@ -78,11 +73,9 @@ class ClusterSpec:
             "seed": self.seed,
             "scale": self.scale,
             "anti_entropy_interval": self.anti_entropy_interval,
-            "fanout": self.fanout,
             "capacity": self.capacity,
             "history_dir": self.history_dir,
             "plan_json": self.plan_json,
-            "max_batch": self.max_batch,
         }
         return json.dumps(data, sort_keys=True)
 

@@ -1,8 +1,10 @@
 """End-to-end smoke test: a real cluster surviving a real fault plan.
 
 ``python -m repro.runtime.demo`` boots a 3-node asyncio cluster (one OS
-process per replica), drives the airline workload through the client
-API while a ``FaultPlan`` replays against it — a network partition at
+process per replica), replays the airline spec's event stream — the
+same :func:`~repro.workloads.stream.generate_stream` events the
+simulator executes — through the client API while a ``FaultPlan``
+replays against it — a network partition at
 the socket layer, then a node SIGKILLed and respawned empty — waits for
 anti-entropy to re-converge the survivors and the recovered node, and
 then judges the *recorded* history once, as
@@ -23,15 +25,15 @@ import argparse
 import asyncio
 import sys
 import tempfile
-from typing import List, Optional
+from typing import List, Optional, Sequence, Tuple
 
 from ..apps.airline.state import AirlineState
 from ..chaos.faults import Crash, FaultPlan, Partition
 from ..chaos.offline import check_recorded_run
-from ..sim.rng import SeededStreams
-from .client import ClusterClient, NodeUnreachable
+from ..workloads.stream import WorkloadEvent, generate_stream
+from ..workloads.synth import uniform_airline_spec
+from .client import ClusterClient, NodeUnreachable, RequestError
 from .history import load_run
-from .loadgen import LoadGenerator
 from .supervisor import ClusterSupervisor, make_spec
 
 #: the default demo plan: a clean partition, then a kill + recovery.
@@ -59,6 +61,30 @@ async def wait_converged(
     return None
 
 
+async def _replay(
+    client: ClusterClient, events: Sequence[WorkloadEvent]
+) -> Tuple[int, int, float]:
+    """Submit each event to its node at its due wall time (its stream
+    time, in seconds from the start), one in flight; a submit the node
+    cannot take counts as rejected.  Returns ``(submitted, rejected,
+    wall seconds spent)``."""
+    clock = client.clock
+    started = clock.now
+    submitted = rejected = 0
+    for event in events:
+        elapsed = (clock.now - started) * clock.scale
+        if event.time > elapsed:
+            await asyncio.sleep(event.time - elapsed)
+        try:
+            await client.submit(
+                client.spec.node_ids[event.node], event.transaction
+            )
+            submitted += 1
+        except (NodeUnreachable, RequestError):
+            rejected += 1
+    return submitted, rejected, (clock.now - started) * clock.scale
+
+
 async def run_demo(args) -> int:
     history_dir = args.history or tempfile.mkdtemp(prefix="repro-runtime-")
     plan = demo_plan() if args.faults else None
@@ -69,22 +95,24 @@ async def run_demo(args) -> int:
         history_dir=history_dir,
         plan=plan,
     )
+    # a stream this long holds 2 * ops + 10 events on average: ample.
+    events = generate_stream(uniform_airline_spec(
+        capacity=args.capacity, seed=args.seed, rate=args.rate,
+        n_nodes=args.nodes, duration=(2 * args.ops + 10) / args.rate,
+    ))[:args.ops]
+    assert len(events) == args.ops, "the stream is shorter than --ops"
     supervisor = ClusterSupervisor(spec)
     client = ClusterClient(spec)
-    streams = SeededStreams(args.seed)
-    generator = LoadGenerator(
-        client, streams.stream("loadgen"), capacity=args.capacity
-    )
     print(f"booting {args.nodes}-node cluster on ports {spec.ports} "
           f"(scale={spec.scale}, history={history_dir})")
     await supervisor.start()
     try:
         replay = asyncio.ensure_future(supervisor.replay_plan())
-        load = await generator.run(args.ops, rate=args.rate)
+        submitted, rejected, elapsed = await _replay(client, events)
         await replay
-        print(f"workload: {load.submitted} submitted, "
-              f"{load.rejected} rejected, "
-              f"{load.ops_per_sec:.1f} ops/sec sustained")
+        rate = submitted / elapsed if elapsed > 0 else 0.0
+        print(f"workload: {submitted} submitted, {rejected} rejected, "
+              f"{rate:.1f} ops/sec sustained")
 
         recover_at = max(
             (f.recover_at for f in (plan.faults if plan else ())

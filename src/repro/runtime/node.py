@@ -91,10 +91,7 @@ class NodeServer:
         self.broadcast = GossipService(
             self.clock,
             self.transport,
-            GossipConfig(
-                anti_entropy_interval=cluster.anti_entropy_interval,
-                fanout=cluster.fanout,
-            ),
+            GossipConfig(anti_entropy_interval=cluster.anti_entropy_interval),
             rng=streams.stream(f"gossip-{spec.node_id}"),
         )
         # this process hosts one node; gossip targets the whole cluster.

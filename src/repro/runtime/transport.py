@@ -29,7 +29,7 @@ The hot path is write-side coalescing: ``send`` encodes each payload
 once (to its canonical JSON text) and queues the *text*; the per-peer
 sender task drains whatever has accumulated and splices it into a
 single ``Batch`` frame (:func:`~repro.runtime.wire.batch_frame_from_texts`)
-— flush triggers are batch size (``max_batch`` payloads) and frame
+— flush triggers are batch size (``MAX_BATCH`` payloads) and frame
 size (``MAX_FRAME`` guarded); the flush is greedy, which adds no
 latency because a busy writer naturally accumulates a queue.  Inbound,
 frame boundaries are kept (``FrameSplitter(expand=False)``) so one
@@ -59,6 +59,9 @@ from .wire import (
 
 #: protocol envelope tag (peer-to-peer); anything else is a request.
 MSG = "msg"
+
+#: write-side coalescing: at most this many payloads per wire frame.
+MAX_BATCH = 64
 
 #: non-protocol frames (client requests) are awaited on this hook; the
 #: return value is the *pre-encoded* response payload text (or None for
@@ -91,7 +94,6 @@ class TcpTransport:
         self._server: Optional[asyncio.AbstractServer] = None
         self._queues: Dict[int, asyncio.Queue] = {}
         self._senders: Dict[int, asyncio.Task] = {}
-        self.max_batch = spec.max_batch
         self.sent = 0
         self.dropped = 0
         self.delivered = 0
@@ -185,7 +187,7 @@ class TcpTransport:
                     break
             batch = [text]
             size = len(text)
-            while len(batch) < self.max_batch:
+            while len(batch) < MAX_BATCH:
                 try:
                     more = queue.get_nowait()
                 except asyncio.QueueEmpty:

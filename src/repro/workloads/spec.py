@@ -3,9 +3,8 @@
 A spec fully determines a transaction stream: category, seed, sim
 duration, base arrival rate, the Zipf key universe and exponent, load
 shapes, the op mix and the category knobs.  ``generate_stream(spec)``
-is a pure function of the spec, so a spec *is* a reproducible workload
-the same way a ``(seed, rate, duration)`` triple names a loadgen run —
-but one definition now drives both the simulator and the live asyncio
+is a pure function of the spec, so a spec *is* a reproducible workload,
+and one definition drives both the simulator and the live asyncio
 cluster.
 
 Specs are flat frozen dataclasses (picklable for the process-pool

@@ -2,8 +2,8 @@
 
 The stream is the handoff point between workload definition and
 execution: the simulator schedules each event at its sim time, the
-runtime load generator replays the same events paced onto the wall
-axis.  Three named RNG streams derive from the spec's seed via
+live cluster's drivers (``runtime.demo``, shardbench's live workload)
+submit the same events through ``ClusterClient``.  Three named RNG streams derive from the spec's seed via
 :class:`~repro.sim.rng.SeededStreams` — arrivals, ops, node choice —
 so the stream is a pure function of the spec alone: same spec, same
 bytes, independent of worker count, host, or who consumes it.

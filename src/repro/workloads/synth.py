@@ -250,11 +250,11 @@ def uniform_airline_spec(
     rate: float = 2.0,
     n_nodes: int = 3,
 ) -> WorkloadSpec:
-    """The legacy runtime load-generator behavior as a spec: a uniform
-    person pool and the movers/request/cancel split the generator has
-    always used.  With the same RNG, the synthesized stream is
-    draw-for-draw identical to the legacy ``_next_transaction`` (the
-    parity test in ``tests/runtime`` pins this)."""
+    """The runtime's original airline load as a spec: a uniform person
+    pool and the movers/request/cancel split its hand-rolled generator
+    drew.  With the same RNG, the synthesized transactions are draw for
+    draw that generator's (the parity test in ``tests/runtime`` pins
+    this); ``python -m repro.runtime.demo`` replays its stream."""
     return WorkloadSpec(
         name=name,
         category="airline",

@@ -16,6 +16,17 @@ def run(transactions, prefixes, initial=CounterState(0)):
     return Execution.run(initial, transactions, prefixes)
 
 
+#: the executions the tests below build, as (transactions, prefixes).
+CORPUS = (
+    ([], []),
+    ([Allocate(2)] * 3, [(), (0,), (0, 1)]),
+    ([Allocate(2)] * 3, [(), (0,), ()]),
+    ([Allocate(5)] * 4, [(), (0,), (1,), (0, 1, 2)]),
+    ([Allocate(2)] * 3, [(), (), ()]),
+    ([Allocate(3), Release(3), Allocate(3)], [(), (), (0,)]),
+)
+
+
 class TestExecutionRun:
     def test_empty_execution(self):
         e = run([], [])
@@ -71,6 +82,18 @@ class TestExecutionRun:
         assert len(actions) == 3
         assert {a.kind for a in actions} == {"granted"}
 
+    def test_apparent_after_is_the_update_applied_to_the_state_seen(self):
+        for txns, prefixes in CORPUS:
+            e = run(txns, prefixes)
+            for i in e.indices:
+                assert e.apparent_after(i) == e.updates[i].apply(
+                    e.apparent_before[i]
+                )
+        # a stale prefix: the apparent state after trails the actual one.
+        e = run([Allocate(2)] * 3, [(), (0,), ()])
+        assert e.apparent_after(2) == CounterState(1)
+        assert e.actual_after(2) == CounterState(3)
+
     def test_actual_state_indexing(self):
         e = run([Allocate(9)] * 3, [(), (0,), (0, 1)])
         assert e.actual_before(0) == CounterState(0)
@@ -96,7 +119,6 @@ class TestExecutionRun:
             (AddUpdate(5),),
             e.external_actions,
             e.apparent_before,
-            e.apparent_after,
             (CounterState(0), CounterState(5)),
         )
         with pytest.raises(InvalidExecutionError):
@@ -107,8 +129,7 @@ class TestExecutionRun:
             initial_state=e.initial_state, transactions=e.transactions,
             prefixes=e.prefixes, updates=e.updates,
             external_actions=e.external_actions,
-            apparent_before=e.apparent_before,
-            apparent_after=e.apparent_after, actual_states=e.actual_states,
+            apparent_before=e.apparent_before, actual_states=e.actual_states,
         )
         fields.update(changed)
         return Execution(**fields)

@@ -64,11 +64,11 @@ def reference_transitivity_violations(prefixes):
     """Every ``(i, j, h)`` with ``h`` in P_j, ``j`` in P_i and ``h`` not
     in P_i, walking each whole prefix."""
     violations = []
-    prefix_sets = [set(p) for p in prefixes]
+    seen_sets = [set(p) for p in prefixes]
     for i, prefix in enumerate(prefixes):
-        seen_i = prefix_sets[i]
+        seen_i = seen_sets[i]
         for j in prefix:
-            if prefix_sets[j] <= seen_i:
+            if seen_sets[j] <= seen_i:
                 continue
             for h in prefixes[j]:
                 if h not in seen_i:
@@ -79,15 +79,15 @@ def reference_transitivity_violations(prefixes):
 def reference_is_transitive(prefixes):
     """Transitivity by each prefix's newest-first walk, skipping an
     index a checked one already covers."""
-    prefix_sets = [set(p) for p in prefixes]
+    seen_sets = [set(p) for p in prefixes]
     for i, prefix in enumerate(prefixes):
         covered = set()
         for j in reversed(prefix):
             if j in covered:
                 continue
-            if not prefix_sets[j] <= prefix_sets[i]:
+            if not seen_sets[j] <= seen_sets[i]:
                 return False
-            covered |= prefix_sets[j]
+            covered |= seen_sets[j]
     return True
 
 

@@ -32,7 +32,7 @@ from repro.runtime.config import ClusterSpec
 from repro.runtime.faults import RuntimeFaultSeam
 from repro.runtime.node import RES
 from repro.runtime.supervisor import free_ports
-from repro.runtime.transport import MSG, TcpTransport
+from repro.runtime.transport import MAX_BATCH, MSG, TcpTransport
 from repro.runtime.wire import (
     MAX_FRAME, MAX_SET, FrameSplitter, encode, frame_from_text,
 )
@@ -107,10 +107,9 @@ class TransportPair:
     """Two live TcpTransports over loopback: node 0 (with an optional
     fault seam on its outbound edges) talking to node 1."""
 
-    def __init__(self, plan=None, seed=0, max_batch=8, scale=1.0):
+    def __init__(self, plan=None, seed=0, scale=1.0):
         self.spec = ClusterSpec(
-            n_nodes=2, ports=free_ports(2), epoch=wall_epoch(),
-            scale=scale, max_batch=max_batch,
+            n_nodes=2, ports=free_ports(2), epoch=wall_epoch(), scale=scale,
         )
         self.clock = RuntimeClock(self.spec.epoch, self.spec.scale)
         seam = (
@@ -141,8 +140,8 @@ class TestBatchedSendsKeepFaultSemantics:
 
     def test_coalesced_payloads_arrive_in_order(self):
         async def scenario():
-            async with TransportPair(max_batch=8) as pair:
-                payloads = [("items", (i,)) for i in range(40)]
+            async with TransportPair() as pair:
+                payloads = [("items", (i,)) for i in range(3 * MAX_BATCH)]
                 for payload in payloads:
                     assert pair.sender.send(0, 1, payload)
                 assert await wait_for(
@@ -152,7 +151,7 @@ class TestBatchedSendsKeepFaultSemantics:
                 # the burst actually coalesced, under the size cap.
                 profile = pair.sender.profile
                 assert profile.batch_frames_out >= 1
-                assert 1 < profile.max_batch_out <= 8
+                assert 1 < profile.max_batch_out <= MAX_BATCH
                 assert profile.frames_out < len(payloads)
 
         run(scenario())

@@ -18,9 +18,8 @@ from repro.consistency.adapters import history_from_dir
 from repro.consistency.checkers import check
 from repro.runtime.client import ClusterClient
 from repro.runtime.history import load_history
-from repro.runtime.loadgen import LoadGenerator
 from repro.runtime.supervisor import ClusterSupervisor, make_spec
-from repro.sim.rng import SeededStreams
+from repro.workloads.stream import generate_stream
 from repro.workloads.synth import uniform_airline_spec
 
 SCALE = 0.02
@@ -44,34 +43,32 @@ async def converge(client, supervisor, window_plan_units=400.0):
     return False
 
 
-async def drive(history_dir, pipeline):
-    """One complete run: boot, replay the stream flat-out to node 0,
-    converge, dump, return (txids, final states per node)."""
+async def drive(history_dir, window):
+    """One complete run: boot, submit the stream flat-out to node 0
+    with ``window`` submits in flight, converge, dump, return (txids,
+    final states per node)."""
     spec = make_spec(
         n_nodes=3, seed=WORKLOAD.seed, scale=SCALE,
         anti_entropy_interval=4.0, history_dir=history_dir, capacity=2,
     )
     supervisor = ClusterSupervisor(spec)
     client = ClusterClient(spec)
-    generator = LoadGenerator(
-        client, SeededStreams(WORKLOAD.seed).stream("loadgen"),
-        spec=WORKLOAD,
-    )
     await supervisor.start()
     try:
-        stats = await generator.run_stream(
-            time_scale=1e6, pipeline=pipeline, nodes=[0]
+        txids = await client.submit_many(
+            0, [e.transaction for e in generate_stream(WORKLOAD)],
+            window=window,
         )
-        assert stats.rejected == 0
+        assert None not in txids
         assert await converge(client, supervisor), "no convergence"
         states = [await client.get(n) for n in spec.node_ids]
         for node_id in spec.node_ids:
             await client.dump(node_id)
-        if pipeline > 1:
+        if window > 1:
             # the pipelined arm must actually have pipelined: the
             # client saw more than one request in flight at once.
             assert client.profile.inflight_peak > 1
-        return stats, states
+        return txids, states
     finally:
         client.close()
         await supervisor.stop()
@@ -104,18 +101,17 @@ def test_pipelined_run_matches_serial_run(tmp_path):
     piped_dir = str(tmp_path / "pipelined")
 
     async def scenario():
-        serial_stats, serial_states = await drive(serial_dir, pipeline=1)
-        piped_stats, piped_states = await drive(piped_dir, pipeline=16)
-        return serial_stats, serial_states, piped_stats, piped_states
+        serial_txids, serial_states = await drive(serial_dir, window=1)
+        piped_txids, piped_states = await drive(piped_dir, window=16)
+        return serial_txids, serial_states, piped_txids, piped_states
 
-    serial_stats, serial_states, piped_stats, piped_states = run(
+    serial_txids, serial_states, piped_txids, piped_states = run(
         scenario()
     )
 
     # the same workload went through: same ops, same txids (node 0's
     # per-connection FIFO makes its decide order deterministic).
-    assert piped_stats.submitted == serial_stats.submitted
-    assert sorted(piped_stats.txids) == sorted(serial_stats.txids)
+    assert sorted(piped_txids) == sorted(serial_txids)
     # identical converged application state on every node, across arms.
     assert len(set(serial_states)) == 1
     assert piped_states == serial_states
