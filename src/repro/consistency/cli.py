@@ -13,7 +13,7 @@ Exit codes follow the ``python -m repro.chaos`` convention:
 * ``1`` — at least one model is violated (or a prefix search came back
   indeterminate — treated conservatively as not-passing), or the node
   logs of a ``--history`` directory hold differing copies of a record;
-* ``2`` — usage error: unreadable input, no records, unknown model.
+* ``2`` — unreadable input, no records, unknown model, or a checker fault.
 
 A directory's node logs are merged by txid
 (:class:`~repro.shard.history.RecordedRun`) and the models are checked
@@ -155,7 +155,11 @@ def main(argv: Optional[List[str]] = None) -> int:
         kwargs = {}
         if model == "prefix" and args.budget is not None:
             kwargs["budget"] = args.budget
-        verdicts.append(check(history, model, **kwargs))
+        try:
+            verdicts.append(check(history, model, **kwargs))
+        except Exception as exc:  # a checker fault is not a verdict
+            print(f"error: {model} check failed: {type(exc).__name__}: {exc}")
+            return 2
 
     failing = sum(1 for v in verdicts if not v.ok) + len(failures)
     if args.format == "json":

@@ -20,16 +20,16 @@ The checker runs two stages:
    current graph — any edge added this way must hold in every candidate
    commit order.  A cycle here is a definitive violation with a minimal
    cycle witness.
-2. **commit-order search** (sufficiency): a depth-first search over the
-   split history's per-session frontiers, committing one read part or
-   write part at a time.  A read part is schedulable only when, for
-   every one of its reads, the *last committed writer* of the key is
-   exactly the transaction it read from — the serializability guard
-   that, on the split history, is precisely the prefix axiom.  Failed
-   (frontier, last-writer) states are memoized, and stage-1 edges prune
-   the candidate order.  Exhausting the space proves the violation; the
-   witness then reports the reads that blocked the deepest frontier
-   reached.
+2. **commit-order search** (sufficiency): a depth-first search, on an
+   explicit stack, over the split history's per-session frontiers,
+   committing one read part or write part at a time.  A read part is
+   schedulable only when, for every one of its reads, the *last
+   committed writer* of the key is exactly the transaction it read
+   from — the serializability guard that, on the split history, is
+   precisely the prefix axiom.  Failed (frontier, last-writer) states
+   are memoized, and stage-1 edges prune the candidate order.
+   Exhausting the space proves the violation; the witness then reports
+   the reads that blocked the deepest frontier reached.
 
 The search carries a state budget (generous for the cluster sizes the
 repo produces); exceeding it yields an *indeterminate* verdict rather
@@ -38,7 +38,7 @@ than a guess.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, Generator, List, Optional, Set, Tuple
 
 from .checkers import Verdict, Witness, _label, base_graph
 from .graph import PrecedenceGraph
@@ -120,18 +120,11 @@ def _search_commit_order(
     order_index = {t.txid: i for i, t in enumerate(history.transactions)}
     sessions = sorted(history.sessions().items())
     # parts[s] = [("r", txid), ("w", txid), ...] in session order
-    parts: List[List[Tuple[str, int]]] = []
-    for _, ids in sessions:
-        row: List[Tuple[str, int]] = []
-        for txid in ids:
-            row.append(("r", txid))
-            row.append(("w", txid))
-        parts.append(row)
+    parts: List[List[Tuple[str, int]]] = [
+        [(kind, txid) for txid in ids for kind in "rw"] for _, ids in sessions
+    ]
     # direct necessary predecessors (write-part ordering), init dropped
-    direct_preds: Dict[int, Tuple[int, ...]] = {
-        t.txid: () for t in history.transactions
-    }
-    pred_lists: Dict[int, List[int]] = {
+    direct_preds: Dict[int, List[int]] = {
         t.txid: [] for t in history.transactions
     }
     for src in graph.nodes():
@@ -139,10 +132,7 @@ def _search_commit_order(
             continue
         for dst in graph.successors(src):
             if dst is not None and src != dst:
-                pred_lists[dst].append(src)
-    direct_preds = {
-        txid: tuple(preds) for txid, preds in pred_lists.items()
-    }
+                direct_preds[dst].append(src)
 
     failed: Set[Tuple[Tuple[int, ...], Tuple[Tuple[str, int], ...]]] = set()
     visited = [0]
@@ -175,12 +165,11 @@ def _search_commit_order(
         return None
 
     def write_guard(txid: int) -> bool:
-        for pred in direct_preds[txid]:
-            if pred not in committed_w:
-                return False
-        return True
+        return all(pred in committed_w for pred in direct_preds[txid])
 
-    def dfs() -> bool:
+    def dfs() -> Generator[None, bool, bool]:
+        """The search from here, as a generator for the explicit stack
+        below: it yields to search the next state and is sent its result."""
         committed = sum(frontier)
         if committed == sum(len(row) for row in parts):
             return True
@@ -206,7 +195,7 @@ def _search_commit_order(
                     continue
                 frontier[s] += 1
                 progressed = True
-                if dfs():
+                if (yield):
                     return True
                 frontier[s] -= 1
             else:
@@ -220,7 +209,7 @@ def _search_commit_order(
                 committed_w.add(txid)
                 frontier[s] += 1
                 progressed = True
-                if dfs():
+                if (yield):
                     return True
                 frontier[s] -= 1
                 committed_w.discard(txid)
@@ -235,7 +224,17 @@ def _search_commit_order(
         failed.add(key)
         return False
 
-    found = dfs()
+    stack, result = [dfs()], None
+    while stack:
+        try:
+            stack[-1].send(result)
+        except StopIteration as returned:
+            stack.pop()
+            result = returned.value
+        else:  # it yielded: search the state it moved to
+            stack.append(dfs())
+            result = None
+    found = result
     stats = {
         "states": visited[0],
         "deepest_blocked": deepest["blocked"],

@@ -2,8 +2,9 @@
 
 The :class:`ExecutionBuilder` constructs an execution one transaction at a
 time.  For each transaction, a *prefix policy* (or an explicit prefix)
-decides which preceding transactions it sees; the builder then runs the
-decision against the induced apparent state and threads the actual state.
+decides which preceding transactions it sees; the builder then steps it
+through ``Execution.run``'s stepper, which runs the decision against the
+induced apparent state and threads the actual state.
 
 Policies model information regimes directly — complete prefixes, a fixed
 replication lag, random message loss, scripted prefixes for the paper's
@@ -16,12 +17,15 @@ from __future__ import annotations
 
 import abc
 import random
-from typing import Callable, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Iterable, List, Optional, Tuple, Union
 
-from .execution import Execution, InvalidExecutionError, TimedExecution
+from .execution import (
+    Execution, InvalidExecutionError, MissingSets, TimedExecution,
+    _missing_of, _Stepper,
+)
 from .state import State
-from .transaction import ExternalAction, Transaction
-from .update import Update, apply_sequence
+from .transaction import Transaction
+from .update import Update
 
 PrefixSpec = Union[str, Iterable[int], "PrefixPolicy"]
 
@@ -115,11 +119,8 @@ class ExecutionBuilder:
         self.initial_state = initial_state
         self.policy = policy or CompletePrefix()
         self._transactions: List[Transaction] = []
-        self._prefixes: List[Tuple[int, ...]] = []
-        self._updates: List[Update] = []
-        self._externals: List[Tuple[ExternalAction, ...]] = []
-        self._apparent_before: List[State] = []
-        self._actual_states: List[State] = [initial_state]
+        self._missing: List[Tuple[int, ...]] = []
+        self._stepper = _Stepper(initial_state)
         self._times: List[float] = []
 
     def __len__(self) -> int:
@@ -128,22 +129,17 @@ class ExecutionBuilder:
     @property
     def current_state(self) -> State:
         """The actual state after everything added so far."""
-        return self._actual_states[-1]
+        return self._stepper.actual_states[-1]
 
     @property
     def updates(self) -> Tuple[Update, ...]:
-        return tuple(self._updates)
+        return tuple(self._stepper.updates)
 
     def apparent_after(self, index: int) -> State:
         """The apparent state after the transaction at ``index`` (its
         decision's view of the world once its update runs)."""
-        return self._updates[index].apply(self._apparent_before[index])
-
-    def state_seen_by(self, prefix: Sequence[int]) -> State:
-        """Apparent state induced by a prefix subsequence."""
-        return apply_sequence(
-            (self._updates[j] for j in prefix), self.initial_state
-        )
+        stepper = self._stepper
+        return stepper.updates[index].apply(stepper.apparent_before[index])
 
     def add(
         self,
@@ -174,14 +170,10 @@ class ExecutionBuilder:
                 f"prefix {chosen} invalid for transaction {n}"
             )
 
-        seen = self.state_seen_by(chosen)
-        decision = txn.decide(seen)
+        gone = _missing_of(n, chosen)
+        self._stepper.step(txn, gone)
         self._transactions.append(txn)
-        self._prefixes.append(chosen)
-        self._updates.append(decision.update)
-        self._externals.append(tuple(decision.external_actions))
-        self._apparent_before.append(seen)
-        self._actual_states.append(decision.update.apply(self.current_state))
+        self._missing.append(gone)
         self._times.append(time if time is not None else float(n))
         return n
 
@@ -193,14 +185,8 @@ class ExecutionBuilder:
         return [self.add(t, prefix) for t in txns]
 
     def build(self) -> Execution:
-        return Execution(
-            self.initial_state,
-            self._transactions,
-            self._prefixes,
-            self._updates,
-            self._externals,
-            self._apparent_before,
-            self._actual_states,
+        return Execution._of_steps(
+            self._transactions, MissingSets(self._missing), self._stepper
         )
 
     def build_timed(self) -> TimedExecution:

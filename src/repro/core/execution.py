@@ -21,9 +21,9 @@ subject to the four conditions of Section 3.1:
    updates of *all* transactions through ``i``, in order, to the initial
    state.
 
-:class:`Execution` stores the data and derives everything that conditions
-(2)-(4) determine; :meth:`Execution.validate` re-checks all four conditions
-from scratch.
+:class:`_Stepper` derives what conditions (2)-(4) determine, for
+:meth:`Execution.run` and the builder alike; :meth:`Execution.validate`
+re-derives only an execution whose fields its caller gave.
 
 Each prefix subsequence is stored as its *missing set*, the ascending
 indices below ``i`` that transaction ``i`` did not see
@@ -41,9 +41,9 @@ missing set — about one ``j`` per concurrent issuer, O(k) each.
 
 from __future__ import annotations
 
-from itertools import filterfalse
+from itertools import count, filterfalse
 from operator import lt
-from typing import Iterable, Iterator, List, Sequence, Tuple
+from typing import Iterable, List, Sequence, Tuple
 
 from .state import State
 from .transaction import ExternalAction, Transaction
@@ -71,25 +71,27 @@ class MissingSets(tuple):
         return self
 
 
+def _missing_of(index: int, prefix: Tuple[int, ...]) -> Tuple[int, ...]:
+    """Condition (1) for transaction ``index``'s prefix; its missing set."""
+    if not all(map(lt, prefix, prefix[1:])):
+        raise InvalidExecutionError(
+            f"prefix of transaction {index} is not strictly increasing: "
+            f"{prefix}"
+        )
+    if prefix and (prefix[0] < 0 or prefix[-1] >= index):
+        raise InvalidExecutionError(
+            f"prefix of transaction {index} is not a subsequence of its "
+            f"preceding indices: {prefix}"
+        )
+    return tuple(filterfalse(set(prefix).__contains__, range(index)))
+
+
 def _missing_form(prefixes: Iterable[Sequence[int]]) -> MissingSets:
     """Validate condition (1) for every prefix subsequence, given as its
     indices or as :class:`MissingSets`, and return the missing form."""
     if isinstance(prefixes, MissingSets):
         return prefixes
-    missing = []
-    for index, prefix in enumerate(map(tuple, prefixes)):
-        if not all(map(lt, prefix, prefix[1:])):
-            raise InvalidExecutionError(
-                f"prefix of transaction {index} is not strictly increasing: "
-                f"{prefix}"
-            )
-        if prefix and (prefix[0] < 0 or prefix[-1] >= index):
-            raise InvalidExecutionError(
-                f"prefix of transaction {index} is not a subsequence of its "
-                f"preceding indices: {prefix}"
-            )
-        missing.append(filterfalse(set(prefix).__contains__, range(index)))
-    return MissingSets(missing)
+    return MissingSets(map(_missing_of, count(), map(tuple, prefixes)))
 
 
 class _FoldCursor:
@@ -149,6 +151,27 @@ class _FoldCursor:
         return state
 
 
+class _Stepper:
+    """Conditions (2)-(4), one transaction at a time: fold the apparent
+    state its missing set leaves, run its decision part there and apply
+    the update to the last actual state, collecting the fields."""
+
+    def __init__(self, initial_state: State):
+        self.updates: List[Update] = []
+        self.external_actions: List[Tuple[ExternalAction, ...]] = []
+        self.apparent_before: List[State] = []
+        self.actual_states: List[State] = [initial_state]
+        self._cursor = _FoldCursor(self.updates, initial_state)
+
+    def step(self, txn: Transaction, gone: Tuple[int, ...]) -> None:
+        seen = self._cursor.fold(len(self.updates), gone)
+        decision = txn.decide(seen)
+        self.updates.append(decision.update)
+        self.external_actions.append(tuple(decision.external_actions))
+        self.apparent_before.append(seen)
+        self.actual_states.append(decision.update.apply(self.actual_states[-1]))
+
+
 class Execution:
     """A (finite) execution satisfying the prefix subsequence condition.
 
@@ -184,6 +207,7 @@ class Execution:
         #: actual_states[0] is the initial state; actual_states[i + 1] is the
         #: actual state after transaction i (the paper's s_{i+1}).
         self.actual_states: Tuple[State, ...] = tuple(actual_states)
+        self._derived = False  # set only by :meth:`_of_steps`
 
     # -- construction ----------------------------------------------------
 
@@ -194,13 +218,10 @@ class Execution:
         transactions: Sequence[Transaction],
         prefixes: Sequence[Sequence[int]],
     ) -> "Execution":
-        """Derive a full execution from transactions and prefix subsequences.
-
-        This is the canonical constructor: it runs each decision part
-        against the apparent state determined by its prefix subsequence
-        (conditions (2)-(3)) and threads the actual states (condition (4)).
-        The prefix subsequences are given as tuples of indices, converted
-        once, or as :class:`MissingSets`.
+        """Derive a full execution from transactions and prefix
+        subsequences, given as tuples of indices, converted once, or as
+        :class:`MissingSets`.  The canonical constructor: it steps each
+        transaction through conditions (2)-(4) (:class:`_Stepper`).
         """
         initial_state.require_well_formed()
         transactions = tuple(transactions)
@@ -210,36 +231,21 @@ class Execution:
                 "need exactly one prefix subsequence per transaction"
             )
 
-        steps = list(cls._derive(initial_state, transactions, missing))
-        return cls(
-            initial_state, transactions, missing,
-            [step[0] for step in steps], [step[1] for step in steps],
-            [step[2] for step in steps],
-            [initial_state] + [step[3] for step in steps],
-        )
+        stepper = _Stepper(initial_state)
+        for txn, gone in zip(transactions, missing):
+            stepper.step(txn, gone)
+        return cls._of_steps(transactions, missing, stepper)
 
-    @staticmethod
-    def _derive(
-        initial_state: State,
-        transactions: Sequence[Transaction],
-        missing: Sequence[Tuple[int, ...]],
-    ) -> Iterator[Tuple[Update, Tuple[ExternalAction, ...], State, State]]:
-        """What conditions (2)-(4) determine, one transaction at a time:
-        ``(update, external actions, apparent state, actual state
-        after)``.  A generator, so a caller that only compares (see
-        :meth:`validate`) never holds more than one step's states beside
-        the cursor's O(log n) checkpoints."""
-        updates: List[Update] = []
-        cursor = _FoldCursor(updates, initial_state)
-        actual = initial_state
-        for i, (txn, gone) in enumerate(zip(transactions, missing)):
-            seen = cursor.fold(i, gone)
-            decision = txn.decide(seen)
-            updates.append(decision.update)
-            actual = decision.update.apply(actual)
-            yield (
-                decision.update, tuple(decision.external_actions), seen, actual
-            )
+    @classmethod
+    def _of_steps(cls, transactions, missing, stepper) -> "Execution":
+        """What ``stepper`` derived, which :meth:`validate` trusts."""
+        execution = cls(
+            stepper.actual_states[0], transactions, missing, stepper.updates,
+            stepper.external_actions, stepper.apparent_before,
+            stepper.actual_states,
+        )
+        execution._derived = True
+        return execution
 
     # -- basic accessors -------------------------------------------------
 
@@ -292,31 +298,38 @@ class Execution:
     # -- validation (conditions (1)-(4)) ----------------------------------
 
     def validate(self) -> None:
-        """Re-derive everything and check the Section 3.1 conditions.
+        """Check the Section 3.1 conditions; raise
+        :class:`InvalidExecutionError` on the first violation.
 
-        Raises :class:`InvalidExecutionError` on the first violation.
+        One built with ``Execution(...)`` from fields its caller gives is
+        re-derived by :meth:`run` and compared, condition by condition.
+        One that :meth:`run` or the builder made holds only what the
+        stepper derived, and folding it again would run the same
+        decisions on the same states: for it, only what deriving does
+        not check is checked, that every actual state is well-formed.
         """
-        self.initial_state.require_well_formed()
-        actual_differs = False
-        for i, (update, externals, seen, actual) in enumerate(
-            self._derive(self.initial_state, self.transactions, self._missing)
-        ):
-            if update != self.updates[i]:
+        if not self._derived:
+            derived = Execution.run(
+                self.initial_state, self.transactions, self._missing
+            )
+            for i in self.indices:
+                if derived.updates[i] != self.updates[i]:
+                    raise InvalidExecutionError(
+                        f"condition (3) fails at {i}: stored update "
+                        f"{self.updates[i]!r} != derived {derived.updates[i]!r}"
+                    )
+                if derived.external_actions[i] != self.external_actions[i]:
+                    raise InvalidExecutionError(
+                        f"condition (3) fails at {i}: external actions differ"
+                    )
+                if derived.apparent_before[i] != self.apparent_before[i]:
+                    raise InvalidExecutionError(
+                        f"condition (2) fails at {i}: apparent state differs"
+                    )
+            if derived.actual_states[1:] != self.actual_states[1:]:
                 raise InvalidExecutionError(
-                    f"condition (3) fails at {i}: stored update "
-                    f"{self.updates[i]!r} != derived {update!r}"
+                    "condition (4) fails: actual states differ"
                 )
-            if externals != self.external_actions[i]:
-                raise InvalidExecutionError(
-                    f"condition (3) fails at {i}: external actions differ"
-                )
-            if seen != self.apparent_before[i]:
-                raise InvalidExecutionError(
-                    f"condition (2) fails at {i}: apparent state differs"
-                )
-            actual_differs = actual_differs or actual != self.actual_states[i + 1]
-        if actual_differs:
-            raise InvalidExecutionError("condition (4) fails: actual states differ")
         for state in self.actual_states:
             if not state.well_formed():
                 raise InvalidExecutionError(

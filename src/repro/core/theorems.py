@@ -15,8 +15,9 @@ can never happen; the benchmark harness exercises exactly this.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Sequence
+from typing import Callable, Dict, Sequence
 
+from .builder import ExecutionBuilder
 from .execution import Execution
 from .grouping import Grouping
 from .relations import CostBound
@@ -194,20 +195,14 @@ def lemma12(
             details={"k": k, "f(k)": limit, "cost": s_cost, "suffix_len": 0},
         )
 
-    transactions = list(execution.transactions)
-    prefixes = [list(p) for p in execution.prefixes]
-    suffix_members: List[int] = []
-    extended = execution
+    builder = ExecutionBuilder(execution.initial_state)
+    for i, txn in enumerate(execution.transactions):
+        builder.add(txn, execution.prefix(i))
+    seen = list(kept)
     for _ in range(max_suffix):
-        new_index = len(transactions)
-        transactions.append(compensator)
-        prefixes.append(sorted(set(kept) | set(suffix_members)))
-        suffix_members.append(new_index)
-        extended = Execution.run(
-            execution.initial_state, transactions, prefixes
-        )
-        apparent_after = extended.apparent_after(new_index)
-        if cost(apparent_after) <= _EPS:
+        new_index = builder.add(compensator, seen)
+        seen.append(new_index)
+        if cost(builder.apparent_after(new_index)) <= _EPS:
             break
     else:
         return TheoremReport(
@@ -218,6 +213,7 @@ def lemma12(
                      "error": "apparent cost never reached zero"},
         )
 
+    extended = builder.build()
     final_cost = cost(extended.final_state)
     return TheoremReport(
         "lemma12",
@@ -228,7 +224,7 @@ def lemma12(
             "f(k)": limit,
             "cost_before_suffix": s_cost,
             "cost_after_suffix": final_cost,
-            "suffix_len": len(suffix_members),
+            "suffix_len": len(seen) - len(kept),
             "extension": extended,
         },
     )

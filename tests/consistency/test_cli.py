@@ -146,3 +146,26 @@ class TestHistoryFileMode:
         path.write_text("{not json", encoding="utf-8")
         code = main(["--file", str(path)])
         assert code == 2
+
+    def test_a_checker_that_raises_exits_two_without_a_traceback(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        import repro.consistency.prefix as prefix
+
+        def broken(history, **kwargs):
+            raise RecursionError("maximum recursion depth exceeded")
+
+        monkeypatch.setattr(prefix, "check_prefix", broken)
+        path = tmp_path / "history.json"
+        path.write_text(
+            History([HTransaction(1, "a", writes=("x",))]).to_json(),
+            encoding="utf-8",
+        )
+        code = main(["--file", str(path)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out.splitlines()[-1] == (
+            "error: prefix check failed: RecursionError: maximum recursion "
+            "depth exceeded"
+        )
+        assert "Traceback" not in captured.out + captured.err

@@ -157,9 +157,9 @@ class TestExecutionRun:
             both.validate()
 
     def test_validate_holds_one_step_of_states_not_a_second_execution(self):
-        """Re-derivation is streamed: validating an execution whose
-        states grow with its length peaks far below what the execution
-        itself occupies."""
+        """Validating an execution ``run`` made folds nothing again:
+        with states that grow with its length, it peaks far below what
+        the execution itself occupies."""
         import tracemalloc
 
         from repro.apps.dictionary import INITIAL_DICT_STATE, Insert

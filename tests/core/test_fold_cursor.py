@@ -1,4 +1,4 @@
-"""The incremental fold behind ``Execution._derive`` against the
+"""The incremental fold behind the execution stepper against the
 from-scratch Section 3.1 fold, and the cursor's checkpoint bounds."""
 
 import math
@@ -8,8 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.apps.airline import AirlineState, Cancel, MoveDown, MoveUp, Request
-from repro.core import Execution
-from repro.core.execution import _FoldCursor, _missing_form
+from repro.core.execution import _FoldCursor, _missing_form, _Stepper
 from tests.helpers import reference_derive
 
 CAPACITY = 3
@@ -65,7 +64,13 @@ def prefix_walks(draw, min_len=60, max_len=140):
 def test_every_step_equals_the_from_scratch_fold(walk):
     transactions, prefixes = walk
     initial = AirlineState()
-    derived = Execution._derive(initial, transactions, _missing_form(prefixes))
+    stepper = _Stepper(initial)
+    for txn, gone in zip(transactions, _missing_form(prefixes)):
+        stepper.step(txn, gone)
+    derived = zip(
+        stepper.updates, stepper.external_actions, stepper.apparent_before,
+        stepper.actual_states[1:],
+    )
     assert list(derived) == list(
         reference_derive(initial, transactions, prefixes)
     )

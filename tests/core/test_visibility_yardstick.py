@@ -8,16 +8,24 @@ measures, at 1,000 and 4,000 transactions:
   the ints in its per-transaction tuples of indices.  Missing sets hold
   1.16 and 1.25; tuples of every index seen held 498 and 1,998 (4.0×);
 * ``Update.apply`` calls per transaction of
-  ``extract_execution(...).validate()``, caught by a profile hook: 3 per
-  transaction re-derive and replay (extraction's run, its actual
-  states, ``validate``'s actual state) and the rest are the incremental
-  fold's, 6.62 and 6.70 in all when the fold took tuple prefixes.
+  ``extract_execution(...).validate()``, caught by a profile hook: one
+  per transaction threads the actual state and the rest, 1.81 and 1.85,
+  are the incremental fold's; ``validate`` of what extraction derived
+  folds nothing again.  It was 5.62 and 5.70 when ``validate`` re-ran
+  the fold, and 6.62 and 6.70 when the fold took tuple prefixes.
+
+It also counts the applies of an :class:`ExecutionBuilder` that steps
+800 counter transactions, each missing its last two predecessors,
+through the same fold: 2.0 per transaction, building and validating,
+where folding every prefix from the initial state made 398.5.
 """
 
 import sys
 
 import pytest
 
+from repro.apps.counter import Allocate, CounterState
+from repro.core import DropLast, ExecutionBuilder
 from repro.core.update import Update
 from repro.shard.history import extract_execution
 from tests.core.test_verify_yardstick import steady_airline_history
@@ -93,3 +101,30 @@ def test_verification_applies_no_more_updates_than_the_tuple_form(
         lambda: extract_execution(initial_state, records).validate()
     )
     assert calls / n <= TUPLE_FORM_APPLIES[n]
+
+
+@pytest.mark.parametrize("n", SIZES)
+def test_extraction_and_validation_apply_at_most_three_updates_each(
+    history, n
+):
+    initial_state, records = head(history, n)
+    calls = apply_calls(
+        lambda: extract_execution(initial_state, records).validate()
+    )
+    assert calls / n <= 3.0
+
+
+def test_validating_an_extracted_execution_applies_no_update(history):
+    execution = extract_execution(*head(history, 1000))
+    assert apply_calls(execution.validate) == 0
+
+
+def test_a_builder_applies_at_most_three_updates_per_transaction():
+    n = 800
+
+    def build_and_validate():
+        builder = ExecutionBuilder(CounterState(0), DropLast(2))
+        builder.add_all([Allocate(10 * n)] * n)
+        builder.build().validate()
+
+    assert apply_calls(build_and_validate) / n <= 3

@@ -108,7 +108,7 @@ def reference_derive(initial_state, transactions, prefixes):
     ``(update, external actions, apparent state, actual state after)``
     — each apparent state folded from the initial state over the whole
     prefix, exactly as Section 3.1 defines it.  Θ(n²) applies; the
-    reference oracle for ``Execution._derive``."""
+    reference oracle for the execution stepper."""
     updates = []
     actual = initial_state
     for txn, prefix in zip(transactions, prefixes):
